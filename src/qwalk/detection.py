@@ -20,6 +20,13 @@ to S, that probability is
 
 and click patterns follow by inclusion-exclusion over the clicking
 detectors.
+
+Two routes evaluate it.  `build_layout` + `ClickCalculator` route one
+dense state per gate point and factor each covariance block; HOM runs
+and scans on registers of up to 7 time bins use them.  `scan_patterns`
+evaluates every gate point of a scan at once from a `LowRankState`
+(cov - I/2 of rank <= 4 after the walk and loss) through per-bin Gram
+blocks, never building the routed register.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .errors import (
     SingularMatrix,
     ZeroHeraldRate,
 )
-from .gaussian import GaussianState, append_modes, apply_passive
+from .gaussian import GaussianState, LowRankState, append_modes, apply_passive
 from .modes import ExtraMode, ModeIndex, Pol
 
 __all__ = [
@@ -53,6 +60,7 @@ __all__ = [
     "heralded_prob",
     "single_photon_pattern_prob",
     "ClickCalculator",
+    "scan_patterns",
     "APD_NAMES",
 ]
 
@@ -352,6 +360,161 @@ class ClickCalculator:
                 p0, correction = self._p0_with_factor(modes, injection)
                 total += (-1) ** r * p0 * (1.0 + correction)
         return self._clamp(total)
+
+
+def _gate_point_name(slots) -> str:
+    return "the gate point with gates on bins " + ", ".join(str(int(b)) for b in slots if b)
+
+
+def _quads(mode: int) -> list:
+    return [2 * mode, 2 * mode + 1]
+
+
+def _no_click_excess(grams: np.ndarray, eigs: np.ndarray, where) -> np.ndarray:
+    """P0 (1 + correction) - 1 for stacked Grams of the factor [V | d | probes].
+
+    `grams` has shape (subsets, points, k, k) and holds F_S^T F_S for each
+    detector union S.  With A = V_S^T V_S, K = I + A D, M = cov_S + I/2
+    and [b | P] = V_S^T [d_S | v_S], the Woodbury identity gives
+    [d v]^T M^-1 [d v] = [d v]_S^T [d v]_S - [b P]^T D K^-1 [b P], and the
+    determinant lemma det M = det K, with no D^-1 anywhere.  The
+    correction is the ideal-herald factor of ClickCalculator.single_photon
+    and is zero when the factor has no probe columns.
+
+    Returning the excess over 1 (via expm1 and log1p) keeps small click
+    probabilities to full relative precision: inclusion-exclusion signs
+    sum to zero, so the 1s cancel exactly.  `where(t, p)` names term t of
+    point p in refusals.
+    """
+    r = eigs.size
+    head = grams[..., :r, r:]
+    schur = grams[..., r:, r:]
+    logdet = 0.0
+    if r:
+        a = grams[..., :r, :r]
+        # M's eigenvalues other than 1 are 1 + those of R D R^T, R^T R = A
+        lam, w = np.linalg.eigh(a)
+        root = np.sqrt(np.clip(lam, 0.0, None))[..., :, None] * np.swapaxes(w, -1, -2)
+        shift = np.linalg.eigvalsh((root * eigs) @ np.swapaxes(root, -1, -2))
+        lowest = 1.0 + np.minimum(shift.min(axis=-1), 0.0)
+        highest = 1.0 + np.maximum(shift.max(axis=-1), 0.0)
+        bad = np.argwhere(lowest <= 0.0)
+        if bad.size:
+            t, p = bad[0]
+            raise SingularMatrix(f"covariance block of {where(t, p)} is not positive definite")
+        bad = np.argwhere(highest > _CONDITION_LIMIT * lowest)
+        if bad.size:
+            t, p = bad[0]
+            raise NumericalInstability(f"covariance block of {where(t, p)} is too ill-conditioned")
+        logdet = np.log1p(shift).sum(axis=-1)
+        k = np.eye(r) + a * eigs
+        schur = schur - np.swapaxes(head, -1, -2) @ (eigs[:, None] * np.linalg.solve(k, head))
+    log_p0 = -0.5 * schur[..., 0, 0] - 0.5 * logdet
+    excess = np.expm1(log_p0)
+    if schur.shape[-1] > 1:
+        cross = schur[..., 0, 1:]
+        trace = np.trace(schur[..., 1:, 1:], axis1=-2, axis2=-1)
+        excess += np.exp(log_p0) * (0.5 * (cross**2).sum(axis=-1) - 0.5 * trace)
+    return excess
+
+
+def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Clamp inclusion-exclusion round-off into [0, 1]; refuse anything larger."""
+    bad = np.flatnonzero(
+        (values < -_NEGATIVE_CLAMP) | (values > 1.0 + _NEGATIVE_CLAMP)
+    )
+    if bad.size:
+        p = bad[0]
+        raise NumericalInstability(
+            f"inclusion-exclusion produced {values[p]:.3e} at "
+            f"{_gate_point_name(slots[p])}"
+        )
+    return np.clip(values, 0.0, 1.0)
+
+
+def scan_patterns(
+    state: LowRankState,
+    slots,
+    efficiency: float,
+    clicked,
+    heralded: bool = False,
+) -> np.ndarray:
+    """Click-pattern probabilities at every gate point of a scan at once.
+
+    `slots` lists one (gate 1 bin, gate 2 bin) pair per point, 0 for a
+    dark slot; both gates route with `efficiency`.  `clicked` names the
+    detectors that must click, the others are marginal.  With `heralded`
+    the values are conditioned on an APD1 click.  When `state` carries
+    probe columns they are the injection map of one ideal-herald photon,
+    and the values are those of ClickCalculator.single_photon.
+
+    Routing only touches the two tapped (H, t_m) modes per sector, so each
+    detector's Gram F_S^T F_S is a weighted sum of per-bin Grams G_m over
+    both sectors: APD3 and APD4 get efficiency * G_m of their bin, APD2
+    the H total minus those shares, APD1 the idler.  Every term of every
+    point then comes from one batched pass over (subsets, points, k, k)
+    arrays, k = rank + 1 + probes.  Values match ClickCalculator on the
+    layout of build_layout, including its refusals.
+    """
+    slots = np.asarray(slots, dtype=int).reshape(-1, 2)
+    if not len(slots):
+        return np.zeros(0)
+    registry, f = state.registry, state.factor
+    k = f.shape[1]
+    bins = registry.bins
+    if slots.min() < 0 or slots.max() > bins:
+        raise IndexOutOfRange(f"gate bins must lie in 1..{bins}")
+    if np.any((slots[:, 0] == slots[:, 1]) & (slots[:, 0] > 0)):
+        raise DuplicateGateBin("both gates target the same bin")
+    if not 0.0 <= efficiency <= 1.0:
+        raise EtaOutOfRange(f"gate efficiency must lie in [0, 1], got {efficiency}")
+    taps = np.array(
+        [
+            [q for s in (0, 1) for q in _quads(registry.flatten(ModeIndex(Pol.H, m, s)))]
+            for m in range(1, bins + 1)
+        ]
+    )
+    rows = f[taps]
+    per_bin = np.einsum("bik,bil->bkl", rows, rows)
+    # index 0 is the dark slot
+    routed = efficiency * np.concatenate((np.zeros((1, k, k)), per_bin))
+    apd3, apd4 = routed[slots[:, 0]], routed[slots[:, 1]]
+    detectors = {"APD2": per_bin.sum(axis=0) - apd3 - apd4, "APD3": apd3, "APD4": apd4}
+
+    clicked = tuple(clicked)
+    rate = 1.0
+    if heralded:
+        idler = registry.idler_index()
+        if idler is None:
+            raise ZeroHeraldRate("no idler mode is present to herald on")
+        rows = f[_quads(idler)]
+        detectors["APD1"] = rows.T @ rows
+        excess = _no_click_excess(
+            detectors["APD1"][None, None], state.eigs, lambda t, p: "herald detector APD1"
+        )
+        rate = -float(excess[0, 0])
+        if rate <= 0.0:
+            raise ZeroHeraldRate("herald detector can never click")
+        clicked = ("APD1",) + clicked
+
+    names, signs, grams = [], [], []
+    for r in range(len(clicked) + 1):
+        for subset in itertools.combinations(clicked, r):
+            names.append(subset)
+            signs.append((-1.0) ** r)
+            gram = np.zeros((len(slots), k, k))
+            for name in subset:
+                gram = gram + detectors[name]
+            grams.append(gram)
+    excess = _no_click_excess(
+        np.stack(grams),
+        state.eigs,
+        lambda t, p: f"detectors {names[t]} at {_gate_point_name(slots[p])}",
+    )
+    joint = np.full(len(slots), float(not clicked))
+    for sign, term in zip(signs, excess):
+        joint += sign * term
+    return _checked(joint, slots) / rate
 
 
 def no_click_prob(state: GaussianState, modes) -> float:

@@ -31,14 +31,13 @@ from .modes import IDLER, ModeIndex, ModeRegistry
 
 __all__ = [
     "GaussianState",
+    "LowRankState",
     "SourceSpec",
     "vacuum_state",
     "prepare",
     "apply_passive",
     "apply_loss",
     "append_modes",
-    "reorder",
-    "reduce",
     "symplectic_from_unitary",
     "omega_matrix",
     "mean_photons",
@@ -268,33 +267,55 @@ def append_modes(state: GaussianState, labels) -> GaussianState:
     return GaussianState(registry, mean, cov)
 
 
-def reorder(state: GaussianState, order) -> GaussianState:
-    """Permute the register; `order` lists old flat indices in new order."""
-    order = tuple(order)
-    if sorted(order) != list(range(state.n_modes)):
-        raise IndexOutOfRange("order must be a permutation of all mode indices")
-    idx = _quad_indices(order)
-    return GaussianState(
-        state.registry.subset(order),
-        state.mean[idx],
-        state.cov[np.ix_(idx, idx)],
-    )
+@dataclass(frozen=True)
+class LowRankState:
+    """Gaussian state stored as cov = I/2 + V diag(eigs) V^T with mean d.
 
+    `factor` stacks the columns [V | d | probes] over the register's 2M
+    quadratures: r = len(eigs) columns of V, the mean, then any probe
+    columns carried through the same optics (the ideal-herald injection
+    map).  Passive optics act on it as S @ factor and loss with
+    transmission eta scales its rows by sqrt(eta), so the 2M x 2M
+    covariance is never formed.  `eigs` may be negative (nonclassical
+    light) or zero (the squashed source).
+    """
 
-def reduce(state: GaussianState, keep) -> GaussianState:
-    """Marginal state on the kept modes (partial trace over the rest)."""
-    keep = tuple(keep)
-    if len(set(keep)) != len(keep):
-        raise IndexOutOfRange("kept mode indices must be distinct")
-    for i in keep:
-        if not 0 <= i < state.n_modes:
-            raise IndexOutOfRange(f"mode index {i} out of range for {state.n_modes} modes")
-    idx = _quad_indices(keep)
-    return GaussianState(
-        state.registry.subset(keep),
-        state.mean[idx],
-        state.cov[np.ix_(idx, idx)],
-    )
+    registry: ModeRegistry
+    factor: np.ndarray
+    eigs: np.ndarray
+
+    @classmethod
+    def of(cls, state: GaussianState, probes=()) -> "LowRankState":
+        """Exact factor of a prepared state, with optional probe columns.
+
+        Sources fill cov - I/2 only on the quadratures they occupy (at
+        most four for a pair source), so eigendecomposing that block gives
+        V and eigs with no rank cutoff.
+        """
+        excess = state.cov - 0.5 * np.eye(2 * state.n_modes)
+        support = np.flatnonzero(np.any(excess != 0.0, axis=1))
+        eigs, vecs = np.linalg.eigh(excess[np.ix_(support, support)])
+        v = np.zeros((2 * state.n_modes, support.size))
+        v[support] = vecs
+        columns = [v, state.mean[:, None]] + [np.asarray(p)[:, None] for p in probes]
+        return cls(state.registry, np.hstack(columns), eigs)
+
+    def passive(self, u: np.ndarray) -> "LowRankState":
+        """Like apply_passive: the symplectic of `u` acts on every column."""
+        return replace(self, factor=symplectic_from_unitary(u) @ self.factor)
+
+    def loss(self, eta: float, modes) -> "LowRankState":
+        """Like apply_loss: the rows of the lossy modes scale by sqrt(eta)."""
+        factor = self.factor.copy()
+        factor[_quad_indices(modes)] *= np.sqrt(eta)
+        return replace(self, factor=factor)
+
+    def dense(self) -> GaussianState:
+        """The state with its covariance formed (probe columns dropped)."""
+        r = self.eigs.size
+        v = self.factor[:, :r]
+        cov = 0.5 * np.eye(v.shape[0]) + (v * self.eigs) @ v.T
+        return GaussianState(self.registry, self.factor[:, r].copy(), 0.5 * (cov + cov.T))
 
 
 def mean_photons(state: GaussianState) -> np.ndarray:

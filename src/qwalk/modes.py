@@ -143,10 +143,3 @@ class ModeRegistry:
             if label in self._positions:
                 raise ModeCollision(f"mode {label!r} already exists in the register")
         return ModeRegistry(self.labels + labels)
-
-    def subset(self, keep) -> "ModeRegistry":
-        keep = tuple(keep)
-        for i in keep:
-            if not 0 <= i < len(self.labels):
-                raise IndexOutOfRange(f"flat index {i} out of range")
-        return ModeRegistry(tuple(self.labels[i] for i in keep))

@@ -326,13 +326,21 @@ def test_08_scan_runtime_budgets():
     series = step_evolution(spec, inner_kind="one-fold")
     steps_s = time.perf_counter() - t1
 
+    large = dict(common, walk=WalkConfig.uniform(25))
+    t2 = time.perf_counter()
+    run_two_fold(ExperimentSpec(heralded=True, **large))
+    run_experiment(ExperimentSpec(**dict(large, kind="three-fold", heralded=False)))
+    large_s = time.perf_counter() - t2
+
     assert two_fold_s < 10.0
     assert len(series) == 11
     assert steps_s < 5.0
+    assert large_s < 1.0
     print(
         f"\nruntime: N=11 two-fold heralded+unheralded in {two_fold_s:.2f} s "
         f"(budget 10 s); step evolution 1..11 in {steps_s:.2f} s "
-        f"(budget 5 s)  PASS"
+        f"(budget 5 s); N=25 heralded two-fold + unheralded three-fold in "
+        f"{large_s:.2f} s (budget 1 s)  PASS"
     )
 
 

@@ -11,10 +11,20 @@ from qwalk.detection import (
     heralded_prob,
     no_click_prob,
     pattern_prob,
+    scan_patterns,
     single_photon_pattern_prob,
 )
-from qwalk.errors import DuplicateGateBin, ModeCollision, ZeroHeraldRate
+from qwalk.errors import (
+    DuplicateGateBin,
+    EtaOutOfRange,
+    IndexOutOfRange,
+    ModeCollision,
+    NumericalInstability,
+    SingularMatrix,
+    ZeroHeraldRate,
+)
 from qwalk.gaussian import (
+    LowRankState,
     SourceSpec,
     apply_passive,
     mean_photons,
@@ -245,3 +255,58 @@ def test_single_photon_wrapper_matches_method():
         state, layout, ClickPattern((True,)), injection
     )
     assert direct == wrapped == pytest.approx(1.0, abs=1e-12)
+
+
+# -- batched scans: refusals --------------------------------------------------
+
+H1_X = 0  # x quadrature of (H, t1, s0) in a one-bin register
+
+
+def unphysical(eig: float, idler: bool = False) -> LowRankState:
+    """cov - I/2 = eig on one quadrature of (H, t1, s0); no mean."""
+    registry = ModeRegistry.for_walk(1, idler=idler)
+    factor = np.zeros((2 * len(registry), 2))
+    factor[H1_X, 0] = 1.0
+    return LowRankState(registry, factor, np.array([eig]))
+
+
+def dense_one_fold(state: LowRankState) -> float:
+    routed, layout = build_layout(state.dense(), (None, GateSpec(1, 1.0)))
+    return ClickCalculator(routed, layout).pattern(ClickPattern.of(apd4=True))
+
+
+@pytest.mark.parametrize(
+    "eig, error, message",
+    [
+        (-2.0, SingularMatrix, "not positive definite"),
+        (-(1.0 - 1e-13), NumericalInstability, "ill-conditioned"),
+        (-0.9, NumericalInstability, "inclusion-exclusion produced"),
+    ],
+)
+def test_scan_refusals_match_the_dense_route(eig, error, message):
+    state = unphysical(eig)
+    with pytest.raises(error, match=message) as batched:
+        scan_patterns(state, [(0, 1)], 1.0, ("APD4",))
+    assert "gate point with gates on bins 1" in str(batched.value)
+    with pytest.raises(error):
+        dense_one_fold(state)
+
+
+def test_scan_refuses_a_dead_herald_before_any_pattern():
+    # the patterns themselves would raise SingularMatrix
+    with pytest.raises(ZeroHeraldRate, match="no idler"):
+        scan_patterns(unphysical(-2.0), [(0, 1)], 1.0, ("APD4",), heralded=True)
+    with pytest.raises(ZeroHeraldRate, match="never click"):
+        scan_patterns(
+            unphysical(-2.0, idler=True), [(0, 1)], 1.0, ("APD4",), heralded=True
+        )
+
+
+def test_scan_rejects_bad_gate_slots():
+    state = unphysical(0.1)
+    with pytest.raises(IndexOutOfRange):
+        scan_patterns(state, [(0, 2)], 1.0, ("APD4",))
+    with pytest.raises(DuplicateGateBin):
+        scan_patterns(state, [(1, 1)], 1.0, ("APD4",))
+    with pytest.raises(EtaOutOfRange):
+        scan_patterns(state, [(0, 1)], 1.5, ("APD4",))

@@ -1,10 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
 from qwalk.experiments import (
     Distribution,
     ExperimentSpec,
+    _SCANS,
+    _batched_raw,
+    _dense_raw,
+    _stage,
     fit_overlap,
     hom_coincidence,
     hom_scan,
@@ -17,7 +25,9 @@ from qwalk.experiments import (
     verify_against_oracle,
 )
 from qwalk.modes import ModeIndex, ModeRegistry, Pol
-from qwalk.walk import WalkConfig, walk_unitary
+from qwalk.walk import LayerParams, WalkConfig, aggregate_transmission, walk_unitary
+
+SCAN_KINDS = ("one-fold", "two-fold", "three-fold")
 
 
 def ideal_spec(n_steps, **kw):
@@ -165,13 +175,14 @@ def test_runs_are_deterministic():
 
 
 def test_thread_count_env_is_validated(monkeypatch):
+    # scans no longer use the pool; step evolution still does
     spec = ideal_spec(2)
     monkeypatch.setenv("QWALK_THREADS", "not-a-number")
     with pytest.raises(ConfigInvalid):
-        run_one_fold(spec)
+        step_evolution(spec)
     monkeypatch.setenv("QWALK_THREADS", "0")
     with pytest.raises(ConfigInvalid):
-        run_one_fold(spec)
+        step_evolution(spec)
 
 
 def test_thread_count_does_not_change_results(monkeypatch):
@@ -181,11 +192,14 @@ def test_thread_count_does_not_change_results(monkeypatch):
         mu_alpha=0.1,
         mu_xi=0.026,
     )
-    monkeypatch.setenv("QWALK_THREADS", "1")
-    serial = run_two_fold(spec)
-    monkeypatch.setenv("QWALK_THREADS", "4")
-    threaded = run_two_fold(spec)
-    assert serial == threaded
+    results = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("QWALK_THREADS", threads)
+        results[threads] = (
+            step_evolution(spec, inner_kind="two-fold"),
+            verify_against_oracle(spec),
+        )
+    assert results["1"] == results["4"]
 
 
 def test_hom_visibility_grows_with_overlap():
@@ -299,3 +313,143 @@ def test_run_experiment_dispatch():
         run_experiment(
             ExperimentSpec(walk=WalkConfig.uniform(1), kind="hom", mu_alpha=0.1)
         )
+
+
+# -- batched scans against the dense per-point route --------------------------
+
+
+def dense_scan(spec):
+    """Raw values of the scan from `_gate_point` + ClickCalculator, point by point."""
+    scan = _SCANS[spec.kind]
+    return _dense_raw(scan, spec, _stage(spec), scan.labels(spec.walk.n_steps))
+
+
+def batched_scan(spec):
+    """Raw values of the scan from the batched evaluator, at any walk length."""
+    scan = _SCANS[spec.kind]
+    return _batched_raw(scan, spec, _stage(spec), scan.labels(spec.walk.n_steps))
+
+
+def batched_cases():
+    """The acceptance oracle grid, then ideal herald, squashed and lossy cases."""
+    for n, mu_alpha, overlap, eta_kerr, kind, heralded in itertools.product(
+        (1, 2, 3), (0.1, 0.3), (0.0, 0.7, 1.0), (0.97, 1.0), SCAN_KINDS, (True, False)
+    ):
+        yield ExperimentSpec(
+            walk=WalkConfig.uniform(n),
+            kind=kind,
+            mu_alpha=mu_alpha,
+            mu_xi=0.026,
+            overlap=overlap,
+            eta_kerr=eta_kerr,
+            heralded=heralded,
+        )
+    rng = np.random.default_rng(11)
+    for n, kind in itertools.product(range(1, 7), SCAN_KINDS):
+        walk = random_walk(rng, n)
+        common = dict(walk=walk, kind=kind, mu_alpha=0.3, overlap=0.6, eta_kerr=0.9)
+        yield ExperimentSpec(ideal_herald=True, **common)
+        for heralded in (True, False):
+            yield ExperimentSpec(pair_source="squashed", heralded=heralded, **common)
+            yield ExperimentSpec(
+                mu_xi=0.1, eta_idler=0.7, eta_sys=0.8, heralded=heralded, **common
+            )
+
+
+def test_batched_scans_match_the_dense_route():
+    worst = 0.0
+    for spec in batched_cases():
+        raw = batched_scan(spec)
+        reference = dense_scan(spec)
+        assert len(raw) == len(reference)
+        worst = max(worst, max(abs(a - b) for a, b in zip(raw, reference)))
+    assert worst <= 1e-12
+
+
+def test_scans_pick_their_route_by_register_size():
+    # up to 7 time bins point by point on the dense route, from 8 batched
+    rng = np.random.default_rng(5)
+    for n, kind in itertools.product((6, 7), SCAN_KINDS):
+        spec = ExperimentSpec(walk=random_walk(rng, n), kind=kind, mu_alpha=0.3, overlap=0.6)
+        raw = run_experiment(spec).raw
+        assert raw == tuple((batched_scan if n == 7 else dense_scan)(spec))
+        assert np.allclose(raw, dense_scan(spec), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_steps", [2, 7])
+def test_dead_idler_refuses_heralded_scans(n_steps):
+    spec = ExperimentSpec(walk=WalkConfig.uniform(n_steps), kind="two-fold", eta_idler=0.0)
+    with pytest.raises(ZeroHeraldRate):
+        run_two_fold(spec)
+
+
+# -- closed forms at any walk length --------------------------------------------
+
+
+def random_walk(rng, n_steps):
+    layers = tuple(
+        LayerParams(
+            omega=float(rng.uniform(0.0, 2.0 * np.pi)),
+            gamma=float(rng.uniform(0.0, 2.0 * np.pi)),
+            transmission=float(rng.uniform(0.9, 1.0)),
+        )
+        for _ in range(n_steps)
+    )
+    return WalkConfig(n_steps, layers)
+
+
+def closed_form_case(seed, n_steps, **kw):
+    """Random program and one-fold settings; returns (spec, eta, walk unitary)."""
+    rng = np.random.default_rng(seed)
+    spec = ExperimentSpec(
+        walk=random_walk(rng, n_steps),
+        kind="one-fold",
+        overlap=float(rng.uniform(0.0, 1.0)),
+        eta_kerr=float(rng.uniform(0.5, 1.0)),
+        eta_sys=float(rng.uniform(0.5, 1.0)),
+        heralded=False,
+        **kw,
+    )
+    eta = spec.eta_kerr * aggregate_transmission(spec.walk) * spec.eta_sys
+    return spec, eta, walk_unitary(spec.walk)
+
+
+def h_output(u, reg, m, source):
+    return abs(u[reg.flatten(ModeIndex(Pol.H, m, 0)), reg.flatten(source)]) ** 2
+
+
+@given(
+    n_steps=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_mu=st.floats(min_value=-4.0, max_value=0.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_coherent_one_fold_is_poissonian(n_steps, seed, log_mu):
+    # both sectors carry the coherent light: P(click) = 1 - exp(-eta mu |U|^2)
+    mu = 10.0**log_mu
+    spec, eta, u = closed_form_case(seed, n_steps, mu_alpha=mu, mu_xi=0.0)
+    reg = ModeRegistry.for_walk(spec.walk.bin_capacity)
+    expected = [
+        -np.expm1(-eta * mu * h_output(u, reg, m, ModeIndex(Pol.V, 1, 0)))
+        for m in range(1, n_steps + 2)
+    ]
+    assert np.allclose(batched_scan(spec), expected, rtol=1e-12, atol=0.0)
+
+
+@given(
+    n_steps=st.integers(min_value=1, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log_mu=st.floats(min_value=-3.0, max_value=0.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_unheralded_tmsv_one_fold_is_thermal(n_steps, seed, log_mu):
+    # the signal marginal is thermal: P(click) = x / (1 + x), x = eta mu |U|^2.
+    # mu >= 1e-3: the factor's eigenvalues mu +- sqrt(mu (1 + mu)) cancel
+    # to mu, so relative accuracy falls like eps / sqrt(mu) (5e-13 at 1e-4)
+    mu = 10.0**log_mu
+    spec, eta, u = closed_form_case(seed, n_steps, mu_alpha=0.0, mu_xi=mu)
+    reg = ModeRegistry.for_walk(spec.walk.bin_capacity)
+    x = np.array(
+        [eta * mu * h_output(u, reg, m, ModeIndex(Pol.H, 1, 0)) for m in range(1, n_steps + 2)]
+    )
+    assert np.allclose(batched_scan(spec), x / (1.0 + x), rtol=1e-12, atol=0.0)
