@@ -33,23 +33,14 @@ _TOP_KEYS = ("experiment", "output", "oracle_check")
 _WALK_KEYS = ("n_steps", "bin_capacity", "omega", "gamma", "crystal_transmission")
 _STEP_KEYS = ("inner_kind", "n_max")
 _HOM_KEYS = ("overlap_values", "fit_target")
-_EXPERIMENT_KEYS = (
-    "kind",
-    "walk",
-    "mu_alpha",
-    "mu_xi",
-    "overlap",
-    "eta_kerr",
-    "eta_idler",
-    "eta_sys",
-    "heralded",
-    "pair_source",
-    "ideal_herald",
-    "step",
-    "hom",
-)
 _OUTPUT_KEYS = ("path", "format")
-_ORACLE_KEYS = ("enabled", "tolerance", "leak_target", "max_total_photons")
+
+# keys named after dataclass fields take their type and default from the
+# field; the walk and the kind are parsed by hand, grid_order is not a key
+_SPEC_FIELDS = tuple(f for f in fields(ExperimentSpec) if f.name not in ("walk", "kind"))
+_ORACLE_FIELDS = tuple(f for f in fields(OracleSettings) if f.name != "grid_order")
+_EXPERIMENT_KEYS = ("kind", "walk", "step", "hom") + tuple(f.name for f in _SPEC_FIELDS)
+_ORACLE_KEYS = ("enabled", "tolerance") + tuple(f.name for f in _ORACLE_FIELDS)
 
 _DEFAULT_HOM_OVERLAPS = tuple(round(0.05 * i, 2) for i in range(21))
 _STEP_N_MAX_LIMIT = 11
@@ -98,6 +89,12 @@ def _string(data: dict, key: str, default, where: str) -> str:
     if not isinstance(value, str):
         raise ConfigInvalid(f"{where}.{key} must be a string, got {value!r}")
     return value
+
+
+def _typed_fields(data: dict, specs, where: str) -> dict:
+    """Each field's value from `data`, checked by the type of its default."""
+    parse = {float: _number, int: _integer, bool: _boolean, str: _string}
+    return {f.name: parse[type(f.default)](data, f.name, f.default, where) for f in specs}
 
 
 def _build_walk(data: dict) -> WalkConfig:
@@ -197,17 +194,7 @@ class RunConfig:
 
         try:
             spec = ExperimentSpec(
-                walk=walk,
-                kind=kind,
-                mu_alpha=_number(exp, "mu_alpha", 0.1, "experiment"),
-                mu_xi=_number(exp, "mu_xi", 0.026, "experiment"),
-                overlap=_number(exp, "overlap", 1.0, "experiment"),
-                eta_kerr=_number(exp, "eta_kerr", 0.97, "experiment"),
-                eta_idler=_number(exp, "eta_idler", 1.0, "experiment"),
-                eta_sys=_number(exp, "eta_sys", 1.0, "experiment"),
-                heralded=_boolean(exp, "heralded", True, "experiment"),
-                pair_source=_string(exp, "pair_source", "tmsv", "experiment"),
-                ideal_herald=_boolean(exp, "ideal_herald", False, "experiment"),
+                walk=walk, kind=kind, **_typed_fields(exp, _SPEC_FIELDS, "experiment")
             )
         except (ValueError, TypeError) as exc:
             raise ConfigInvalid(str(exc)) from exc
@@ -225,12 +212,7 @@ class RunConfig:
         _reject_unknown(oracle, _ORACLE_KEYS, "oracle_check")
         enabled = _boolean(oracle, "enabled", False, "oracle_check")
         tolerance = _number(oracle, "tolerance", 1e-6, "oracle_check")
-        settings = OracleSettings(
-            leak_target=_number(oracle, "leak_target", 1e-9, "oracle_check"),
-            max_total_photons=_integer(
-                oracle, "max_total_photons", 16, "oracle_check"
-            ),
-        )
+        settings = OracleSettings(**_typed_fields(oracle, _ORACLE_FIELDS, "oracle_check"))
 
         resolved = {
             "experiment": {
@@ -242,15 +224,7 @@ class RunConfig:
                     "gamma": walk.layers[0].gamma if walk.layers else 0.0,
                     "crystal_transmission": [l.transmission for l in walk.layers],
                 },
-                "mu_alpha": spec.mu_alpha,
-                "mu_xi": spec.mu_xi,
-                "overlap": spec.overlap,
-                "eta_kerr": spec.eta_kerr,
-                "eta_idler": spec.eta_idler,
-                "eta_sys": spec.eta_sys,
-                "heralded": spec.heralded,
-                "pair_source": spec.pair_source,
-                "ideal_herald": spec.ideal_herald,
+                **{f.name: getattr(spec, f.name) for f in _SPEC_FIELDS},
                 "step": {"inner_kind": inner_kind, "n_max": n_max},
                 "hom": {"overlap_values": overlap_values, "fit_target": fit_target},
             },
@@ -260,8 +234,7 @@ class RunConfig:
             "oracle_check": {
                 "enabled": enabled,
                 "tolerance": tolerance,
-                "leak_target": settings.leak_target,
-                "max_total_photons": settings.max_total_photons,
+                **{f.name: getattr(settings, f.name) for f in _ORACLE_FIELDS},
             },
         }
         return cls(

@@ -55,10 +55,6 @@ __all__ = [
     "ClickPattern",
     "resolve_gate_slots",
     "build_layout",
-    "no_click_prob",
-    "pattern_prob",
-    "heralded_prob",
-    "single_photon_pattern_prob",
     "ClickCalculator",
     "scan_patterns",
     "APD_NAMES",
@@ -119,12 +115,6 @@ class DetectorLayout:
             return self._by_name[name]
         except KeyError:
             raise IndexOutOfRange(f"no detector named {name!r}") from None
-
-    def covered_modes(self) -> frozenset:
-        out: frozenset = frozenset()
-        for det in self.detectors:
-            out |= det.modes
-        return out
 
 
 @dataclass(frozen=True)
@@ -235,9 +225,8 @@ class ClickCalculator:
         """Vacuum projection on `modes`, plus the one-photon correction factor.
 
         The factor is d/dmu log P0 evaluated at mu = 0 for a thermal
-        admixture entering along `injection` (see
-        single_photon_pattern_prob); it is only computed when an
-        injection is supplied.
+        admixture entering along `injection` (see single_photon); it
+        is only computed when an injection is supplied.
         """
         if not modes:
             return 1.0, 0.0
@@ -370,14 +359,14 @@ def _quads(mode: int) -> list:
     return [2 * mode, 2 * mode + 1]
 
 
-def _no_click_excess(grams: np.ndarray, eigs: np.ndarray, where) -> np.ndarray:
+def _no_click_excess(grams: np.ndarray, core: np.ndarray, where) -> np.ndarray:
     """P0 (1 + correction) - 1 for stacked Grams of the factor [V | d | probes].
 
     `grams` has shape (subsets, points, k, k) and holds F_S^T F_S for each
-    detector union S.  With A = V_S^T V_S, K = I + A D, M = cov_S + I/2
+    detector union S.  With A = V_S^T V_S, K = I + A C, M = cov_S + I/2
     and [b | P] = V_S^T [d_S | v_S], the Woodbury identity gives
-    [d v]^T M^-1 [d v] = [d v]_S^T [d v]_S - [b P]^T D K^-1 [b P], and the
-    determinant lemma det M = det K, with no D^-1 anywhere.  The
+    [d v]^T M^-1 [d v] = [d v]_S^T [d v]_S - [b P]^T C K^-1 [b P], and the
+    determinant lemma det M = det K, with no C^-1 anywhere.  The
     correction is the ideal-herald factor of ClickCalculator.single_photon
     and is zero when the factor has no probe columns.
 
@@ -386,16 +375,16 @@ def _no_click_excess(grams: np.ndarray, eigs: np.ndarray, where) -> np.ndarray:
     sum to zero, so the 1s cancel exactly.  `where(t, p)` names term t of
     point p in refusals.
     """
-    r = eigs.size
+    r = len(core)
     head = grams[..., :r, r:]
     schur = grams[..., r:, r:]
     logdet = 0.0
     if r:
         a = grams[..., :r, :r]
-        # M's eigenvalues other than 1 are 1 + those of R D R^T, R^T R = A
+        # M's eigenvalues other than 1 are 1 + those of R C R^T, R^T R = A
         lam, w = np.linalg.eigh(a)
         root = np.sqrt(np.clip(lam, 0.0, None))[..., :, None] * np.swapaxes(w, -1, -2)
-        shift = np.linalg.eigvalsh((root * eigs) @ np.swapaxes(root, -1, -2))
+        shift = np.linalg.eigvalsh(root @ core @ np.swapaxes(root, -1, -2))
         lowest = 1.0 + np.minimum(shift.min(axis=-1), 0.0)
         highest = 1.0 + np.maximum(shift.max(axis=-1), 0.0)
         bad = np.argwhere(lowest <= 0.0)
@@ -407,8 +396,8 @@ def _no_click_excess(grams: np.ndarray, eigs: np.ndarray, where) -> np.ndarray:
             t, p = bad[0]
             raise NumericalInstability(f"covariance block of {where(t, p)} is too ill-conditioned")
         logdet = np.log1p(shift).sum(axis=-1)
-        k = np.eye(r) + a * eigs
-        schur = schur - np.swapaxes(head, -1, -2) @ (eigs[:, None] * np.linalg.solve(k, head))
+        k = np.eye(r) + a @ core
+        schur = schur - np.swapaxes(head, -1, -2) @ (core @ np.linalg.solve(k, head))
     log_p0 = -0.5 * schur[..., 0, 0] - 0.5 * logdet
     excess = np.expm1(log_p0)
     if schur.shape[-1] > 1:
@@ -490,7 +479,7 @@ def scan_patterns(
         rows = f[_quads(idler)]
         detectors["APD1"] = rows.T @ rows
         excess = _no_click_excess(
-            detectors["APD1"][None, None], state.eigs, lambda t, p: "herald detector APD1"
+            detectors["APD1"][None, None], state.core, lambda t, p: "herald detector APD1"
         )
         rate = -float(excess[0, 0])
         if rate <= 0.0:
@@ -508,33 +497,10 @@ def scan_patterns(
             grams.append(gram)
     excess = _no_click_excess(
         np.stack(grams),
-        state.eigs,
+        state.core,
         lambda t, p: f"detectors {names[t]} at {_gate_point_name(slots[p])}",
     )
     joint = np.full(len(slots), float(not clicked))
     for sign, term in zip(signs, excess):
         joint += sign * term
     return _checked(joint, slots) / rate
-
-
-def no_click_prob(state: GaussianState, modes) -> float:
-    """Probability that a threshold detector covering `modes` stays silent."""
-    layout = DetectorLayout((Detector("APD1", frozenset(modes)),))
-    return ClickCalculator(state, layout).no_click(frozenset(modes))
-
-
-def pattern_prob(state: GaussianState, layout: DetectorLayout, pattern: ClickPattern) -> float:
-    return ClickCalculator(state, layout).pattern(pattern)
-
-
-def heralded_prob(state: GaussianState, layout: DetectorLayout, pattern: ClickPattern) -> float:
-    return ClickCalculator(state, layout).heralded(pattern)
-
-
-def single_photon_pattern_prob(
-    state: GaussianState,
-    layout: DetectorLayout,
-    pattern: ClickPattern,
-    injection: np.ndarray,
-) -> float:
-    return ClickCalculator(state, layout).single_photon(pattern, injection)

@@ -15,14 +15,12 @@ photon's sector.
 With `ideal_herald` the pair source is replaced by its vanishing-gain
 limit: probabilities are conditioned on exactly one signal photon
 entering the walk, computed in closed form (see
-detection.single_photon_pattern_prob) instead of at small finite gain.
+detection.ClickCalculator.single_photon) instead of at small finite gain.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
@@ -50,7 +48,13 @@ from .gaussian import (
     prepare,
 )
 from .modes import ModeIndex, Pol
-from .walk import WalkConfig, aggregate_transmission, sector_extend, walk_unitary
+from .walk import (
+    WalkConfig,
+    aggregate_transmission,
+    sector_extend,
+    step_unitary,
+    walk_unitary,
+)
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -144,31 +148,6 @@ def _normalize(raw) -> tuple:
     return tuple(x / total for x in raw), False
 
 
-def _thread_count() -> int:
-    value = os.environ.get("QWALK_THREADS")
-    if value is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        count = int(value)
-    except ValueError:
-        raise ConfigInvalid(
-            f"QWALK_THREADS must be a positive integer, got {value!r}"
-        ) from None
-    if count < 1:
-        raise ConfigInvalid(f"QWALK_THREADS must be >= 1, got {count}")
-    return count
-
-
-def _map(fn, items) -> list:
-    """Parallel map with deterministic ordered reduction."""
-    items = list(items)
-    workers = min(_thread_count(), len(items)) or 1
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sources(spec: ExperimentSpec) -> tuple:
     out = []
     if not spec.ideal_herald and spec.mu_xi > 0.0:
@@ -191,12 +170,13 @@ def _sources(spec: ExperimentSpec) -> tuple:
 class _Stage:
     """Register after the walk and all loss, before any routing.
 
-    Holds the prepared states (the sources, then the ideal-herald probes)
-    and the optics; each form is built on first use.  `state` and
+    Holds the sources, the prepared states (theirs, then the ideal-herald
+    probes) and the optics; each form is built on first use.  `state` and
     `probes` are dense, for the HOM preset and the per-point route;
     `low_rank` is the factor [V | d | probes] that batched scans use.
     """
 
+    sources: tuple
     prepared: list
     unitary: np.ndarray
     losses: list  # (transmission, modes) pairs
@@ -218,16 +198,40 @@ class _Stage:
 
     @cached_property
     def low_rank(self) -> LowRankState:
-        state = LowRankState.of(self.prepared[0], [p.mean for p in self.prepared[1:]])
+        registry = self.prepared[0].registry
+        probes = [p.mean for p in self.prepared[1:]]
+        state = LowRankState.of(self.sources, registry, probes)
         state = state.passive(self.unitary)
         for eta, modes in self.losses:
             state = state.loss(eta, modes)
         return state
 
 
+# Registers of up to 7 time bins (walks of up to 6 steps by default) are
+# scanned point by point on the dense route, with the walk unitary formed
+# as a product of dense steps.  Their values then stay bit-identical to
+# earlier releases and to the stored references in perfbench/, which
+# carry that route's round-off: up to 1e-8 on tiny normalized three-fold
+# rates, and a whole normalized distribution built from round-off on
+# one-step coincidence scans that are exactly zero.
+_DENSE_MAX_BINS = 7
+
+
+def _walk_unitary(walk: WalkConfig) -> np.ndarray:
+    """walk_unitary, but as the dense step product on the dense route's registers."""
+    bins = walk.bin_capacity
+    if bins > _DENSE_MAX_BINS:
+        return walk_unitary(walk)
+    u = np.eye(2 * bins, dtype=complex)
+    for layer in walk.layers:
+        u = step_unitary(layer, bins) @ u
+    return u
+
+
 def _stage(spec: ExperimentSpec) -> _Stage:
     bins = spec.walk.bin_capacity
-    state = prepare(_sources(spec), bins=bins)
+    sources = _sources(spec)
+    state = prepare(sources, bins=bins)
     registry = state.registry
     m = len(registry)
 
@@ -242,7 +246,7 @@ def _stage(spec: ExperimentSpec) -> _Stage:
             states.append(GaussianState(registry, mean, 0.5 * np.eye(2 * m)))
 
     u = np.eye(m, dtype=complex)
-    u[: 4 * bins, : 4 * bins] = sector_extend(walk_unitary(spec.walk))
+    u[: 4 * bins, : 4 * bins] = sector_extend(_walk_unitary(spec.walk))
 
     losses = []
     eta_walk = aggregate_transmission(spec.walk) * spec.eta_sys
@@ -251,7 +255,7 @@ def _stage(spec: ExperimentSpec) -> _Stage:
     idler = registry.idler_index()
     if idler is not None and spec.eta_idler < 1.0:
         losses.append((spec.eta_idler, (idler,)))
-    return _Stage(states, u, losses)
+    return _Stage(sources, states, u, losses)
 
 
 def _gate_point(stage: _Stage, gates) -> tuple:
@@ -292,15 +296,6 @@ _SCANS = {
     "two-fold": _Scan(_pairs, lambda pair: pair, ("APD3", "APD4")),
     "three-fold": _Scan(_pairs, lambda pair: pair, ("APD2", "APD3", "APD4")),
 }
-
-# Registers of up to 7 time bins (walks of up to 6 steps by default) are
-# scanned point by point on the dense route.  Their values then stay
-# bit-identical to earlier releases and to the stored references in
-# perfbench/, which carry that route's round-off: up to 1e-8 on tiny
-# normalized three-fold rates, and a whole normalized distribution built
-# from round-off on one-step coincidence scans that are exactly zero.
-_DENSE_MAX_BINS = 7
-
 
 def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list:
     raw = []
@@ -418,9 +413,9 @@ def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
         raise ConfigInvalid(
             "distinguishable coincidence rate is zero; visibility is undefined"
         )
-    raw = _map(lambda o: hom_coincidence(spec, o), overlaps)
+    raw = tuple(hom_coincidence(spec, o) for o in overlaps)
     vis = tuple(1.0 - c / reference for c in raw)
-    return Distribution("hom", overlaps, vis, tuple(raw), RAW_PATTERN, False)
+    return Distribution("hom", overlaps, vis, raw, RAW_PATTERN, False)
 
 
 def fit_overlap(
@@ -480,12 +475,11 @@ def step_evolution(
         raise ConfigInvalid(
             f"n_max must lie in [1, {spec.walk.n_steps}], got {n_max}"
         )
-    def point(n: int) -> Distribution:
+    series = []
+    for n in range(1, n_max + 1):
         sub = replace(spec, kind=inner_kind, walk=spec.walk.truncated(n))
-        dist = run_experiment(sub)
-        return replace(dist, step=n)
-
-    return tuple(_map(point, range(1, n_max + 1)))
+        series.append(replace(run_experiment(sub), step=n))
+    return tuple(series)
 
 
 # -- oracle bridge ------------------------------------------------------------
@@ -564,24 +558,17 @@ def verify_against_oracle(
 
     stage_dist = run_experiment(spec)
     scan = _SCANS[spec.kind]
-    gate_sets = [scan.gates(label, spec.eta_kerr) for label in stage_dist.labels]
-
-    def point(args) -> tuple:
-        gates, value = args
+    diffs, leak = [], 0.0
+    for label, value in zip(stage_dist.labels, stage_dist.raw):
         oracle = ThresholdOracle(
             sources,
             spec.walk,
-            gates,
+            scan.gates(label, spec.eta_kerr),
             eta_sys=spec.eta_sys,
             eta_idler=spec.eta_idler,
             settings=settings,
             k_max=cutoff,
         )
-        return abs(_oracle_value(spec, oracle, scan.pattern) - value), oracle.truncation_leak
-
-    results = _map(point, zip(gate_sets, stage_dist.raw))
-    return OracleReport(
-        max(d for d, _ in results),
-        len(results),
-        max(l for _, l in results),
-    )
+        diffs.append(abs(_oracle_value(spec, oracle, scan.pattern) - value))
+        leak = max(leak, oracle.truncation_leak)
+    return OracleReport(max(diffs), len(diffs), leak)

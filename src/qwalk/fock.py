@@ -7,19 +7,13 @@ threshold-detector outcomes.  It shares no covariance algebra with the
 Gaussian engine, which is the point; agreement between the two routes is
 the package's main correctness gate.
 
-Two independent computations live here:
-
-* `evolve` expands multiphoton transition amplitudes literally, as
-  permanents of sub-matrices of the mode unitary (Ryser's method with
-  row/column multiplicities).  It is exponential in everything and meant
-  for tiny states.
-* `ThresholdOracle` computes no-click projections from the identity
-  P0(S) = <psi| :exp(-sum_{i in S} b_i^dag b_i): |psi>, whose Fock
-  matrix elements are permanents of G = I - W_S^dag W_S with rows and
-  columns repeated by occupation.  Those matrix elements are filled by
-  an exact recursion over total photon number rather than one Ryser call
-  per pair, which keeps the acceptance sweeps fast; the recursion is
-  tested against `perm_reduced` directly.
+`ThresholdOracle` computes no-click projections from the identity
+P0(S) = <psi| :exp(-sum_{i in S} b_i^dag b_i): |psi>, whose Fock matrix
+elements are permanents of G = I - W_S^dag W_S with rows and columns
+repeated by occupation.  Those matrix elements are filled by an exact
+recursion over total photon number rather than one Ryser call per pair,
+which keeps the acceptance sweeps fast; the recursion is tested against
+`perm_reduced`, and that against `permanent`.
 
 Loss never needs a channel here: every lossy element is a beam splitter
 into a fresh ancilla mode that no detector watches, and leaving a mode
@@ -42,10 +36,8 @@ from .errors import (
     EtaOutOfRange,
     IndexOutOfRange,
     ModeCollision,
-    NonUnitary,
     NumericalInstability,
     ResourceBound,
-    UnphysicalState,
     ZeroHeraldRate,
 )
 from .gaussian import PAIR_KINDS, SourceSpec
@@ -58,13 +50,10 @@ __all__ = [
     "FockState",
     "MixedFockState",
     "input_decompose",
-    "evolve",
     "OracleSettings",
     "ThresholdOracle",
-    "oracle_pattern_prob",
 ]
 
-_UNITARITY_TOL = 1e-10
 _BOX_LIMIT = 2_000_000
 
 
@@ -151,20 +140,6 @@ class FockState:
                     f"occupation {occ} exceeds total-photon cutoff {self.cutoff}"
                 )
 
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    @property
-    def truncation_leak(self) -> float:
-        return max(0.0, 1.0 - self.norm() ** 2)
-
-    def validate(self, atol: float = 1e-9) -> None:
-        if self.norm() > 1.0 + atol:
-            raise UnphysicalState(f"Fock norm {self.norm()} exceeds 1")
-
-    def probabilities(self) -> dict:
-        return {occ: abs(a) ** 2 for occ, a in self.amplitudes.items()}
-
 
 @dataclass
 class MixedFockState:
@@ -175,18 +150,6 @@ class MixedFockState:
     @property
     def weight_leak(self) -> float:
         return max(0.0, 1.0 - sum(w for w, _ in self.ensemble))
-
-    def validate(self, atol: float = 1e-9, strict: bool = False) -> None:
-        total = 0.0
-        for w, state in self.ensemble:
-            if w < 0:
-                raise UnphysicalState(f"negative ensemble weight {w}")
-            state.validate(atol)
-            total += w
-        if total > 1.0 + atol:
-            raise UnphysicalState(f"ensemble weights sum to {total} > 1")
-        if strict and abs(total - 1.0) > atol:
-            raise UnphysicalState(f"ensemble weights sum to {total}, expected 1")
 
 
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -261,52 +224,6 @@ def input_decompose(source: SourceSpec, cutoff: int, grid_order: int = 12) -> Mi
             weight = gh_weights[j] * gh_weights[k] / math.pi
             members.append((weight, FockState(2, amps, cutoff)))
     return MixedFockState(tuple(members))
-
-
-def _compositions(total: int, n_modes: int):
-    """All occupation tuples of `n_modes` modes holding exactly `total` photons."""
-    if n_modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, n_modes - 1):
-            yield (first,) + rest
-
-
-def evolve(state: FockState, u: np.ndarray, leak_bound: float = 1e-8) -> FockState:
-    """Push a Fock state through a mode unitary, amplitude by amplitude.
-
-    Each transition amplitude <n|U|k> is evaluated as a permanent of U
-    with rows repeated per output occupation and columns per input
-    occupation.  Photon number is conserved, so the cutoff and the
-    truncation leak carry over unchanged.
-    """
-    u = np.asarray(u, dtype=complex)
-    m = state.n_modes
-    if u.shape != (m, m):
-        raise DimensionMismatch(f"unitary shape {u.shape} does not match {m} modes")
-    if np.abs(u.conj().T @ u - np.eye(m)).max() > _UNITARITY_TOL:
-        raise NonUnitary("mode map is not unitary")
-    if state.truncation_leak > leak_bound:
-        raise CutoffTooSmall(
-            f"input truncation leak {state.truncation_leak:.3e} exceeds {leak_bound:.3e}"
-        )
-    out: dict = {}
-    for occ, amp in state.amplitudes.items():
-        total = sum(occ)
-        if total == 0:
-            out[occ] = out.get(occ, 0.0) + amp
-            continue
-        k = np.array(occ)
-        in_norm = math.sqrt(np.prod([math.factorial(x) for x in occ]))
-        for target in _compositions(total, m):
-            n = np.array(target)
-            value = perm_reduced(u, n, k)
-            if value == 0:
-                continue
-            out_norm = math.sqrt(np.prod([math.factorial(x) for x in target]))
-            out[target] = out.get(target, 0.0) + amp * value / (in_norm * out_norm)
-    return FockState(m, out, state.cutoff)
 
 
 # --------------------------------------------------------------------------
@@ -798,10 +715,6 @@ class ThresholdOracle:
             value *= self.branches[b].p0(positions)
         return value
 
-    def detector_modes(self, name: str) -> tuple:
-        """Branch-local mode positions watched by one APD (for tests)."""
-        return tuple(self._detector_positions[name])
-
     def _split(self, pattern: ClickPattern):
         if len(pattern.clicks) != len(APD_NAMES):
             raise IndexOutOfRange(
@@ -856,35 +769,3 @@ def _default_detector_labels(bins: int) -> dict:
         "APD3": ("gate1",),
         "APD4": ("gate2",),
     }
-
-
-def oracle_pattern_prob(
-    sources,
-    walk: WalkConfig,
-    gates,
-    pattern: ClickPattern,
-    cutoff: int | None = None,
-    heralded: bool = False,
-    eta_sys: float = 1.0,
-    eta_idler: float = 1.0,
-    detector_labels=None,
-    settings: OracleSettings = OracleSettings(),
-) -> float:
-    """One-shot oracle evaluation of a click pattern.
-
-    `cutoff` forces the total-photon truncation; by default it grows
-    until the predicted leak is below settings.leak_target.
-    """
-    oracle = ThresholdOracle(
-        sources,
-        walk,
-        gates,
-        eta_sys=eta_sys,
-        eta_idler=eta_idler,
-        detector_labels=detector_labels,
-        settings=settings,
-        k_max=cutoff,
-    )
-    if heralded:
-        return oracle.heralded_prob(pattern)
-    return oracle.pattern_prob(pattern)

@@ -27,7 +27,7 @@ from .errors import (
     NonUnitary,
     UnphysicalState,
 )
-from .modes import IDLER, ModeIndex, ModeRegistry
+from .modes import ModeIndex, ModeRegistry
 
 __all__ = [
     "GaussianState",
@@ -269,36 +269,39 @@ def append_modes(state: GaussianState, labels) -> GaussianState:
 
 @dataclass(frozen=True)
 class LowRankState:
-    """Gaussian state stored as cov = I/2 + V diag(eigs) V^T with mean d.
+    """Gaussian state stored as cov = I/2 + V C V^T with mean d.
 
     `factor` stacks the columns [V | d | probes] over the register's 2M
-    quadratures: r = len(eigs) columns of V, the mean, then any probe
-    columns carried through the same optics (the ideal-herald injection
-    map).  Passive optics act on it as S @ factor and loss with
-    transmission eta scales its rows by sqrt(eta), so the 2M x 2M
-    covariance is never formed.  `eigs` may be negative (nonclassical
-    light) or zero (the squashed source).
+    quadratures: r columns of V, the mean, then any probe columns carried
+    through the same optics (the ideal-herald injection map).  `core` is
+    the r x r symmetric matrix C; it may be indefinite (nonclassical
+    light) or singular (the squashed source).  Passive optics act on the
+    factor as S @ factor and loss with transmission eta scales its rows by
+    sqrt(eta), so the 2M x 2M covariance is never formed.
     """
 
     registry: ModeRegistry
     factor: np.ndarray
-    eigs: np.ndarray
+    core: np.ndarray
 
     @classmethod
-    def of(cls, state: GaussianState, probes=()) -> "LowRankState":
-        """Exact factor of a prepared state, with optional probe columns.
+    def of(cls, sources, registry: ModeRegistry, probes=()) -> "LowRankState":
+        """Exact factor of the state `prepare` builds, with optional probe columns.
 
         Sources fill cov - I/2 only on the quadratures they occupy (at
-        most four for a pair source), so eigendecomposing that block gives
-        V and eigs with no rank cutoff.
+        most four for a pair source).  Installing them on a zero
+        covariance gives that block directly as C, with V the unit
+        columns of its quadratures: no rank cutoff, and no I/2 to subtract
+        again, which would cost the relative accuracy of small mu.
         """
-        excess = state.cov - 0.5 * np.eye(2 * state.n_modes)
-        support = np.flatnonzero(np.any(excess != 0.0, axis=1))
-        eigs, vecs = np.linalg.eigh(excess[np.ix_(support, support)])
-        v = np.zeros((2 * state.n_modes, support.size))
-        v[support] = vecs
-        columns = [v, state.mean[:, None]] + [np.asarray(p)[:, None] for p in probes]
-        return cls(state.registry, np.hstack(columns), eigs)
+        m = len(registry)
+        excess = GaussianState(registry, np.zeros(2 * m), np.zeros((2 * m, 2 * m)))
+        for source in sources:
+            _install_source(excess, source, registry)
+        support = np.flatnonzero(np.any(excess.cov != 0.0, axis=1))
+        v = np.eye(2 * m)[:, support]
+        columns = [v, excess.mean[:, None]] + [np.asarray(p)[:, None] for p in probes]
+        return cls(registry, np.hstack(columns), excess.cov[np.ix_(support, support)])
 
     def passive(self, u: np.ndarray) -> "LowRankState":
         """Like apply_passive: the symplectic of `u` acts on every column."""
@@ -312,9 +315,9 @@ class LowRankState:
 
     def dense(self) -> GaussianState:
         """The state with its covariance formed (probe columns dropped)."""
-        r = self.eigs.size
+        r = len(self.core)
         v = self.factor[:, :r]
-        cov = 0.5 * np.eye(v.shape[0]) + (v * self.eigs) @ v.T
+        cov = 0.5 * np.eye(v.shape[0]) + v @ self.core @ v.T
         return GaussianState(self.registry, self.factor[:, r].copy(), 0.5 * (cov + cov.T))
 
 

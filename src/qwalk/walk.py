@@ -13,7 +13,7 @@ holds the output amplitudes for a photon injected into flat mode ``j``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,6 +138,18 @@ def step_unitary(layer: LayerParams, bins: int) -> np.ndarray:
     return _shift_matrix(bins) @ coin
 
 
+def _coin_rows(layer: LayerParams, rows: np.ndarray, bins: int) -> np.ndarray:
+    """The layer's coin mixing the H and V blocks of `rows` bin by bin."""
+    c = coin_matrix(layer.omega, layer.gamma)
+    h, v = rows[:bins], rows[bins:]
+    return np.concatenate((c[0, 0] * h + c[0, 1] * v, c[1, 0] * h + c[1, 1] * v))
+
+
+def _shift_rows(rows: np.ndarray, bins: int) -> np.ndarray:
+    """`_shift_matrix(bins) @ rows`: the V block rolls one bin later."""
+    return np.concatenate((rows[:bins], np.roll(rows[bins:], 1, axis=0)))
+
+
 def step_apply(
     layer: LayerParams,
     amplitudes: np.ndarray,
@@ -153,24 +165,26 @@ def step_apply(
     amplitudes = np.asarray(amplitudes, dtype=complex)
     if amplitudes.shape != (2 * bins,):
         raise ValueError(f"expected amplitude vector of length {2 * bins}")
-    after_coin = np.kron(coin_matrix(layer.omega, layer.gamma), np.eye(bins)) @ amplitudes
+    after_coin = _coin_rows(layer, amplitudes, bins)
     if abs(after_coin[2 * bins - 1]) > atol:
         raise OverflowPolicyViolation(
             f"V amplitude {after_coin[2 * bins - 1]:.3e} in bin {bins} would "
             "shift past the register; increase bin_capacity"
         )
-    return _shift_matrix(bins) @ after_coin
+    return _shift_rows(after_coin, bins)
 
 
 def walk_unitary(config: WalkConfig) -> np.ndarray:
     """Ordered product of all steps, first layer applied first.
 
+    Each step acts on the rows directly, not as a dense step product: the
+    coin mixes the H and V row blocks, then the V block shifts by one bin.
     Crystal transmissions are not included; see `aggregate_transmission`.
     """
     bins = config.bin_capacity
     total = np.eye(2 * bins, dtype=complex)
     for layer in config.layers:
-        total = step_unitary(layer, bins) @ total
+        total = _shift_rows(_coin_rows(layer, total, bins), bins)
     return total
 
 

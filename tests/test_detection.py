@@ -8,11 +8,7 @@ from qwalk.detection import (
     DetectorLayout,
     GateSpec,
     build_layout,
-    heralded_prob,
-    no_click_prob,
-    pattern_prob,
     scan_patterns,
-    single_photon_pattern_prob,
 )
 from qwalk.errors import (
     DuplicateGateBin,
@@ -42,7 +38,8 @@ def test_coherent_no_click_probability():
     # exp(-0.1)
     state = prepare((SourceSpec("coherent", H1, 0.1),), bins=1)
     i = state.registry.flatten(H1)
-    assert no_click_prob(state, (i,)) == pytest.approx(
+    layout = DetectorLayout((Detector("APD1", frozenset({i})),))
+    assert ClickCalculator(state, layout).no_click({i}) == pytest.approx(
         0.9048374180359595, abs=1e-14
     )
 
@@ -51,12 +48,14 @@ def test_thermal_no_click_probability():
     # 1/(1 + mu)
     state = prepare((SourceSpec("thermal", H1, 0.026),), bins=1)
     i = state.registry.flatten(H1)
-    assert no_click_prob(state, (i,)) == pytest.approx(1.0 / 1.026, abs=1e-14)
+    layout = DetectorLayout((Detector("APD1", frozenset({i})),))
+    assert ClickCalculator(state, layout).no_click({i}) == pytest.approx(1.0 / 1.026, abs=1e-14)
 
 
 def test_no_click_on_empty_set_is_one():
     state = prepare((SourceSpec("coherent", H1, 0.5),), bins=1)
-    assert no_click_prob(state, ()) == 1.0
+    layout = DetectorLayout((Detector("APD1", frozenset()),))
+    assert ClickCalculator(state, layout).no_click(()) == 1.0
 
 
 def test_tmsv_herald_rate():
@@ -192,8 +191,8 @@ def test_probability_depends_on_mode_set_not_order():
     rev = DetectorLayout(
         (Detector("APD1", frozenset({b})), Detector("APD2", frozenset({a})))
     )
-    p_fwd = pattern_prob(state, fwd, ClickPattern((True, False)))
-    p_rev = pattern_prob(state, rev, ClickPattern((False, True)))
+    p_fwd = ClickCalculator(state, fwd).pattern(ClickPattern((True, False)))
+    p_rev = ClickCalculator(state, rev).pattern(ClickPattern((False, True)))
     assert p_fwd == pytest.approx(p_rev, rel=1e-13)
 
 
@@ -202,17 +201,15 @@ def test_swapping_gate_bins_swaps_the_routing_detectors():
         (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3)),
         bins=2,
     )
-    s12, l12 = build_layout(state, (GateSpec(1), GateSpec(2)))
-    s21, l21 = build_layout(state, (GateSpec(2), GateSpec(1)))
+    calc12 = ClickCalculator(*build_layout(state, (GateSpec(1), GateSpec(2))))
+    calc21 = ClickCalculator(*build_layout(state, (GateSpec(2), GateSpec(1))))
     coincidence = ClickPattern.of(apd3=True, apd4=True)
-    assert pattern_prob(s12, l12, coincidence) == pytest.approx(
-        pattern_prob(s21, l21, coincidence), rel=1e-12
+    assert calc12.pattern(coincidence) == pytest.approx(
+        calc21.pattern(coincidence), rel=1e-12
     )
     only3 = ClickPattern.of(apd3=True, apd4=False)
     only4 = ClickPattern.of(apd3=False, apd4=True)
-    assert pattern_prob(s12, l12, only3) == pytest.approx(
-        pattern_prob(s21, l21, only4), rel=1e-12
-    )
+    assert calc12.pattern(only3) == pytest.approx(calc21.pattern(only4), rel=1e-12)
 
 
 def test_single_photon_splits_at_a_balanced_coupler():
@@ -241,20 +238,15 @@ def test_single_photon_splits_at_a_balanced_coupler():
     assert p_both == pytest.approx(0.0, abs=1e-12)
 
 
-def test_single_photon_wrapper_matches_method():
+def test_single_photon_into_a_watched_mode_always_clicks():
     registry = ModeRegistry.for_walk(1)
     state = vacuum_state(registry)
     injection = np.zeros((8, 2))
     injection[0, 0] = 1.0
     injection[1, 1] = 1.0
     layout = DetectorLayout((Detector("APD1", frozenset({0})),))
-    direct = ClickCalculator(state, layout).single_photon(
-        ClickPattern((True,)), injection
-    )
-    wrapped = single_photon_pattern_prob(
-        state, layout, ClickPattern((True,)), injection
-    )
-    assert direct == wrapped == pytest.approx(1.0, abs=1e-12)
+    calc = ClickCalculator(state, layout)
+    assert calc.single_photon(ClickPattern((True,)), injection) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- batched scans: refusals --------------------------------------------------
@@ -267,7 +259,7 @@ def unphysical(eig: float, idler: bool = False) -> LowRankState:
     registry = ModeRegistry.for_walk(1, idler=idler)
     factor = np.zeros((2 * len(registry), 2))
     factor[H1_X, 0] = 1.0
-    return LowRankState(registry, factor, np.array([eig]))
+    return LowRankState(registry, factor, np.array([[eig]]))
 
 
 def dense_one_fold(state: LowRankState) -> float:

@@ -174,34 +174,6 @@ def test_runs_are_deterministic():
     assert run_two_fold(spec) == run_two_fold(spec)
 
 
-def test_thread_count_env_is_validated(monkeypatch):
-    # scans no longer use the pool; step evolution still does
-    spec = ideal_spec(2)
-    monkeypatch.setenv("QWALK_THREADS", "not-a-number")
-    with pytest.raises(ConfigInvalid):
-        step_evolution(spec)
-    monkeypatch.setenv("QWALK_THREADS", "0")
-    with pytest.raises(ConfigInvalid):
-        step_evolution(spec)
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    spec = ExperimentSpec(
-        walk=WalkConfig.uniform(3),
-        kind="two-fold",
-        mu_alpha=0.1,
-        mu_xi=0.026,
-    )
-    results = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("QWALK_THREADS", threads)
-        results[threads] = (
-            step_evolution(spec, inner_kind="two-fold"),
-            verify_against_oracle(spec),
-        )
-    assert results["1"] == results["4"]
-
-
 def test_hom_visibility_grows_with_overlap():
     spec = ExperimentSpec(walk=WalkConfig.uniform(1), kind="hom", mu_alpha=0.1)
     values = [hom_visibility(spec, o) for o in (0.0, 0.3, 0.6, 1.0)]
@@ -439,13 +411,11 @@ def test_coherent_one_fold_is_poissonian(n_steps, seed, log_mu):
 @given(
     n_steps=st.integers(min_value=1, max_value=60),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    log_mu=st.floats(min_value=-3.0, max_value=0.0),
+    log_mu=st.floats(min_value=-8.0, max_value=0.0),
 )
 @settings(max_examples=25, deadline=None)
 def test_unheralded_tmsv_one_fold_is_thermal(n_steps, seed, log_mu):
-    # the signal marginal is thermal: P(click) = x / (1 + x), x = eta mu |U|^2.
-    # mu >= 1e-3: the factor's eigenvalues mu +- sqrt(mu (1 + mu)) cancel
-    # to mu, so relative accuracy falls like eps / sqrt(mu) (5e-13 at 1e-4)
+    # the signal marginal is thermal: P(click) = x / (1 + x), x = eta mu |U|^2
     mu = 10.0**log_mu
     spec, eta, u = closed_form_case(seed, n_steps, mu_alpha=0.0, mu_xi=mu)
     reg = ModeRegistry.for_walk(spec.walk.bin_capacity)

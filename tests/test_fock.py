@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.detection import ClickPattern, GateSpec, build_layout, pattern_prob
-from qwalk.errors import CutoffTooSmall, DimensionMismatch, NonUnitary
+from qwalk.detection import ClickCalculator, ClickPattern, GateSpec, build_layout
+from qwalk.errors import CutoffTooSmall, DimensionMismatch, ResourceBound
 from qwalk.fock import (
     FockState,
-    OracleSettings,
     ThresholdOracle,
     _box_geometry,
     _gamma_blocks,
-    evolve,
     input_decompose,
-    oracle_pattern_prob,
     perm_reduced,
     permanent,
 )
@@ -26,9 +23,6 @@ from qwalk.walk import WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
-
-BALANCED = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
 
 def permanent_brute(a):
     n = a.shape[0]
@@ -47,6 +41,11 @@ def test_permanent_matches_brute_force(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     assert permanent(a) == pytest.approx(permanent_brute(a), rel=1e-10, abs=1e-10)
+
+
+def test_permanent_refuses_large_matrices():
+    with pytest.raises(ResourceBound):
+        permanent(np.eye(17))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -91,35 +90,28 @@ def test_gamma_blocks_match_perm_reduced(seed):
                 )
 
 
+def hom_oracle():
+    """One H and one V photon on a balanced one-step coin, each output arm on its own APD."""
+    return ThresholdOracle(
+        (SourceSpec("fock1", H1, 1.0), SourceSpec("fock1", V1, 1.0)),
+        WalkConfig.uniform(1, transmission=1.0),
+        (),
+        detector_labels={"APD2": ((Pol.H, 1),), "APD4": ((Pol.V, 2),)},
+    )
+
+
 def test_two_photons_bunch_at_a_balanced_splitter():
-    state = FockState(2, {(2, 0): 1.0}, cutoff=2)
-    out = evolve(state, BALANCED)
-    probs = out.probabilities()
-    assert probs[(2, 0)] == pytest.approx(0.25, abs=1e-12)
-    assert probs[(1, 1)] == pytest.approx(0.5, abs=1e-12)
-    assert probs[(0, 2)] == pytest.approx(0.25, abs=1e-12)
+    oracle = hom_oracle()
+    assert oracle.pattern_prob(ClickPattern.of(apd2=True, apd4=False)) == pytest.approx(
+        0.5, abs=1e-12
+    )
+    assert oracle.pattern_prob(ClickPattern.of(apd2=False, apd4=True)) == pytest.approx(
+        0.5, abs=1e-12
+    )
 
 
 def test_hom_null_for_indistinguishable_photons():
-    state = FockState(2, {(1, 1): 1.0}, cutoff=2)
-    out = evolve(state, BALANCED)
-    assert abs(out.amplitudes.get((1, 1), 0.0)) < 1e-14
-
-
-def test_evolve_preserves_norm():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(a)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    state = FockState(3, {(1, 0, 1): 0.8, (0, 2, 0): 0.6}, cutoff=2)
-    out = evolve(state, u)
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_evolve_rejects_nonunitary_maps():
-    state = FockState(2, {(1, 0): 1.0}, cutoff=1)
-    with pytest.raises(NonUnitary):
-        evolve(state, 0.5 * BALANCED)
+    assert hom_oracle().pattern_prob(ClickPattern.of(apd2=True, apd4=True)) < 1e-14
 
 
 def test_thermal_decomposition_weights():
@@ -222,7 +214,7 @@ def test_oracle_matches_gaussian_route_spot_check():
     stage = exp._stage(spec)
     routed, layout = build_layout(stage.state, gates)
     pattern = ClickPattern.of(apd1=True, apd3=True, apd4=True)
-    gaussian_value = pattern_prob(routed, layout, pattern)
+    gaussian_value = ClickCalculator(routed, layout).pattern(pattern)
     oracle = ThresholdOracle(sources, walk, gates)
     assert oracle.pattern_prob(pattern) == pytest.approx(
         gaussian_value, abs=5e-9
@@ -274,13 +266,10 @@ def test_truncation_leak_shrinks_with_cutoff():
 
 def test_oracle_wrapper_accepts_forced_cutoff():
     # zero-step walk: the coherent light never leaves its input mode
-    value = oracle_pattern_prob(
-        (SourceSpec("coherent", H1, 0.1),),
-        WalkConfig.uniform(0),
-        (),
-        ClickPattern.of(apd2=True),
-        cutoff=8,
+    oracle = ThresholdOracle(
+        (SourceSpec("coherent", H1, 0.1),), WalkConfig.uniform(0), (), k_max=8
     )
+    value = oracle.pattern_prob(ClickPattern.of(apd2=True))
     assert value == pytest.approx(1.0 - math.exp(-0.1), abs=1e-9)
 
 

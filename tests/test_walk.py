@@ -148,12 +148,22 @@ def test_walk_unitary_property(n_steps, seed):
     assert np.max(np.abs(gram - np.eye(u.shape[0]))) < 1e-12
 
 
-def test_step_unitary_composes_to_walk():
-    config = WalkConfig.uniform(3)
+@given(
+    n_steps=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_step_unitary_composes_to_walk(n_steps, seed):
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        LayerParams(omega=rng.uniform(0, 2 * np.pi), gamma=rng.uniform(0, 2 * np.pi))
+        for _ in range(n_steps)
+    )
+    config = WalkConfig(n_steps, layers)
     u = np.eye(2 * config.bin_capacity, dtype=complex)
     for layer in config.layers:
         u = step_unitary(layer, config.bin_capacity) @ u
-    assert np.allclose(u, walk_unitary(config), atol=1e-14)
+    assert np.abs(walk_unitary(config) - u).max() <= 1e-14
 
 
 def test_step_apply_flags_capacity_overflow():
