@@ -11,9 +11,11 @@ the package's main correctness gate.
 P0(S) = <psi| :exp(-sum_{i in S} b_i^dag b_i): |psi>, whose Fock matrix
 elements are permanents of G = I - W_S^dag W_S with rows and columns
 repeated by occupation.  Those matrix elements are filled by an exact
-recursion over total photon number rather than one Ryser call per pair,
-which keeps the acceptance sweeps fast; the recursion is tested against
-`perm_reduced`, and that against `permanent`.
+recursion over total photon number rather than one Ryser call per pair.
+One query runs that recursion once, vectorised over every detector set
+its inclusion-exclusion needs, and builds one photon-number block at a
+time, each contracted with the input state as soon as it is made.  The
+recursion is tested against `perm_reduced`, and that against `permanent`.
 
 Loss never needs a channel here: every lossy element is a beam splitter
 into a fresh ancilla mode that no detector watches, and leaving a mode
@@ -240,53 +242,40 @@ class OracleSettings:
 class _BoxGeometry:
     """Index bookkeeping for a dense occupation box, grouped by total photons.
 
-    Everything here depends only on the per-axis caps and the total cap,
-    so instances are shared across detector sets and gate programs.
+    Block K lists the box tuples k with |k| = K.  For each of its rows,
+    `row_first` is the first occupied axis i, `row_prev` the row of
+    k - e_i in block K - 1, and `row_div` the occupation k_i.
+    `gather[K][j]` holds, for each column k, the column of k - e_j in
+    block K - 1, or the sentinel n_{K-1} where k_j = 0: it points at a
+    zero column padded onto that block.  Everything here depends only
+    on the caps, so instances are shared across detector sets and gate
+    programs.
     """
 
     def __init__(self, caps: tuple, k_max: int):
         shape = tuple(c + 1 for c in caps)
-        q = len(caps)
-        self.caps = caps
         self.k_max = min(k_max, sum(caps))
-        self.tuples = np.indices(shape).reshape(q, -1).T
+        self.tuples = np.indices(shape).reshape(len(caps), -1).T
         self.totals = self.tuples.sum(axis=1)
-        strides = np.ones(q, dtype=np.int64)
-        for j in range(q - 2, -1, -1):
-            strides[j] = strides[j + 1] * shape[j + 1]
+        strides = np.cumprod((1,) + shape[:0:-1])[::-1]
         self.block_cols = [
             np.flatnonzero(self.totals == K) for K in range(self.k_max + 1)
         ]
         first_axis = np.argmax(self.tuples > 0, axis=1)
-        self.row_first = []
-        self.row_prev = []
-        self.row_div = []
-        self.shift_masks = []
-        self.shift_pos = []
-        for K in range(self.k_max + 1):
-            cols = self.block_cols[K]
-            if K == 0:
-                self.row_first.append(None)
-                self.row_prev.append(None)
-                self.row_div.append(None)
-                self.shift_masks.append(None)
-                self.shift_pos.append(None)
-                continue
-            prev_cols = self.block_cols[K - 1]
+        self.row_first = [None]
+        self.row_prev = [None]
+        self.row_div = [None]
+        self.gather = [None]
+        for prev_cols, cols in zip(self.block_cols, self.block_cols[1:]):
+            occ = self.tuples[cols].T
+            shifted = np.searchsorted(prev_cols, cols - strides[:, None])
+            gather = np.where(occ > 0, shifted, prev_cols.size)
             fi = first_axis[cols]
+            rows = np.arange(cols.size)
             self.row_first.append(fi)
-            self.row_prev.append(
-                np.searchsorted(prev_cols, cols - strides[fi])
-            )
-            self.row_div.append(self.tuples[cols, fi].astype(float))
-            masks = []
-            pos = []
-            for j in range(q):
-                mask = self.tuples[cols, j] > 0
-                masks.append(mask)
-                pos.append(np.searchsorted(prev_cols, cols[mask] - strides[j]))
-            self.shift_masks.append(masks)
-            self.shift_pos.append(pos)
+            self.row_prev.append(gather[fi, rows])
+            self.row_div.append(occ[fi, rows].astype(float))
+            self.gather.append(gather)
         fact = [
             np.sqrt(np.array([math.factorial(n) for n in range(c + 1)], float))
             for c in caps
@@ -302,37 +291,38 @@ def _box_geometry(caps: tuple, k_max: int) -> _BoxGeometry:
     return _BoxGeometry(caps, k_max)
 
 
-def _gamma_blocks(g: np.ndarray, geom: _BoxGeometry) -> list:
-    """Fock matrix elements of :exp(a^dag (G - I) a): in per-total blocks.
+def _gamma_blocks(g: np.ndarray, geom: _BoxGeometry):
+    """Fock matrix elements of :exp(a^dag (G - I) a): for a stack of G.
 
-    Block K holds F[k', k] for all box tuples with |k'| = |k| = K, where
-    the physical matrix element is F[k', k] * sqrt(k'! k!).  Filled by
-    the recursion k'_i F[k', k] = sum_j G_ij F[k' - e_i, k - e_j], which
-    is Ryser-equivalent but shares work across the whole block.
+    Yields, for K = 0 .. k_max, the (b, n_K, n_K) block F[k', k] over box
+    tuples with |k'| = |k| = K, for each of the b matrices G in `g`; the
+    physical matrix element is F[k', k] * sqrt(k'! k!).  Filled by the
+    recursion k'_i F[k', k] = sum_j G_ij F[k' - e_i, k - e_j], with i
+    the first occupied axis of k', which is Ryser-equivalent but shares
+    work across the whole block.  Each block is built in an array with
+    one zero column more, the target of the sentinel in `geom.gather`;
+    at most the previous block, the new one and one gathered term are
+    alive at a time.
     """
-    q = g.shape[0]
-    blocks = [np.ones((1, 1), dtype=complex)]
+    b = len(g)
+    padded = np.zeros((b, 1, 2), dtype=complex)
+    padded[:, :, 0] = 1.0
+    yield padded[:, :, :1]
     for K in range(1, geom.k_max + 1):
-        cols = geom.block_cols[K]
-        n = len(cols)
-        prev = blocks[K - 1]
-        f = np.zeros((n, n), dtype=complex)
-        prev_rows = prev[geom.row_prev[K]]
-        fi = geom.row_first[K]
-        for i in range(q):
-            rows_i = np.flatnonzero(fi == i)
-            if rows_i.size == 0:
-                continue
-            sub = prev_rows[rows_i]
-            for j in range(q):
-                if g[i, j] == 0:
-                    continue
-                mask = geom.shift_masks[K][j]
-                gathered = sub[:, geom.shift_pos[K][j]]
-                f[np.ix_(rows_i, mask)] += g[i, j] * gathered
+        rows = geom.row_prev[K][:, None] * padded.shape[2]
+        prev = padded.reshape(b, -1)
+        coeff = g[:, geom.row_first[K], :, None]
+        n = rows.size
+        padded = np.zeros((b, n, n + 1), dtype=complex)
+        f = padded[:, :, :n]
+        term = np.empty((b, n, n), dtype=complex)
+        for j, at in enumerate(geom.gather[K]):
+            np.take(prev, rows + at, axis=1, out=term, mode="clip")
+            term *= coeff[:, :, j]
+            f += term
+        del term
         f /= geom.row_div[K][:, None]
-        blocks.append(f)
-    return blocks
+        yield f
 
 
 @dataclass
@@ -414,26 +404,24 @@ class _Branch:
         phi = psi * self.geom.sqrt_fact[None, :]
         self.phi_blocks = [phi[:, cols] for cols in self.geom.block_cols]
 
-    def p0(self, positions: frozenset) -> float:
-        if self.trivial or not positions:
-            return 1.0
-        cached = self._cache.get(positions)
-        if cached is not None:
-            return cached
-        rows = sorted(positions)
-        b = self.w[np.ix_(rows, self.active)]
-        q = self.active.size
-        g = np.eye(q, dtype=complex) - b.conj().T @ b
-        blocks = _gamma_blocks(g, self.geom)
-        total = np.zeros(self.weights.size)
-        for K, f in enumerate(blocks):
-            phi = self.phi_blocks[K]
-            if phi.shape[1] == 0:
-                continue
-            total += np.real(np.einsum("mi,ij,mj->m", phi.conj(), f, phi))
-        value = float(self.weights @ total)
-        self._cache[positions] = value
-        return value
+    def p0(self, position_sets) -> list:
+        """No-click probability on each set of positions; one recursion
+        serves every set not seen before."""
+        if self.trivial:
+            return [1.0] * len(position_sets)
+        todo = list(dict.fromkeys(s for s in position_sets if s and s not in self._cache))
+        if todo:
+            eye = np.eye(self.active.size, dtype=complex)
+            g = []
+            for positions in todo:
+                b = self.w[np.ix_(sorted(positions), self.active)]
+                g.append(eye - b.conj().T @ b)
+            total = np.zeros((len(todo), self.weights.size))
+            for phi, f in zip(self.phi_blocks, _gamma_blocks(np.stack(g), self.geom)):
+                total += np.real(np.einsum("mi,bij,mj->bm", phi.conj(), f, phi))
+            for positions, value in zip(todo, total @ self.weights):
+                self._cache[positions] = float(value)
+        return [self._cache[s] if s else 1.0 for s in position_sets]
 
 
 def _dense_members(mixture: MixedFockState, caps: tuple) -> list:
@@ -706,14 +694,16 @@ class ThresholdOracle:
 
     # -- probability machinery ------------------------------------------------
 
-    def _p0(self, names) -> float:
-        value = 1.0
-        for b in (0, 1):
-            positions = frozenset(
-                p for name in names for p in self._detector_positions[name][b]
+    def _p0(self, name_sets) -> np.ndarray:
+        values = np.ones(len(name_sets))
+        for b, branch in enumerate(self.branches):
+            values *= branch.p0(
+                [
+                    frozenset(p for name in names for p in self._detector_positions[name][b])
+                    for names in name_sets
+                ]
             )
-            value *= self.branches[b].p0(positions)
-        return value
+        return values
 
     def _split(self, pattern: ClickPattern):
         if len(pattern.clicks) != len(APD_NAMES):
@@ -732,25 +722,29 @@ class ThresholdOracle:
         return any(self._detector_positions[name][b] for b in (0, 1))
 
     def pattern_prob(self, pattern: ClickPattern) -> float:
+        return self._inclusion_exclusion(pattern, ())
+
+    def _inclusion_exclusion(self, pattern: ClickPattern, also) -> float:
+        """P(pattern) from one batch of no-click evaluations; the name sets
+        in `also` join that batch, so later queries for them hit the cache."""
         clicked, silent = self._split(pattern)
         if any(not self._covered(name) for name in clicked):
             return 0.0
+        subsets = [
+            s for r in range(len(clicked) + 1) for s in itertools.combinations(clicked, r)
+        ]
+        p0 = self._p0([tuple(silent) + s for s in subsets] + list(also))
         total = 0.0
-        for r in range(len(clicked) + 1):
-            for subset in itertools.combinations(clicked, r):
-                total += (-1) ** r * self._p0(tuple(silent) + subset)
-        if total < 0.0:
-            if total < -self._tolerance:
-                raise NumericalInstability(
-                    f"oracle inclusion-exclusion produced {total:.3e}"
-                )
-            return 0.0
-        return min(total, 1.0)
+        for subset, value in zip(subsets, p0):
+            total += (-1) ** len(subset) * float(value)
+        if not -self._tolerance <= total <= 1.0 + self._tolerance:
+            raise NumericalInstability(f"oracle inclusion-exclusion produced {total:.3e}")
+        return min(max(total, 0.0), 1.0)
 
     def herald_rate(self) -> float:
         if not self._covered("APD1"):
             raise ZeroHeraldRate("no idler mode is present to herald on")
-        rate = 1.0 - self._p0(("APD1",))
+        rate = 1.0 - float(self._p0([("APD1",)])[0])
         if rate <= 0.0:
             raise ZeroHeraldRate("herald detector can never click")
         return rate
@@ -759,7 +753,8 @@ class ThresholdOracle:
         position = APD_NAMES.index("APD1")
         if pattern.clicks[position] is not None:
             raise ValueError("heralded patterns must leave APD1 unconstrained")
-        return self.pattern_prob(pattern.with_click(position)) / self.herald_rate()
+        joint = self._inclusion_exclusion(pattern.with_click(position), [("APD1",)])
+        return joint / self.herald_rate()
 
 
 def _default_detector_labels(bins: int) -> dict:

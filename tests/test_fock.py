@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk.detection import ClickCalculator, ClickPattern, GateSpec, build_layout
-from qwalk.errors import CutoffTooSmall, DimensionMismatch, ResourceBound
+from qwalk.errors import (
+    CutoffTooSmall,
+    DimensionMismatch,
+    NumericalInstability,
+    ResourceBound,
+)
 from qwalk.fock import (
     FockState,
     ThresholdOracle,
@@ -71,23 +76,90 @@ def test_perm_reduced_requires_equal_totals():
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_gamma_blocks_match_perm_reduced(seed):
-    # block DP against the one-element Ryser formula
+    # batched block recursion against the one-element Ryser formula, on an
+    # uneven box; the second G holds exact zeros
     rng = np.random.default_rng(seed)
     q = 3
-    g = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
-    geom = _box_geometry((2, 2, 2), 4)
-    blocks = _gamma_blocks(g, geom)
-    for total in range(1, 5):
+    g = rng.normal(size=(3, q, q)) + 1j * rng.normal(size=(3, q, q))
+    g[1, [0, 0, 1, 2], [0, 1, 2, 0]] = 0.0
+    geom = _box_geometry((1, 3, 2), 6)
+    for total, f in enumerate(_gamma_blocks(g, geom)):
         cols = geom.block_cols[total]
-        f = blocks[total]
+        assert f.shape == (len(g), cols.size, cols.size)
         for a, ka in enumerate(cols):
             for b, kb in enumerate(cols):
                 kr = tuple(geom.tuples[ka])
                 kc = tuple(geom.tuples[kb])
                 norm = np.prod([math.factorial(x) for x in kr + kc])
-                assert f[a, b] == pytest.approx(
-                    perm_reduced(g, kr, kc) / norm, rel=1e-9, abs=1e-12
-                )
+                for m in range(len(g)):
+                    assert f[m, a, b] == pytest.approx(
+                        perm_reduced(g[m], kr, kc) / norm, rel=1e-9, abs=1e-12
+                    )
+    assert total == 6
+
+
+def two_branch_oracle():
+    return ThresholdOracle(
+        (
+            SourceSpec("tmsv", H1, 0.026),
+            SourceSpec("coherent", V1, 0.2, overlap=0.7),
+        ),
+        WalkConfig.uniform(2),
+        (GateSpec(1), GateSpec(3)),
+    )
+
+
+def test_batched_branch_p0_matches_one_set_at_a_time():
+    batched, single = two_branch_oracle().branches[0], two_branch_oracle().branches[0]
+    n = batched.w.shape[0]
+    sets = [frozenset(s) for s in ((0,), (1, 3), (2, 4, n - 1), (0, 1, 2, 3), ())]
+    for positions, value in zip(sets, batched.p0(sets)):
+        assert abs(single.p0([positions])[0] - value) <= 1e-14
+        assert 0.0 < value <= 1.0
+
+
+def test_heralded_query_runs_one_recursion_per_branch(monkeypatch):
+    import qwalk.fock as fock
+
+    calls = []
+    recursion = fock._gamma_blocks
+
+    def counted(g, geom):
+        calls.append(len(g))
+        return recursion(g, geom)
+
+    monkeypatch.setattr(fock, "_gamma_blocks", counted)
+    oracle = two_branch_oracle()
+    branches = sum(not branch.trivial for branch in oracle.branches)
+    assert branches == 2
+    # APD2 silent: the herald's own set is not among the pattern's sets
+    oracle.heralded_prob(ClickPattern.of(apd2=False, apd3=True, apd4=True))
+    assert 0 < len(calls) <= branches
+    oracle.herald_rate()
+    assert len(calls) <= branches
+
+
+def lone_photon_oracle(monkeypatch, total):
+    """An oracle whose two P0 values for an APD2 click differ by `total`."""
+    oracle = ThresholdOracle(
+        (SourceSpec("fock1", H1, 1.0),), WalkConfig.uniform(0, transmission=1.0), ()
+    )
+    monkeypatch.setattr(oracle, "_p0", lambda name_sets: np.array([total, 0.0]))
+    return oracle
+
+
+@pytest.mark.parametrize("outside", [-2e-12, 1.0 + 2e-12])
+def test_oracle_refuses_totals_outside_the_unit_interval(monkeypatch, outside):
+    oracle = lone_photon_oracle(monkeypatch, outside)
+    assert oracle._tolerance == 1e-12
+    with pytest.raises(NumericalInstability, match="oracle inclusion-exclusion produced"):
+        oracle.pattern_prob(ClickPattern.of(apd2=True))
+
+
+@pytest.mark.parametrize("inside, clamped", [(-5e-13, 0.0), (1.0 + 5e-13, 1.0)])
+def test_oracle_clamps_round_off_within_tolerance(monkeypatch, inside, clamped):
+    oracle = lone_photon_oracle(monkeypatch, inside)
+    assert oracle.pattern_prob(ClickPattern.of(apd2=True)) == clamped
 
 
 def hom_oracle():
@@ -274,13 +346,6 @@ def test_oracle_wrapper_accepts_forced_cutoff():
 
 
 def test_oracle_pattern_space_sums_to_one():
-    oracle = ThresholdOracle(
-        (
-            SourceSpec("tmsv", H1, 0.026),
-            SourceSpec("coherent", V1, 0.2, overlap=0.7),
-        ),
-        WalkConfig.uniform(2),
-        (GateSpec(1), GateSpec(3)),
-    )
+    oracle = two_branch_oracle()
     total = sum(oracle.pattern_prob(p) for p in ClickPattern.full_patterns())
     assert total == pytest.approx(1.0, abs=1e-9)
