@@ -273,13 +273,13 @@ class ClickCalculator:
         if value < 0.0:
             if value < -_NEGATIVE_CLAMP:
                 raise NumericalInstability(
-                    f"inclusion-exclusion produced {value:.3e}"
+                    f"inclusion-exclusion produced {float(value)!r}"
                 )
             return 0.0
         if value > 1.0:
             if value > 1.0 + _NEGATIVE_CLAMP:
                 raise NumericalInstability(
-                    f"inclusion-exclusion produced {value:.3e}"
+                    f"inclusion-exclusion produced {float(value)!r}"
                 )
             return 1.0
         return value
@@ -415,7 +415,7 @@ def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     if bad.size:
         p = bad[0]
         raise NumericalInstability(
-            f"inclusion-exclusion produced {values[p]:.3e} at "
+            f"inclusion-exclusion produced {float(values[p])!r} at "
             f"{_gate_point_name(slots[p])}"
         )
     return np.clip(values, 0.0, 1.0)

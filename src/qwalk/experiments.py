@@ -510,15 +510,6 @@ def _oracle_sources(spec: ExperimentSpec) -> tuple:
     return tuple(out)
 
 
-def _oracle_value(spec, oracle: ThresholdOracle, pattern: ClickPattern) -> float:
-    if spec.ideal_herald:
-        # the fock1 stand-in needs no herald: exactly one photon went in
-        return oracle.pattern_prob(pattern)
-    if spec.heralded:
-        return oracle.heralded_prob(pattern)
-    return oracle.pattern_prob(pattern)
-
-
 def verify_against_oracle(
     spec: ExperimentSpec,
     settings: OracleSettings = OracleSettings(),
@@ -530,7 +521,6 @@ def verify_against_oracle(
     with the oracle's truncation leak, so callers can judge both routes'
     agreement against their tolerance.
     """
-    sources = _oracle_sources(spec)
     if spec.kind == "hom":
         gauss = hom_scan(spec, (0.0, spec.overlap))
         diffs = []
@@ -558,17 +548,21 @@ def verify_against_oracle(
 
     stage_dist = run_experiment(spec)
     scan = _SCANS[spec.kind]
-    diffs, leak = [], 0.0
+    oracle = ThresholdOracle(
+        _oracle_sources(spec),
+        spec.walk,
+        eta_sys=spec.eta_sys,
+        eta_idler=spec.eta_idler,
+        settings=settings,
+        k_max=cutoff,
+    )
+    diffs = []
     for label, value in zip(stage_dist.labels, stage_dist.raw):
-        oracle = ThresholdOracle(
-            sources,
-            spec.walk,
-            scan.gates(label, spec.eta_kerr),
-            eta_sys=spec.eta_sys,
-            eta_idler=spec.eta_idler,
-            settings=settings,
-            k_max=cutoff,
-        )
-        diffs.append(abs(_oracle_value(spec, oracle, scan.pattern) - value))
-        leak = max(leak, oracle.truncation_leak)
-    return OracleReport(max(diffs), len(diffs), leak)
+        routed = oracle.at(scan.gates(label, spec.eta_kerr))
+        # the fock1 stand-in needs no herald: exactly one photon went in
+        if spec.heralded and not spec.ideal_herald:
+            fock = routed.heralded_prob(scan.pattern)
+        else:
+            fock = routed.pattern_prob(scan.pattern)
+        diffs.append(abs(fock - value))
+    return OracleReport(max(diffs), len(diffs), oracle.truncation_leak)

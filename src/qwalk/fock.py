@@ -17,6 +17,12 @@ its inclusion-exclusion needs, and builds one photon-number block at a
 time, each contracted with the input state as soon as it is made.  The
 recursion is tested against `perm_reduced`, and that against `permanent`.
 
+W_S^dag W_S is a sum of per-mode Gram terms w^dag w, so the gates never
+enter W: routing only decides which terms, at what weight, each detector
+sums.  One oracle is built per scan, from the walk, the loss and the
+inputs, and routed at each gate point at query time; its P0 cache serves
+every gate point of the scan.
+
 Loss never needs a channel here: every lossy element is a beam splitter
 into a fresh ancilla mode that no detector watches, and leaving a mode
 out of S is already the partial trace.
@@ -24,6 +30,7 @@ out of S is already the partial trace.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,7 +50,7 @@ from .errors import (
     ZeroHeraldRate,
 )
 from .gaussian import PAIR_KINDS, SourceSpec
-from .modes import IDLER, ExtraMode, ModeIndex, Pol
+from .modes import IDLER, ModeIndex, Pol
 from .walk import WalkConfig, aggregate_transmission, walk_unitary
 
 __all__ = [
@@ -334,12 +341,16 @@ class _BranchSource:
 
 
 class _Branch:
-    """One distinguishability sector's modes, transfer matrix, and input ensemble."""
+    """One distinguishability sector: its register modes' Gram terms, its
+    input ensemble, and a P0 cache shared by every gate point of a scan.
 
-    def __init__(self, labels, w, active, sources, k_max, settings):
-        self.labels = tuple(labels)
-        self.w = w
-        self.active = np.asarray(active, dtype=int)
+    `grams[label]` is w^dag w, with w the row of the transfer matrix for
+    that mode restricted to the inputs' columns.  The walk, the loss and
+    the inputs fix it; routing never enters a branch.
+    """
+
+    def __init__(self, grams, sources, k_max, settings):
+        self.grams = grams
         self.k_max = k_max
         self._cache: dict = {}
         self.leak = 0.0
@@ -386,6 +397,7 @@ class _Branch:
                 f"occupation box of {box} tuples exceeds the oracle limit"
             )
         self.geom = _box_geometry(caps, k_max)
+        self.eye = np.eye(len(caps))
         weights = [1.0]
         arrays = [np.ones((), dtype=complex)]
         for ens in ensembles:
@@ -404,24 +416,23 @@ class _Branch:
         phi = psi * self.geom.sqrt_fact[None, :]
         self.phi_blocks = [phi[:, cols] for cols in self.geom.block_cols]
 
-    def p0(self, position_sets) -> list:
-        """No-click probability on each set of positions; one recursion
-        serves every set not seen before."""
-        if self.trivial:
-            return [1.0] * len(position_sets)
-        todo = list(dict.fromkeys(s for s in position_sets if s and s not in self._cache))
+    def p0(self, grams) -> list:
+        """No-click probability for each Gram sum B^dag B of a detector set,
+        None meaning no watched mode here (exactly 1); one recursion serves
+        every set not seen before, at this gate point or any other.  The
+        cache is keyed by G = I - B^dag B, in which Gram entries of -0.0
+        and 0.0 agree."""
+        gs = [None if gram is None else self.eye - gram for gram in grams]
+        keys = [None if g is None else g.tobytes() for g in gs]
+        todo = {k: g for k, g in zip(keys, gs) if k is not None and k not in self._cache}
         if todo:
-            eye = np.eye(self.active.size, dtype=complex)
-            g = []
-            for positions in todo:
-                b = self.w[np.ix_(sorted(positions), self.active)]
-                g.append(eye - b.conj().T @ b)
             total = np.zeros((len(todo), self.weights.size))
-            for phi, f in zip(self.phi_blocks, _gamma_blocks(np.stack(g), self.geom)):
+            g = np.stack(list(todo.values()))
+            for phi, f in zip(self.phi_blocks, _gamma_blocks(g, self.geom)):
                 total += np.real(np.einsum("mi,bij,mj->bm", phi.conj(), f, phi))
-            for positions, value in zip(todo, total @ self.weights):
-                self._cache[positions] = float(value)
-        return [self._cache[s] if s else 1.0 for s in position_sets]
+            for key, value in zip(todo, total @ self.weights):
+                self._cache[key] = float(value)
+        return [1.0 if k is None else self._cache[k] for k in keys]
 
 
 def _dense_members(mixture: MixedFockState, caps: tuple) -> list:
@@ -499,28 +510,29 @@ def _choose_k_max(sources, settings) -> int:
     )
 
 
-def _bs_embed(n: int, a: int, b: int, eta: float) -> np.ndarray:
-    u = np.eye(n, dtype=complex)
-    t = math.sqrt(eta)
-    r = math.sqrt(1.0 - eta)
-    u[a, a] = t
-    u[b, a] = r
-    u[a, b] = -r
-    u[b, b] = t
-    return u
-
-
 class ThresholdOracle:
     """Click-pattern probabilities recomputed entirely in Fock space.
 
     Mirrors the Gaussian pipeline mode for mode: sector-extended walk,
-    crystal/system loss, idler loss, Kerr routing beam splitters, and
-    the four-APD layout.  The two sectors never mix, so each is handled
-    as its own branch and probabilities multiply.
+    crystal/system loss, idler loss, Kerr routing, and the four-APD
+    layout.  The two sectors never mix, so each is handled as its own
+    branch and probabilities multiply.
+
+    The walk, the loss and the inputs do not depend on the gates, so one
+    oracle serves a whole scan and `at(gates)` routes it at each gate
+    point; `gates` here means the same as `.at(gates)`.  Routing acts at
+    query time on the branches' per-mode Gram terms: a gate of efficiency
+    eta on bin m sends eta G_(H, m) to its detector and leaves
+    (1 - eta) G_(H, m) on the bin.  P0 values are cached by the Gram sum
+    of their detector set, so a set met at one gate point of the scan
+    (the herald's, or one that involves a single gate) is not recomputed
+    at another.
 
     `detector_labels` overrides the default APD plan; entries per
-    detector are "idler", "gate1", "gate2", or (pol, bin) pairs applied
-    to both sectors.
+    detector are "idler", "gate1", "gate2" (the routed share), or
+    (pol, bin) pairs applied to both sectors (on a gated bin, the share
+    left on it).  A detector with no mode in a branch contributes P0 = 1
+    there, exactly.
     """
 
     def __init__(
@@ -539,13 +551,8 @@ class ThresholdOracle:
         if not 0.0 <= eta_idler <= 1.0:
             raise EtaOutOfRange(f"eta_idler must lie in [0, 1], got {eta_idler}")
         self.settings = settings
-        slots = resolve_gate_slots(gates)
-        bins = walk.bin_capacity
-        for slot in slots:
-            if slot is not None and slot.bin > bins:
-                raise IndexOutOfRange(
-                    f"gate bin {slot.bin} exceeds register capacity {bins}"
-                )
+        self._bins = walk.bin_capacity
+        self._plan = detector_labels or _default_detector_labels(self._bins)
         sources = tuple(sources)
         pair_present = any(s.kind in PAIR_KINDS and s.mean_photon > 0 for s in sources)
         branch_sources: list = [[], []]
@@ -589,100 +596,44 @@ class ThresholdOracle:
 
         eta_walk = aggregate_transmission(walk) * eta_sys
         u_walk = walk_unitary(walk)
-        self.branches = []
-        self._detector_positions = {name: [[], []] for name in APD_NAMES}
-        labels_by_name = detector_labels or _default_detector_labels(bins)
-        for b in (0, 1):
-            branch = self._build_branch(
-                b,
-                branch_sources[b],
-                u_walk,
-                bins,
-                slots,
-                eta_walk,
-                eta_idler,
-                pair_present,
-                labels_by_name,
-                k_max,
+        self.branches = [
+            self._build_branch(
+                b, branch_sources[b], u_walk, eta_walk, eta_idler, pair_present, k_max
             )
-            self.branches.append(branch)
+            for b in (0, 1)
+        ]
         self.truncation_leak = sum(br.leak for br in self.branches)
         self._tolerance = max(1e-12, 8.0 * self.truncation_leak)
+        self._route(gates)
 
     def _build_branch(
-        self,
-        b,
-        srcs,
-        u_walk,
-        bins,
-        slots,
-        eta_walk,
-        eta_idler,
-        pair_present,
-        labels_by_name,
-        forced_k_max,
+        self, b, srcs, u_walk, eta_walk, eta_idler, pair_present, forced_k_max
     ):
+        bins = self._bins
         labels = [ModeIndex(Pol.H, m, b) for m in range(1, bins + 1)]
         labels += [ModeIndex(Pol.V, m, b) for m in range(1, bins + 1)]
-        has_idler = b == 0 and pair_present
-        if has_idler:
+        if b == 0 and pair_present:
             labels.append(IDLER)
-        routing_pos = [None, None]
-        for k, slot in enumerate(slots):
-            if slot is not None:
-                routing_pos[k] = len(labels)
-                labels.append(ExtraMode(f"gate{k + 1}_s{b}"))
 
         positions = {label: i for i, label in enumerate(labels)}
         active = []
-        seen = set()
+        etas = []
         for src in srcs:
             for label in src.labels:
-                if label in seen:
-                    raise ModeCollision(f"two sources target mode {label!r}")
-                seen.add(label)
                 if label not in positions:
                     raise IndexOutOfRange(f"source mode {label!r} not in register")
+                if positions[label] in active:
+                    raise ModeCollision(f"two sources target mode {label!r}")
                 active.append(positions[label])
+                etas.append(eta_idler if label == IDLER else eta_walk)
 
-        # loss ancillae, one per occupied lossy input
-        loss_plan = []
-        for src in srcs:
-            for label in src.labels:
-                eta = eta_idler if label == IDLER else eta_walk
-                if eta < 1.0:
-                    loss_plan.append((positions[label], eta))
-        n = len(labels) + len(loss_plan)
-        w = np.eye(n, dtype=complex)
-        for k, (pos, eta) in enumerate(loss_plan):
-            w = _bs_embed(n, pos, len(labels) + k, eta) @ w
-        u_ext = np.eye(n, dtype=complex)
+        # Each lossy input first meets a beam splitter into its own ancilla,
+        # which no detector watches: on the register that scales its
+        # column by sqrt(eta).
+        u_ext = np.eye(len(labels), dtype=complex)
         u_ext[: 2 * bins, : 2 * bins] = u_walk
-        w = u_ext @ w
-        for k, slot in enumerate(slots):
-            if slot is None:
-                continue
-            # column `tap`: sqrt(1 - eta_K) leaks onward, sqrt(eta_K) routes out
-            tap = positions[ModeIndex(Pol.H, slot.bin, b)]
-            w = _bs_embed(n, tap, routing_pos[k], 1.0 - slot.efficiency) @ w
-
-        for name in APD_NAMES:
-            resolved = []
-            for entry in labels_by_name.get(name, ()):
-                if entry == "idler":
-                    if has_idler:
-                        resolved.append(positions[IDLER])
-                elif entry in ("gate1", "gate2"):
-                    k = 0 if entry == "gate1" else 1
-                    if routing_pos[k] is not None:
-                        resolved.append(routing_pos[k])
-                else:
-                    pol, m = entry
-                    label = ModeIndex(Pol(pol), m, b)
-                    if label not in positions:
-                        raise IndexOutOfRange(f"detector mode {label!r} not in register")
-                    resolved.append(positions[label])
-            self._detector_positions[name][b] = tuple(sorted(resolved))
+        w = u_ext[:, active] * np.sqrt(etas)
+        grams = dict(zip(labels, np.einsum("li,lj->lij", w.conj(), w)))
 
         if srcs and forced_k_max is not None:
             k_max = forced_k_max
@@ -690,19 +641,64 @@ class ThresholdOracle:
             k_max = _choose_k_max(srcs, self.settings)
         else:
             k_max = 0
-        return _Branch(labels, w, active, srcs, k_max, self.settings)
+        return _Branch(grams, srcs, k_max, self.settings)
+
+    def at(self, gates) -> ThresholdOracle:
+        """This oracle routed at another gate point; it shares the branches
+        and their P0 cache."""
+        routed = copy.copy(self)
+        routed._route(gates)
+        return routed
+
+    def _route(self, gates) -> None:
+        """Each detector's Gram terms per branch at this gate point, keyed by
+        the mode they come from, so a set's union counts each mode once."""
+        slots = resolve_gate_slots(gates)
+        for slot in slots:
+            if slot is not None and slot.bin > self._bins:
+                raise IndexOutOfRange(
+                    f"gate bin {slot.bin} exceeds register capacity {self._bins}"
+                )
+        left = {slot.bin: 1.0 - slot.efficiency for slot in slots if slot is not None}
+        self._terms = {}
+        for name in APD_NAMES:
+            per_branch = []
+            for b, branch in enumerate(self.branches):
+                terms = {}
+                for entry in self._plan.get(name, ()):
+                    if entry == "idler":
+                        if IDLER in branch.grams:
+                            terms[IDLER] = branch.grams[IDLER]
+                    elif entry in ("gate1", "gate2"):
+                        slot = slots[entry == "gate2"]
+                        if slot is not None:
+                            gram = branch.grams[ModeIndex(Pol.H, slot.bin, b)]
+                            terms[entry] = slot.efficiency * gram
+                    else:
+                        pol, m = entry
+                        label = ModeIndex(Pol(pol), m, b)
+                        if label not in branch.grams:
+                            raise IndexOutOfRange(f"detector mode {label!r} not in register")
+                        share = left.get(m, 1.0) if label.pol == Pol.H else 1.0
+                        terms[label] = share * branch.grams[label]
+                per_branch.append(terms)
+            self._terms[name] = per_branch
 
     # -- probability machinery ------------------------------------------------
 
     def _p0(self, name_sets) -> np.ndarray:
         values = np.ones(len(name_sets))
         for b, branch in enumerate(self.branches):
-            values *= branch.p0(
-                [
-                    frozenset(p for name in names for p in self._detector_positions[name][b])
-                    for names in name_sets
-                ]
-            )
+            if branch.trivial:
+                continue
+            grams = []
+            for names in name_sets:
+                terms = {}
+                for name in APD_NAMES:
+                    if name in names:
+                        terms.update(self._terms[name][b])
+                grams.append(sum(terms.values()) if terms else None)
+            values *= branch.p0(grams)
         return values
 
     def _split(self, pattern: ClickPattern):
@@ -719,7 +715,7 @@ class ThresholdOracle:
         return clicked, silent
 
     def _covered(self, name: str) -> bool:
-        return any(self._detector_positions[name][b] for b in (0, 1))
+        return any(self._terms[name])
 
     def pattern_prob(self, pattern: ClickPattern) -> float:
         return self._inclusion_exclusion(pattern, ())
@@ -738,7 +734,7 @@ class ThresholdOracle:
         for subset, value in zip(subsets, p0):
             total += (-1) ** len(subset) * float(value)
         if not -self._tolerance <= total <= 1.0 + self._tolerance:
-            raise NumericalInstability(f"oracle inclusion-exclusion produced {total:.3e}")
+            raise NumericalInstability(f"oracle inclusion-exclusion produced {total!r}")
         return min(max(total, 0.0), 1.0)
 
     def herald_rate(self) -> float:

@@ -7,6 +7,7 @@ from qwalk.detection import (
     Detector,
     DetectorLayout,
     GateSpec,
+    _checked,
     build_layout,
     scan_patterns,
 )
@@ -282,6 +283,22 @@ def test_scan_refusals_match_the_dense_route(eig, error, message):
     assert "gate point with gates on bins 1" in str(batched.value)
     with pytest.raises(error):
         dense_one_fold(state)
+
+
+@pytest.mark.parametrize(
+    "total, shown",
+    [(1.0 + 2e-12, "1.000000000002"), (-2e-12, "-2e-12")],
+    ids=["1.000000000002", "-2e-12"],
+)
+def test_refusals_show_the_total_at_full_precision(monkeypatch, total, shown):
+    # at three digits a total of 1 + 2e-12 would read 1.000e+00
+    state = prepare((SourceSpec("coherent", H1, 0.1),), bins=1)
+    calc = ClickCalculator(*build_layout(state, ()))
+    monkeypatch.setattr(calc, "no_click", lambda modes: 0.0 if modes else total)
+    with pytest.raises(NumericalInstability, match=f"produced {shown}$"):
+        calc.pattern(ClickPattern.of(apd2=True))
+    with pytest.raises(NumericalInstability, match=f"produced {shown} at .* bins 2"):
+        _checked(np.array([0.5, total]), np.array([[0, 1], [0, 2]]))
 
 
 def test_scan_refuses_a_dead_herald_before_any_pattern():

@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.fock as fock
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
 from qwalk.experiments import (
     Distribution,
@@ -12,6 +14,7 @@ from qwalk.experiments import (
     _SCANS,
     _batched_raw,
     _dense_raw,
+    _oracle_sources,
     _stage,
     fit_overlap,
     hom_coincidence,
@@ -24,7 +27,8 @@ from qwalk.experiments import (
     step_evolution,
     verify_against_oracle,
 )
-from qwalk.modes import ModeIndex, ModeRegistry, Pol
+from qwalk.fock import ThresholdOracle
+from qwalk.modes import IDLER, ModeIndex, ModeRegistry, Pol
 from qwalk.walk import LayerParams, WalkConfig, aggregate_transmission, walk_unitary
 
 SCAN_KINDS = ("one-fold", "two-fold", "three-fold")
@@ -266,6 +270,162 @@ def test_oracle_bridge_for_hom():
     )
     report = verify_against_oracle(spec)
     assert report.max_abs_diff < 1e-7
+
+
+# One oracle per gate point, with the routing modes appended to the
+# register, gave these values before routing moved to query time; a
+# per-scan oracle routed with `at` must reproduce them.  Walk: a skewed
+# coin (omega 0.6, gamma 0.4); mu_alpha 0.2, mu_xi 0.026, overlap 0.7,
+# eta_K 0.9.  PLAN puts the share of bin 2 that gate 2 leaves behind on
+# APD3 whenever gate 2 sits there.
+PLAN = {
+    "APD1": ("idler",),
+    "APD2": ((Pol.V, 3),),
+    "APD3": ("gate1", (Pol.H, 2)),
+    "APD4": ("gate2",),
+}
+PER_POINT_ORACLE = [
+    (dict(n=1, kind="one-fold", heralded=True), None, (
+        0.8110562552708169, 1.8290436857389834e-09,
+    )),
+    (dict(n=2, kind="one-fold", heralded=True), None, (
+        0.7358698020495693, 0.02068832564337526, 1.8290436857389834e-09,
+    )),
+    (dict(n=3, kind="one-fold", heralded=True), None, (
+        0.6673693331246985, 0.034798251071266564, 0.01870971592248258,
+        1.8290436857389834e-09,
+    )),
+    (dict(n=1, kind="one-fold", heralded=False), None, (
+        0.03559923868212855, 1.0634348956983786e-10,
+    )),
+    (dict(n=2, kind="one-fold", heralded=False), None, (
+        0.03224856826454858, 0.014125061065171307, 1.0634348956983786e-10,
+    )),
+    (dict(n=3, kind="one-fold", heralded=False), None, (
+        0.02920528139782741, 0.010946706720593835, 0.012767513320578239,
+        1.0634348956983786e-10,
+    )),
+    (dict(n=1, kind="two-fold", heralded=True), None, (
+        1.8290436857389834e-09,
+    )),
+    (dict(n=2, kind="two-fold", heralded=True), None, (
+        0.009279100843969039, 1.8290393046281246e-09, 1.8290393046281246e-09,
+    )),
+    (dict(n=3, kind="two-fold", heralded=True), None, (
+        0.006031119433708714, 0.007605001247498949, 1.829048066849842e-09,
+        0.0007048166664589647, 1.8290436857389834e-09, 1.829048066849842e-09,
+    )),
+    (dict(n=1, kind="two-fold", heralded=False), None, (
+        1.0634348956983786e-10,
+    )),
+    (dict(n=2, kind="two-fold", heralded=False), None, (
+        0.00042493411923072433, 1.0634348956983786e-10, 1.0634348956983786e-10,
+    )),
+    (dict(n=3, kind="two-fold", heralded=False), None, (
+        0.00027978392854399736, 0.00034777608273228733, 1.0634348956983786e-10,
+        0.00014480939448113794, 1.0634348956983786e-10, 1.0634348956983786e-10,
+    )),
+    (dict(n=1, kind="three-fold", heralded=True), None, (
+        1.8290436857389834e-09,
+    )),
+    (dict(n=2, kind="three-fold", heralded=True), None, (
+        9.720557168306584e-05, 1.829048066849842e-09, 1.829048066849842e-09,
+    )),
+    (dict(n=3, kind="three-fold", heralded=True), None, (
+        0.00013660632122053772, 0.00015464022534733096, 1.8290261612955486e-09,
+        8.643953784448469e-05, 1.8290524479607007e-09, 1.8290261612955486e-09,
+    )),
+    (dict(n=1, kind="three-fold", heralded=False), None, (
+        1.063433785475354e-10,
+    )),
+    (dict(n=2, kind="three-fold", heralded=False), None, (
+        3.055117958172815e-06, 1.063433785475354e-10, 1.0634348956983786e-10,
+    )),
+    (dict(n=3, kind="three-fold", heralded=False), None, (
+        5.560172066210178e-06, 6.12865413196495e-06, 1.0634360059214032e-10,
+        4.288889056569545e-06, 1.0634348956983786e-10, 1.0634348956983786e-10,
+    )),
+    (dict(n=2, kind="one-fold", ideal_herald=True), None, (
+        0.7308760889487117, 0.020518815328290363, 2.4661517272761557e-10,
+    )),
+    (dict(n=2, kind="two-fold", ideal_herald=True), None, (
+        0.008946514634746772, 2.4661517272761557e-10, 2.4661517272761557e-10,
+    )),
+    (dict(n=2, kind="three-fold", ideal_herald=True), None, (
+        6.186893475479405e-05, 2.466152282387668e-10, 2.4661531150549365e-10,
+    )),
+    (dict(n=2, kind="two-fold", heralded=True, eta_sys=0.8, eta_idler=0.7), None, (
+        0.006063194466212828, 2.567341094290591e-09, 2.567341094290591e-09,
+    )),
+    (dict(n=2, kind="two-fold", heralded=False, eta_sys=0.8, eta_idler=0.7), None, (
+        0.0002737163237326312, 1.0634348956983786e-10, 1.0634348956983786e-10,
+    )),
+    (dict(n=2, kind="three-fold", eta_sys=0.8, eta_idler=0.7), None, (
+        5.5800866008862855e-05, 2.567353516588214e-09, 2.5673348831417795e-09,
+    )),
+    (dict(n=2, kind="two-fold"), PLAN, (
+        0.009323559029298281, 1.8290436857389834e-09, 1.8290436857389834e-09,
+    )),
+]
+
+
+@pytest.mark.parametrize("params, plan, expected", PER_POINT_ORACLE)
+def test_per_scan_oracle_matches_one_oracle_per_gate_point(params, plan, expected):
+    params = dict(params)
+    walk = WalkConfig.uniform(params.pop("n"), omega=0.6, gamma=0.4)
+    spec = ExperimentSpec(
+        walk=walk, mu_alpha=0.2, mu_xi=0.026, overlap=0.7, eta_kerr=0.9, **params
+    )
+    scan = _SCANS[spec.kind]
+    kwargs = dict(eta_sys=spec.eta_sys, eta_idler=spec.eta_idler, detector_labels=plan)
+    per_scan = ThresholdOracle(_oracle_sources(spec), walk, **kwargs)
+    labels = scan.labels(walk.n_steps)
+    assert len(labels) == len(expected)
+    for label, value in zip(labels, expected):
+        gates = scan.gates(label, spec.eta_kerr)
+        fresh = ThresholdOracle(_oracle_sources(spec), walk, gates, **kwargs)
+        for oracle in (per_scan.at(gates), fresh):
+            if spec.heralded and not spec.ideal_herald:
+                got = oracle.heralded_prob(scan.pattern)
+            else:
+                got = oracle.pattern_prob(scan.pattern)
+            assert abs(got - value) <= 1e-13
+
+
+def test_oracle_check_builds_one_oracle_per_scan_and_shares_sets(monkeypatch):
+    builds, recursed = [], []
+    build = fock.ThresholdOracle.__init__
+    recursion = fock._gamma_blocks
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(self)
+        build(self, *args, **kwargs)
+
+    def counted_recursion(g, geom):
+        recursed.extend(m.tobytes() for m in g)
+        return recursion(g, geom)
+
+    monkeypatch.setattr(fock.ThresholdOracle, "__init__", counted_build)
+    monkeypatch.setattr(fock, "_gamma_blocks", counted_recursion)
+    walk = WalkConfig.uniform(3, omega=0.6, gamma=0.4)
+    spec = ExperimentSpec(walk=walk, kind="two-fold", mu_alpha=0.2, overlap=0.7, eta_kerr=0.9)
+    assert verify_against_oracle(spec).comparisons == 6
+    assert len(builds) == 1
+    # No detector set goes through the recursion twice in the scan: not the
+    # herald's, and not the single-gate sets eta G_m (APD3 at m1 or APD4 at
+    # m2), which several gate points share.  One oracle per gate point ran
+    # 6 x (7 + 3) = 60 sets; at most 21 + 10 are distinct.
+    counts = Counter(recursed)
+    assert set(counts.values()) == {1}
+    assert len(recursed) <= 31
+    branches = builds[0].branches
+    assert not any(branch.trivial for branch in branches)
+    herald = np.eye(3) - branches[0].grams[IDLER]
+    assert counts[herald.tobytes()] == 1
+    for b, branch in enumerate(branches):
+        for m in range(1, 5):
+            gram = branch.grams[ModeIndex(Pol.H, m, b)]
+            assert counts[(np.eye(len(gram)) - 0.9 * gram).tobytes()] == 1
 
 
 def test_distribution_is_plain_data():

@@ -111,10 +111,11 @@ def two_branch_oracle():
 
 def test_batched_branch_p0_matches_one_set_at_a_time():
     batched, single = two_branch_oracle().branches[0], two_branch_oracle().branches[0]
-    n = batched.w.shape[0]
-    sets = [frozenset(s) for s in ((0,), (1, 3), (2, 4, n - 1), (0, 1, 2, 3), ())]
-    for positions, value in zip(sets, batched.p0(sets)):
-        assert abs(single.p0([positions])[0] - value) <= 1e-14
+    g = list(batched.grams.values())
+    sets = [g[:1], [g[1], g[3]], [g[2], g[4], g[-1]], g[:4]]
+    grams = [sum(s) for s in sets] + [None]
+    for gram, value in zip(grams, batched.p0(grams)):
+        assert abs(single.p0([gram])[0] - value) <= 1e-14
         assert 0.0 < value <= 1.0
 
 
@@ -139,6 +140,52 @@ def test_heralded_query_runs_one_recursion_per_branch(monkeypatch):
     assert len(calls) <= branches
 
 
+def test_absent_detectors_give_one_and_zero_rows_are_recursed(monkeypatch):
+    import qwalk.fock as fock
+
+    calls = []
+    recursion = fock._gamma_blocks
+
+    def counted(g, geom):
+        calls.append(len(g))
+        return recursion(g, geom)
+
+    monkeypatch.setattr(fock, "_gamma_blocks", counted)
+    # zero-step walk: no light reaches (V, 1), so APD4 watches a zero row;
+    # the cutoff leaves a visible truncation leak
+    oracle = ThresholdOracle(
+        (SourceSpec("coherent", H1, 0.1),),
+        WalkConfig.uniform(0),
+        detector_labels={"APD2": ((Pol.H, 1),), "APD4": ((Pol.V, 1),)},
+        k_max=2,
+    )
+    assert oracle.truncation_leak > 1e-5
+    assert oracle._p0([("APD3",), ()]).tolist() == [1.0, 1.0]
+    assert calls == []
+    (zero_row,) = oracle._p0([("APD4",)])
+    assert calls == [1]
+    assert zero_row == pytest.approx(1.0 - oracle.truncation_leak, abs=1e-15)
+    assert oracle.pattern_prob(ClickPattern.of(apd3=True)) == 0.0
+    # a dark slot leaves its detector uncovered
+    dark = ThresholdOracle((SourceSpec("coherent", H1, 0.1),), WalkConfig.uniform(1))
+    for gates in ((None, GateSpec(2)), (GateSpec(1), None)):
+        routed = dark.at(gates)
+        dark_name = "apd3" if gates[0] is None else "apd4"
+        assert routed.pattern_prob(ClickPattern.of(**{dark_name: True})) == 0.0
+        lit_name = "apd4" if gates[0] is None else "apd3"
+        assert routed.pattern_prob(ClickPattern.of(**{lit_name: True})) > 0.0
+
+
+def test_a_mode_on_two_detectors_counts_once_in_their_union():
+    oracle = ThresholdOracle(
+        (SourceSpec("coherent", H1, 0.3),),
+        WalkConfig.uniform(1),
+        detector_labels={"APD2": ((Pol.H, 1),), "APD4": ((Pol.H, 1), (Pol.V, 2))},
+    )
+    union, alone = oracle._p0([("APD2", "APD4"), ("APD4",)])
+    assert union == alone < 1.0
+
+
 def lone_photon_oracle(monkeypatch, total):
     """An oracle whose two P0 values for an APD2 click differ by `total`."""
     oracle = ThresholdOracle(
@@ -148,11 +195,15 @@ def lone_photon_oracle(monkeypatch, total):
     return oracle
 
 
-@pytest.mark.parametrize("outside", [-2e-12, 1.0 + 2e-12])
-def test_oracle_refuses_totals_outside_the_unit_interval(monkeypatch, outside):
+@pytest.mark.parametrize(
+    "outside, shown",
+    [(-2e-12, "-2e-12"), (1.0 + 2e-12, "1.000000000002")],
+    ids=["-2e-12", "1.000000000002"],
+)
+def test_oracle_refuses_totals_outside_the_unit_interval(monkeypatch, outside, shown):
     oracle = lone_photon_oracle(monkeypatch, outside)
     assert oracle._tolerance == 1e-12
-    with pytest.raises(NumericalInstability, match="oracle inclusion-exclusion produced"):
+    with pytest.raises(NumericalInstability, match=f"oracle inclusion-exclusion produced {shown}$"):
         oracle.pattern_prob(ClickPattern.of(apd2=True))
 
 
