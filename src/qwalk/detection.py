@@ -26,7 +26,15 @@ dense state per gate point and factor each covariance block; HOM runs
 and scans on registers of up to 7 time bins use them.  `scan_patterns`
 evaluates every gate point of a scan at once from a `LowRankState`
 (cov - I/2 of rank <= 4 after the walk and loss) through per-bin Gram
-blocks, never building the routed register.
+blocks, never building the routed register.  The bucket and both
+routing ports together see every H output, so
+
+    APD2 + APD3 = H total - APD4's routed share,
+
+and an inclusion-exclusion term depends on gate 1's bin only when
+exactly one of APD2 and APD3 is in its detector union (gate 2 likewise
+with APD4).  `scan_patterns` scores terms that depend on no gate once
+per scan, on one gate once per bin, and on both once per gate point.
 """
 
 from __future__ import annotations
@@ -362,8 +370,8 @@ def _quads(mode: int) -> list:
 def _no_click_excess(grams: np.ndarray, core: np.ndarray, where) -> np.ndarray:
     """P0 (1 + correction) - 1 for stacked Grams of the factor [V | d | probes].
 
-    `grams` has shape (subsets, points, k, k) and holds F_S^T F_S for each
-    detector union S.  With A = V_S^T V_S, K = I + A C, M = cov_S + I/2
+    `grams` has shape (n, k, k) and holds F_S^T F_S for n detector unions
+    S.  With A = V_S^T V_S, K = I + A C, M = cov_S + I/2
     and [b | P] = V_S^T [d_S | v_S], the Woodbury identity gives
     [d v]^T M^-1 [d v] = [d v]_S^T [d v]_S - [b P]^T C K^-1 [b P], and the
     determinant lemma det M = det K, with no C^-1 anywhere.  The
@@ -372,8 +380,8 @@ def _no_click_excess(grams: np.ndarray, core: np.ndarray, where) -> np.ndarray:
 
     Returning the excess over 1 (via expm1 and log1p) keeps small click
     probabilities to full relative precision: inclusion-exclusion signs
-    sum to zero, so the 1s cancel exactly.  `where(t, p)` names term t of
-    point p in refusals.
+    sum to zero, so the 1s cancel exactly.  `where(i)` names term i in
+    refusals; the first failing term in stack order is refused.
     """
     r = len(core)
     head = grams[..., :r, r:]
@@ -387,14 +395,12 @@ def _no_click_excess(grams: np.ndarray, core: np.ndarray, where) -> np.ndarray:
         shift = np.linalg.eigvalsh(root @ core @ np.swapaxes(root, -1, -2))
         lowest = 1.0 + np.minimum(shift.min(axis=-1), 0.0)
         highest = 1.0 + np.maximum(shift.max(axis=-1), 0.0)
-        bad = np.argwhere(lowest <= 0.0)
+        bad = np.flatnonzero(lowest <= 0.0)
         if bad.size:
-            t, p = bad[0]
-            raise SingularMatrix(f"covariance block of {where(t, p)} is not positive definite")
-        bad = np.argwhere(highest > _CONDITION_LIMIT * lowest)
+            raise SingularMatrix(f"covariance block of {where(bad[0])} is not positive definite")
+        bad = np.flatnonzero(highest > _CONDITION_LIMIT * lowest)
         if bad.size:
-            t, p = bad[0]
-            raise NumericalInstability(f"covariance block of {where(t, p)} is too ill-conditioned")
+            raise NumericalInstability(f"covariance block of {where(bad[0])} is too ill-conditioned")
         logdet = np.log1p(shift).sum(axis=-1)
         k = np.eye(r) + a @ core
         schur = schur - np.swapaxes(head, -1, -2) @ (core @ np.linalg.solve(k, head))
@@ -440,10 +446,15 @@ def scan_patterns(
     Routing only touches the two tapped (H, t_m) modes per sector, so each
     detector's Gram F_S^T F_S is a weighted sum of per-bin Grams G_m over
     both sectors: APD3 and APD4 get efficiency * G_m of their bin, APD2
-    the H total minus those shares, APD1 the idler.  Every term of every
-    point then comes from one batched pass over (subsets, points, k, k)
-    arrays, k = rank + 1 + probes.  Values match ClickCalculator on the
-    layout of build_layout, including its refusals.
+    the H total minus those shares, APD1 the idler.  A union with APD2 is
+    the H total minus the shares of the gates outside it, one without is
+    the shares of the gates in it; so it depends on a gate's bin only when
+    exactly one of APD2 and that gate's detector is in it.  Each term is
+    scored once per distinct Gram: per scan, per bin or per point as it
+    depends on no gate, one or both, all in one batched pass over
+    (terms, k, k) arrays, k = rank + 1 + probes.  Values match
+    ClickCalculator on the layout of build_layout, including its refusals,
+    which name the first failing gate point in scan order.
     """
     slots = np.asarray(slots, dtype=int).reshape(-1, 2)
     if not len(slots):
@@ -467,8 +478,8 @@ def scan_patterns(
     per_bin = np.einsum("bik,bil->bkl", rows, rows)
     # index 0 is the dark slot
     routed = efficiency * np.concatenate((np.zeros((1, k, k)), per_bin))
-    apd3, apd4 = routed[slots[:, 0]], routed[slots[:, 1]]
-    detectors = {"APD2": per_bin.sum(axis=0) - apd3 - apd4, "APD3": apd3, "APD4": apd4}
+    total = per_bin.sum(axis=0)
+    herald = np.zeros((k, k))
 
     clicked = tuple(clicked)
     rate = 1.0
@@ -477,30 +488,35 @@ def scan_patterns(
         if idler is None:
             raise ZeroHeraldRate("no idler mode is present to herald on")
         rows = f[_quads(idler)]
-        detectors["APD1"] = rows.T @ rows
-        excess = _no_click_excess(
-            detectors["APD1"][None, None], state.core, lambda t, p: "herald detector APD1"
-        )
-        rate = -float(excess[0, 0])
+        herald = rows.T @ rows
+        excess = _no_click_excess(herald[None], state.core, lambda i: "herald detector APD1")
+        rate = -float(excess[0])
         if rate <= 0.0:
             raise ZeroHeraldRate("herald detector can never click")
         clicked = ("APD1",) + clicked
 
-    names, signs, grams = [], [], []
+    names, grams, firsts, gathers = [], [], [], []
     for r in range(len(clicked) + 1):
         for subset in itertools.combinations(clicked, r):
+            bucket = "APD2" in subset
+            keys = slots * [("APD3" in subset) != bucket, ("APD4" in subset) != bucket]
+            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            # distinct Grams in scan order, so a refusal names the first failing point
+            order = np.argsort(first)
+            gathers.append(sum(map(len, firsts)) + np.argsort(order)[inverse])
+            firsts.append(first[order])
+            one, two = routed[keys[first[order]].T]
+            gram = total - one - two if bucket else one + two
+            grams.append(gram + herald if "APD1" in subset else gram)
             names.append(subset)
-            signs.append((-1.0) ** r)
-            gram = np.zeros((len(slots), k, k))
-            for name in subset:
-                gram = gram + detectors[name]
-            grams.append(gram)
+    owner = np.repeat(np.arange(len(names)), [len(p) for p in firsts])
+    firsts = np.concatenate(firsts)
     excess = _no_click_excess(
-        np.stack(grams),
+        np.concatenate(grams),
         state.core,
-        lambda t, p: f"detectors {names[t]} at {_gate_point_name(slots[p])}",
+        lambda i: f"detectors {names[owner[i]]} at {_gate_point_name(slots[firsts[i]])}",
     )
     joint = np.full(len(slots), float(not clicked))
-    for sign, term in zip(signs, excess):
-        joint += sign * term
+    for subset, gather in zip(names, gathers):
+        joint += (-1.0) ** len(subset) * excess[gather]
     return _checked(joint, slots) / rate

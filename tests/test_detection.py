@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -252,15 +254,13 @@ def test_single_photon_into_a_watched_mode_always_clicks():
 
 # -- batched scans: refusals --------------------------------------------------
 
-H1_X = 0  # x quadrature of (H, t1, s0) in a one-bin register
-
-
-def unphysical(eig: float, idler: bool = False) -> LowRankState:
-    """cov - I/2 = eig on one quadrature of (H, t1, s0); no mean."""
-    registry = ModeRegistry.for_walk(1, idler=idler)
-    factor = np.zeros((2 * len(registry), 2))
-    factor[H1_X, 0] = 1.0
-    return LowRankState(registry, factor, np.array([[eig]]))
+def unphysical(eig: float, idler: bool = False, bins=(1,), capacity: int = 1) -> LowRankState:
+    """cov - I/2 = eig on the x quadrature of (H, t_m, s0) for each m in `bins`; no mean."""
+    registry = ModeRegistry.for_walk(capacity, idler=idler)
+    factor = np.zeros((2 * len(registry), len(bins) + 1))
+    for j, m in enumerate(bins):
+        factor[2 * registry.flatten(ModeIndex(Pol.H, m, 0)), j] = 1.0
+    return LowRankState(registry, factor, eig * np.eye(len(bins)))
 
 
 def dense_one_fold(state: LowRankState) -> float:
@@ -283,6 +283,28 @@ def test_scan_refusals_match_the_dense_route(eig, error, message):
     assert "gate point with gates on bins 1" in str(batched.value)
     with pytest.raises(error):
         dense_one_fold(state)
+
+
+@pytest.mark.parametrize(
+    "bins, slots, clicked, named",
+    [
+        ((3,), [(0, m) for m in range(1, 5)], ("APD4",), r"\('APD4',\) at .* bins 3 is"),
+        # APD3 alone fails first, at the first pair that routes bin 3 to it
+        (
+            (3,),
+            list(itertools.combinations(range(1, 5), 2)),
+            ("APD3", "APD4"),
+            r"\('APD3',\) at .* bins 3, 4 is",
+        ),
+        # the first failing point in scan order, not the lowest failing bin
+        ((2, 4), [(0, 4), (0, 1), (0, 2), (0, 3)], ("APD4",), r"\('APD4',\) at .* bins 4 is"),
+    ],
+)
+def test_scan_refusals_name_the_first_failing_gate_point(bins, slots, clicked, named):
+    # only the terms that route a failing bin to a clicked detector fail
+    state = unphysical(-2.0, bins=bins, capacity=4)
+    with pytest.raises(SingularMatrix, match=named):
+        scan_patterns(state, slots, 1.0, clicked)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.detection as detection
 import qwalk.fock as fock
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
 from qwalk.experiments import (
@@ -506,6 +507,88 @@ def test_scans_pick_their_route_by_register_size():
         raw = run_experiment(spec).raw
         assert raw == tuple((batched_scan if n == 7 else dense_scan)(spec))
         assert np.allclose(raw, dense_scan(spec), rtol=0.0, atol=1e-12)
+
+
+def per_point_raw(spec):
+    """Raw scan values from one no-click term per (detector union, gate point)."""
+    scan, state = _SCANS[spec.kind], _stage(spec).low_rank
+    slots = np.array([[b or 0 for b in scan.slots(x)] for x in scan.labels(spec.walk.n_steps)])
+    reg, f, core = state.registry, state.factor, state.core
+
+    def gram(*modes):
+        rows = f[[q for m in modes for q in (2 * m, 2 * m + 1)]]
+        return rows.T @ rows
+
+    bins = [gram(*(reg.flatten(ModeIndex(Pol.H, m, s)) for s in (0, 1))) for m in range(1, reg.bins + 1)]
+    routed = spec.eta_kerr * np.array([0.0 * bins[0]] + bins)
+    apd3, apd4 = routed[slots[:, 0]], routed[slots[:, 1]]
+    detectors = {"APD2": sum(bins) - apd3 - apd4, "APD3": apd3, "APD4": apd4}
+    clicked, rate = scan.clicked, 1.0
+    if spec.heralded and not spec.ideal_herald:
+        detectors["APD1"] = gram(reg.idler_index())
+        rate = -detection._no_click_excess(detectors["APD1"][None], core, str)[0]
+        clicked = ("APD1",) + clicked
+    joint = np.zeros(len(slots))
+    for r in range(len(clicked) + 1):
+        for subset in itertools.combinations(clicked, r):
+            grams = sum((detectors[n] for n in subset), np.zeros((len(slots),) + bins[0].shape))
+            joint += (-1.0) ** r * detection._no_click_excess(grams, core, str)
+    return np.clip(joint, 0.0, 1.0) / rate
+
+
+@given(
+    n_steps=st.integers(min_value=7, max_value=60),
+    kind=st.sampled_from(SCAN_KINDS),
+    herald=st.sampled_from(("heralded", "unheralded", "ideal")),
+    pair_source=st.sampled_from(("tmsv", "squashed")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_distinct_gram_scans_match_one_term_per_union_and_point(
+    n_steps, kind, herald, pair_source, seed
+):
+    rng = np.random.default_rng(seed)
+    spec = ExperimentSpec(
+        walk=random_walk(rng, n_steps),  # coins with gamma != 0
+        kind=kind,
+        pair_source=pair_source,
+        mu_alpha=float(rng.uniform(0.01, 1.0)),
+        mu_xi=float(rng.uniform(0.01, 0.3)),
+        overlap=float(rng.uniform(0.0, 1.0)),
+        eta_kerr=float(rng.uniform(0.5, 1.0)),
+        eta_sys=float(rng.uniform(0.5, 0.99)),
+        eta_idler=float(rng.uniform(0.5, 0.99)),
+        heralded=herald != "unheralded",
+        ideal_herald=herald == "ideal",
+    )
+    assert np.max(np.abs(batched_scan(spec) - per_point_raw(spec))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind, heralded, distinct, per_point",
+    [
+        ("two-fold", True, 753, 2601),
+        ("three-fold", False, 752, 2600),
+        ("one-fold", True, 55, 105),
+        ("one-fold", False, 27, 52),
+    ],
+)
+def test_scans_score_each_distinct_gram_once(monkeypatch, kind, heralded, distinct, per_point):
+    # N = 25: 26 bins, 325 pairs; the herald rate is one more Gram
+    scored = []
+    real = detection._no_click_excess
+
+    def counted(grams, core, where):
+        scored.append(len(grams))
+        return real(grams, core, where)
+
+    monkeypatch.setattr(detection, "_no_click_excess", counted)
+    spec = ExperimentSpec(walk=WalkConfig.uniform(25), kind=kind, mu_alpha=0.24, heralded=heralded)
+    run_experiment(spec)
+    assert sum(scored) == distinct
+    scored.clear()
+    per_point_raw(spec)
+    assert sum(scored) == per_point
 
 
 @pytest.mark.parametrize("n_steps", [2, 7])
