@@ -4,154 +4,16 @@ Gaussian-state propagation of realistic sources through a programmable
 coined walk, heralded and unheralded click statistics on APDs behind
 Kerr-style routing gates, and an independent truncated Fock-space
 oracle for cross-validation.
+
+The top level holds what a run needs; every layer is importable from
+its own submodule (`qwalk.walk`, `qwalk.gaussian`, `qwalk.detection`,
+`qwalk.fock`, `qwalk.experiments`, `qwalk.metrics`, `qwalk.io`,
+`qwalk.config`, `qwalk.errors`).
 """
 
-from .errors import (
-    ConfigInvalid,
-    CutoffTooSmall,
-    DimensionMismatch,
-    DuplicateGateBin,
-    EtaOutOfRange,
-    IndexOutOfRange,
-    IoError,
-    LabelMismatch,
-    ModeCollision,
-    NonUnitary,
-    NotNormalized,
-    NumericalInstability,
-    OracleMismatch,
-    OverflowPolicyViolation,
-    QwalkError,
-    ResourceBound,
-    SingularMatrix,
-    UnphysicalState,
-    ZeroHeraldRate,
-)
-from .modes import IDLER, ExtraMode, ModeIndex, ModeRegistry, Pol
-from .walk import (
-    LayerParams,
-    WalkConfig,
-    aggregate_transmission,
-    coin_matrix,
-    sector_extend,
-    step_apply,
-    step_unitary,
-    walk_unitary,
-)
-from .gaussian import (
-    GaussianState,
-    SourceSpec,
-    apply_loss,
-    apply_passive,
-    classicality_eigenvalues,
-    mean_photons,
-    prepare,
-)
-from .detection import (
-    ClickCalculator,
-    ClickPattern,
-    Detector,
-    DetectorLayout,
-    GateSpec,
-    build_layout,
-)
-from .fock import (
-    FockState,
-    MixedFockState,
-    OracleSettings,
-    ThresholdOracle,
-    input_decompose,
-    perm_reduced,
-    permanent,
-)
-from .experiments import (
-    Distribution,
-    ExperimentSpec,
-    OracleReport,
-    fit_overlap,
-    hom_coincidence,
-    hom_scan,
-    hom_visibility,
-    run_experiment,
-    run_one_fold,
-    run_three_fold_partial,
-    run_two_fold,
-    step_evolution,
-    verify_against_oracle,
-)
-from .metrics import SimilarityReport, bhattacharyya
-from .config import RunConfig, load_config
+from .experiments import ExperimentSpec, run_experiment, verify_against_oracle
+from .walk import WalkConfig
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigInvalid",
-    "CutoffTooSmall",
-    "DimensionMismatch",
-    "DuplicateGateBin",
-    "EtaOutOfRange",
-    "IndexOutOfRange",
-    "IoError",
-    "LabelMismatch",
-    "ModeCollision",
-    "NonUnitary",
-    "NotNormalized",
-    "NumericalInstability",
-    "OracleMismatch",
-    "OverflowPolicyViolation",
-    "QwalkError",
-    "ResourceBound",
-    "SingularMatrix",
-    "UnphysicalState",
-    "ZeroHeraldRate",
-    "IDLER",
-    "ExtraMode",
-    "ModeIndex",
-    "ModeRegistry",
-    "Pol",
-    "LayerParams",
-    "WalkConfig",
-    "aggregate_transmission",
-    "coin_matrix",
-    "sector_extend",
-    "step_apply",
-    "step_unitary",
-    "walk_unitary",
-    "GaussianState",
-    "SourceSpec",
-    "apply_loss",
-    "apply_passive",
-    "classicality_eigenvalues",
-    "mean_photons",
-    "prepare",
-    "ClickCalculator",
-    "ClickPattern",
-    "Detector",
-    "DetectorLayout",
-    "GateSpec",
-    "build_layout",
-    "FockState",
-    "MixedFockState",
-    "OracleSettings",
-    "ThresholdOracle",
-    "input_decompose",
-    "perm_reduced",
-    "permanent",
-    "Distribution",
-    "ExperimentSpec",
-    "OracleReport",
-    "fit_overlap",
-    "hom_coincidence",
-    "hom_scan",
-    "hom_visibility",
-    "run_experiment",
-    "run_one_fold",
-    "run_three_fold_partial",
-    "run_two_fold",
-    "step_evolution",
-    "verify_against_oracle",
-    "SimilarityReport",
-    "bhattacharyya",
-    "RunConfig",
-    "load_config",
-]
+__all__ = ["ExperimentSpec", "WalkConfig", "run_experiment", "verify_against_oracle"]

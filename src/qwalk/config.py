@@ -36,9 +36,9 @@ _HOM_KEYS = ("overlap_values", "fit_target")
 _OUTPUT_KEYS = ("path", "format")
 
 # keys named after dataclass fields take their type and default from the
-# field; the walk and the kind are parsed by hand, grid_order is not a key
+# field; the walk and the kind are parsed by hand
 _SPEC_FIELDS = tuple(f for f in fields(ExperimentSpec) if f.name not in ("walk", "kind"))
-_ORACLE_FIELDS = tuple(f for f in fields(OracleSettings) if f.name != "grid_order")
+_ORACLE_FIELDS = fields(OracleSettings)
 _EXPERIMENT_KEYS = ("kind", "walk", "step", "hom") + tuple(f.name for f in _SPEC_FIELDS)
 _ORACLE_KEYS = ("enabled", "tolerance") + tuple(f.name for f in _ORACLE_FIELDS)
 

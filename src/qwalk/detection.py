@@ -294,6 +294,10 @@ class ClickCalculator:
 
     def pattern(self, pattern: ClickPattern) -> float:
         """Probability of the pattern, marginal over `None` detectors."""
+        return self._inclusion_exclusion(pattern, self.no_click)
+
+    def _inclusion_exclusion(self, pattern: ClickPattern, term) -> float:
+        """Signed sum of `term(modes)` over the pattern's detector unions."""
         clicked, silent = self._split_pattern(pattern)
         if any(not det.modes for det in clicked):
             return 0.0
@@ -306,7 +310,7 @@ class ClickCalculator:
                 modes = base
                 for det in subset:
                     modes |= det.modes
-                total += (-1) ** r * self.no_click(modes)
+                total += (-1) ** r * term(modes)
         return self._clamp(total)
 
     def herald_rate(self) -> float:
@@ -342,21 +346,12 @@ class ClickCalculator:
             raise IndexOutOfRange(
                 "injection must map the two input quadratures into the register"
             )
-        clicked, silent = self._split_pattern(pattern)
-        if any(not det.modes for det in clicked):
-            return 0.0
-        base: frozenset = frozenset()
-        for det in silent:
-            base |= det.modes
-        total = 0.0
-        for r in range(len(clicked) + 1):
-            for subset in itertools.combinations(clicked, r):
-                modes = base
-                for det in subset:
-                    modes |= det.modes
-                p0, correction = self._p0_with_factor(modes, injection)
-                total += (-1) ** r * p0 * (1.0 + correction)
-        return self._clamp(total)
+
+        def term(modes: frozenset) -> float:
+            p0, correction = self._p0_with_factor(modes, injection)
+            return p0 * (1.0 + correction)
+
+        return self._inclusion_exclusion(pattern, term)
 
 
 def _gate_point_name(slots) -> str:
@@ -500,7 +495,9 @@ def scan_patterns(
         for subset in itertools.combinations(clicked, r):
             bucket = "APD2" in subset
             keys = slots * [("APD3" in subset) != bucket, ("APD4" in subset) != bucket]
-            _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            _, first, inverse = np.unique(
+                keys[:, 0] * (bins + 1) + keys[:, 1], return_index=True, return_inverse=True
+            )
             # distinct Grams in scan order, so a refusal names the first failing point
             order = np.argsort(first)
             gathers.append(sum(map(len, firsts)) + np.argsort(order)[inverse])

@@ -390,13 +390,19 @@ def hom_coincidence(spec: ExperimentSpec, overlap: float) -> float:
     return calc.pattern(_HOM_PATTERN)
 
 
-def hom_visibility(spec: ExperimentSpec, overlap: float | None = None) -> float:
-    o = spec.overlap if overlap is None else overlap
+def _hom_reference(spec: ExperimentSpec) -> float:
+    """Coincidence rate of fully distinguishable inputs, the visibility's denominator."""
     reference = hom_coincidence(spec, 0.0)
     if reference <= 0.0:
         raise ConfigInvalid(
             "distinguishable coincidence rate is zero; visibility is undefined"
         )
+    return reference
+
+
+def hom_visibility(spec: ExperimentSpec, overlap: float | None = None) -> float:
+    o = spec.overlap if overlap is None else overlap
+    reference = _hom_reference(spec)
     return 1.0 - hom_coincidence(spec, o) / reference
 
 
@@ -408,11 +414,7 @@ def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
     visibilities (not a normalized set of outcomes).
     """
     overlaps = tuple(float(o) for o in overlaps)
-    reference = hom_coincidence(spec, 0.0)
-    if reference <= 0.0:
-        raise ConfigInvalid(
-            "distinguishable coincidence rate is zero; visibility is undefined"
-        )
+    reference = _hom_reference(spec)
     raw = tuple(hom_coincidence(spec, o) for o in overlaps)
     vis = tuple(1.0 - c / reference for c in raw)
     return Distribution("hom", overlaps, vis, raw, RAW_PATTERN, False)
@@ -430,11 +432,7 @@ def fit_overlap(
     so plain bisection on [0, 1] converges; returns (overlap,
     visibility).
     """
-    reference = hom_coincidence(spec, 0.0)
-    if reference <= 0.0:
-        raise ConfigInvalid(
-            "distinguishable coincidence rate is zero; visibility is undefined"
-        )
+    reference = _hom_reference(spec)
 
     def visibility(o: float) -> float:
         return 1.0 - hom_coincidence(spec, o) / reference
@@ -511,9 +509,7 @@ def _oracle_sources(spec: ExperimentSpec) -> tuple:
 
 
 def verify_against_oracle(
-    spec: ExperimentSpec,
-    settings: OracleSettings = OracleSettings(),
-    cutoff: int | None = None,
+    spec: ExperimentSpec, settings: OracleSettings = OracleSettings()
 ) -> OracleReport:
     """Recompute every raw pattern probability of the preset in Fock space.
 
@@ -540,7 +536,6 @@ def verify_against_oracle(
                     "APD4": ((Pol.H, 1),),
                 },
                 settings=settings,
-                k_max=cutoff,
             )
             diffs.append(abs(oracle.pattern_prob(_HOM_PATTERN) - value))
             leak = max(leak, oracle.truncation_leak)
@@ -554,7 +549,6 @@ def verify_against_oracle(
         eta_sys=spec.eta_sys,
         eta_idler=spec.eta_idler,
         settings=settings,
-        k_max=cutoff,
     )
     diffs = []
     for label, value in zip(stage_dist.labels, stage_dist.raw):

@@ -1,11 +1,13 @@
 """Exact truncated-Fock reference simulator.
 
 This module recomputes every click probability from first quantization:
-inputs are decomposed into (mixtures of) Fock-basis superpositions,
+each input is a weighted ensemble of Fock-basis amplitude arrays
+(`_ensemble`, the one place that knows the source kinds' states),
 pushed through the full mode unitary of the pipeline, and projected onto
 threshold-detector outcomes.  It shares no covariance algebra with the
 Gaussian engine, which is the point; agreement between the two routes is
-the package's main correctness gate.
+the package's main correctness gate.  `OracleSettings` is the one
+control of the truncation.
 
 `ThresholdOracle` computes no-click projections from the identity
 P0(S) = <psi| :exp(-sum_{i in S} b_i^dag b_i): |psi>, whose Fock matrix
@@ -49,16 +51,13 @@ from .errors import (
     ResourceBound,
     ZeroHeraldRate,
 )
-from .gaussian import PAIR_KINDS, SourceSpec
+from .gaussian import PAIR_KINDS, SOURCE_KINDS, SourceSpec
 from .modes import IDLER, ModeIndex, Pol
 from .walk import WalkConfig, aggregate_transmission, walk_unitary
 
 __all__ = [
     "permanent",
     "perm_reduced",
-    "FockState",
-    "MixedFockState",
-    "input_decompose",
     "OracleSettings",
     "ThresholdOracle",
 ]
@@ -128,122 +127,28 @@ def perm_reduced(g: np.ndarray, row_mults, col_mults) -> complex:
     return complex((signs * weights) @ prods)
 
 
-@dataclass
-class FockState:
-    """Superposition over occupation tuples, truncated at a total-photon cutoff."""
-
-    n_modes: int
-    amplitudes: dict
-    cutoff: int
-
-    def __post_init__(self):
-        for occ in self.amplitudes:
-            if len(occ) != self.n_modes:
-                raise DimensionMismatch(
-                    f"occupation {occ} does not have {self.n_modes} entries"
-                )
-            if any(n < 0 for n in occ):
-                raise ValueError(f"negative occupation in {occ}")
-            if sum(occ) > self.cutoff:
-                raise CutoffTooSmall(
-                    f"occupation {occ} exceeds total-photon cutoff {self.cutoff}"
-                )
-
-
-@dataclass
-class MixedFockState:
-    """Weighted ensemble of Fock states (photon-number or P-function mixtures)."""
-
-    ensemble: tuple
-
-    @property
-    def weight_leak(self) -> float:
-        return max(0.0, 1.0 - sum(w for w, _ in self.ensemble))
-
-
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff + 1)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    if alpha == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    return np.exp(
-        -0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact
-    )
-
-
-def input_decompose(source: SourceSpec, cutoff: int, grid_order: int = 12) -> MixedFockState:
-    """Fock-space description of one source, truncated at `cutoff` total photons.
-
-    Scalar kinds occupy one mode; pair kinds occupy (signal, idler).
-    Thermal states come back as a photon-number mixture, squashed pairs
-    as a Gauss-Hermite discretization of their positive P-function over
-    correlated coherent pairs (alpha on the signal, conjugate alpha on
-    the idler); both leave any truncated tail as missing weight rather
-    than renormalizing it away.
-    """
-    if cutoff < 0:
-        raise CutoffTooSmall("cutoff must be non-negative")
-    mu = source.mean_photon
-    if source.kind in PAIR_KINDS and cutoff < 2:
-        raise CutoffTooSmall("pair sources need a total-photon cutoff of at least 2")
-
-    if source.kind == "vacuum" or (mu == 0.0 and source.kind != "fock1"):
-        width = 2 if source.kind in PAIR_KINDS else 1
-        return MixedFockState(((1.0, FockState(width, {(0,) * width: 1.0}, cutoff)),))
-
-    if source.kind == "fock1":
-        if cutoff < 1:
-            raise CutoffTooSmall("fock1 needs cutoff >= 1")
-        return MixedFockState(((1.0, FockState(1, {(1,): 1.0}, cutoff)),))
-
-    if source.kind == "coherent":
-        alpha = math.sqrt(mu) * np.exp(1j * source.phase)
-        amps = _coherent_amplitudes(alpha, cutoff)
-        state = FockState(1, {(n,): amps[n] for n in range(cutoff + 1)}, cutoff)
-        return MixedFockState(((1.0, state),))
-
-    if source.kind == "thermal":
-        members = []
-        for n in range(cutoff + 1):
-            weight = mu**n / (1.0 + mu) ** (n + 1)
-            members.append((weight, FockState(1, {(n,): 1.0}, cutoff)))
-        return MixedFockState(tuple(members))
-
-    if source.kind == "tmsv":
-        lam = math.sqrt(mu / (1.0 + mu))
-        amps = {
-            (n, n): lam**n / math.sqrt(1.0 + mu) for n in range(cutoff // 2 + 1)
-        }
-        return MixedFockState(((1.0, FockState(2, amps, cutoff)),))
-
-    # squashed pair
-    nodes, gh_weights = np.polynomial.hermite.hermgauss(grid_order)
-    members = []
-    for j in range(grid_order):
-        for k in range(grid_order):
-            alpha = math.sqrt(mu) * (nodes[j] + 1j * nodes[k])
-            sig = _coherent_amplitudes(alpha, cutoff)
-            idl = _coherent_amplitudes(np.conj(alpha), cutoff)
-            amps = {}
-            for n1 in range(cutoff + 1):
-                for n2 in range(cutoff + 1 - n1):
-                    amps[(n1, n2)] = sig[n1] * idl[n2]
-            weight = gh_weights[j] * gh_weights[k] / math.pi
-            members.append((weight, FockState(2, amps, cutoff)))
-    return MixedFockState(tuple(members))
-
-
 # --------------------------------------------------------------------------
 # Threshold oracle internals
 
 
 @dataclass(frozen=True)
 class OracleSettings:
+    """The oracle's truncation, its only control.
+
+    Each branch keeps the inputs' occupations up to the smallest total
+    photon number k_max whose tail of the inputs' joint photon-number
+    distribution is at most leak_target / 4; thermal members are further
+    capped where their weight falls below leak_target / 8.  Inputs that
+    need more than `max_total_photons` are refused with CutoffTooSmall,
+    and so is a pair source left with room for fewer than two photons.
+    """
+
     leak_target: float = 1e-9
     max_total_photons: int = 16
-    grid_order: int = 12
+
+
+# Gauss-Hermite nodes per axis of a squashed pair's P-function
+_GRID_ORDER = 12
 
 
 class _BoxGeometry:
@@ -349,45 +254,19 @@ class _Branch:
     the inputs fix it; routing never enters a branch.
     """
 
-    def __init__(self, grams, sources, k_max, settings):
+    def __init__(self, grams, sources, k_max, leak_target):
         self.grams = grams
-        self.k_max = k_max
         self._cache: dict = {}
         self.leak = 0.0
-        if not sources:
-            self.trivial = True
+        self.trivial = not sources
+        if self.trivial:
             return
-        self.trivial = False
         caps = []
         ensembles = []
         for src in sources:
-            spec = SourceSpec(
-                kind=src.kind,
-                target=ModeIndex(Pol.H, 1, 0),
-                mean_photon=src.mean_photon,
-                phase=src.phase,
-            )
-            if src.kind == "coherent":
-                src_caps = (k_max,)
-                cutoff = k_max
-            elif src.kind == "thermal":
-                cap = _thermal_member_cap(
-                    src.mean_photon, settings.leak_target / 8.0, k_max
-                )
-                src_caps = (cap,)
-                cutoff = cap
-            elif src.kind == "tmsv":
-                src_caps = (k_max // 2, k_max // 2)
-                cutoff = 2 * (k_max // 2)
-            elif src.kind == "squashed":
-                src_caps = (k_max, k_max)
-                cutoff = k_max
-            else:  # fock1
-                src_caps = (1,)
-                cutoff = 1
+            src_caps, members = _ensemble(src, k_max, leak_target)
             caps.extend(src_caps)
-            mixture = input_decompose(spec, cutoff, settings.grid_order)
-            ensembles.append(_dense_members(mixture, src_caps))
+            ensembles.append(members)
         caps = tuple(caps)
         box = 1
         for c in caps:
@@ -435,16 +314,12 @@ class _Branch:
         return [1.0 if k is None else self._cache[k] for k in keys]
 
 
-def _dense_members(mixture: MixedFockState, caps: tuple) -> list:
-    shape = tuple(c + 1 for c in caps)
-    out = []
-    for weight, state in mixture.ensemble:
-        arr = np.zeros(shape, dtype=complex)
-        for occ, amp in state.amplitudes.items():
-            if all(n <= c for n, c in zip(occ, caps)):
-                arr[occ] = amp
-        out.append((weight, arr))
-    return out
+def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    n = np.arange(cutoff + 1)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
+    return np.exp(
+        -0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact
+    )
 
 
 def _thermal_member_cap(mu: float, share: float, k_max: int) -> int:
@@ -455,6 +330,51 @@ def _thermal_member_cap(mu: float, share: float, k_max: int) -> int:
     return cap
 
 
+def _ensemble(src: _BranchSource, k_max: int, leak_target: float) -> tuple:
+    """One branch source as occupation caps, one per axis, and a list of
+    (weight, amplitudes) members, each a dense array over the caps' box.
+
+    Coherent light and a lone photon are pure; thermal light is a
+    photon-number mixture; a TMSV pair is the twin beam, room for k_max
+    photons in all; a squashed pair is a Gauss-Hermite discretization of
+    its positive P-function over correlated coherent pairs (alpha on the
+    signal, conjugate alpha on the idler), occupations up to k_max in
+    total.  A truncated tail is left as missing weight, not renormalized
+    away.
+    """
+    mu = src.mean_photon
+    if src.kind in PAIR_KINDS and k_max < 2:
+        raise CutoffTooSmall("pair sources need a total-photon cutoff of at least 2")
+    if src.kind == "fock1":
+        return (1,), [(1.0, np.array([0.0, 1.0], dtype=complex))]
+    if src.kind == "coherent":
+        alpha = math.sqrt(mu) * np.exp(1j * src.phase)
+        return (k_max,), [(1.0, _coherent_amplitudes(alpha, k_max))]
+    if src.kind == "thermal":
+        cap = _thermal_member_cap(mu, leak_target / 8.0, k_max)
+        numbers = np.eye(cap + 1, dtype=complex)
+        return (cap,), [(mu**n / (1.0 + mu) ** (n + 1), numbers[n]) for n in range(cap + 1)]
+    if src.kind == "tmsv":
+        half = k_max // 2
+        lam = math.sqrt(mu / (1.0 + mu))
+        twin = np.diag([lam**n / math.sqrt(1.0 + mu) for n in range(half + 1)])
+        return (half, half), [(1.0, twin.astype(complex))]
+    nodes, gh_weights = np.polynomial.hermite.hermgauss(_GRID_ORDER)
+    members = []
+    for j, k in itertools.product(range(_GRID_ORDER), repeat=2):
+        alpha = math.sqrt(mu) * (nodes[j] + 1j * nodes[k])
+        sig = _coherent_amplitudes(alpha, k_max)
+        idl = _coherent_amplitudes(np.conj(alpha), k_max)
+        # entry by entry: numpy's vectorised complex multiply can round
+        # differently from the scalar one the recorded oracle values used
+        amps = np.zeros((k_max + 1, k_max + 1), dtype=complex)
+        for n1 in range(k_max + 1):
+            for n2 in range(k_max + 1 - n1):
+                amps[n1, n2] = sig[n1] * idl[n2]
+        members.append((gh_weights[j] * gh_weights[k] / math.pi, amps))
+    return (k_max, k_max), members
+
+
 def _poisson_pmf(mu: float, length: int) -> np.ndarray:
     pmf = np.zeros(length)
     pmf[0] = math.exp(-mu)
@@ -463,7 +383,7 @@ def _poisson_pmf(mu: float, length: int) -> np.ndarray:
     return pmf
 
 
-def _source_total_pmf(src: _BranchSource, length: int, grid_order: int) -> np.ndarray:
+def _source_total_pmf(src: _BranchSource, length: int) -> np.ndarray:
     mu = src.mean_photon
     if src.kind == "coherent":
         return _poisson_pmf(mu, length)
@@ -477,17 +397,17 @@ def _source_total_pmf(src: _BranchSource, length: int, grid_order: int) -> np.nd
             pmf[n] = (1.0 - lam2) * lam2 ** (n // 2)
         return pmf
     if src.kind == "squashed":
-        nodes, gh_weights = np.polynomial.hermite.hermgauss(grid_order)
+        nodes, gh_weights = np.polynomial.hermite.hermgauss(_GRID_ORDER)
         pmf = np.zeros(length)
-        for j in range(grid_order):
-            for k in range(grid_order):
+        for j in range(_GRID_ORDER):
+            for k in range(_GRID_ORDER):
                 inten = 2.0 * mu * (nodes[j] ** 2 + nodes[k] ** 2)
                 pmf += (gh_weights[j] * gh_weights[k] / math.pi) * _poisson_pmf(
                     inten, length
                 )
         return pmf
-    pmf = np.zeros(length)
-    pmf[1 if src.kind == "fock1" else 0] = 1.0
+    pmf = np.zeros(length)  # fock1
+    pmf[1] = 1.0
     return pmf
 
 
@@ -496,9 +416,7 @@ def _choose_k_max(sources, settings) -> int:
     pmf = np.zeros(length)
     pmf[0] = 1.0
     for src in sources:
-        pmf = np.convolve(pmf, _source_total_pmf(src, length, settings.grid_order))[
-            :length
-        ]
+        pmf = np.convolve(pmf, _source_total_pmf(src, length))[:length]
     tails = 1.0 - np.cumsum(pmf)
     share = settings.leak_target / 4.0
     for k in range(settings.max_total_photons + 1):
@@ -537,14 +455,13 @@ class ThresholdOracle:
 
     def __init__(
         self,
-        sources,
+        sources: tuple[SourceSpec, ...],
         walk: WalkConfig,
         gates=(),
         eta_sys: float = 1.0,
         eta_idler: float = 1.0,
         detector_labels=None,
         settings: OracleSettings = OracleSettings(),
-        k_max: int | None = None,
     ):
         if not 0.0 <= eta_sys <= 1.0:
             raise EtaOutOfRange(f"eta_sys must lie in [0, 1], got {eta_sys}")
@@ -553,66 +470,44 @@ class ThresholdOracle:
         self.settings = settings
         self._bins = walk.bin_capacity
         self._plan = detector_labels or _default_detector_labels(self._bins)
-        sources = tuple(sources)
-        pair_present = any(s.kind in PAIR_KINDS and s.mean_photon > 0 for s in sources)
         branch_sources: list = [[], []]
         for s in sources:
+            if s.kind not in SOURCE_KINDS:
+                raise ValueError(f"unsupported source kind {s.kind!r}")
             if s.kind == "vacuum":
                 continue
-            if s.kind in PAIR_KINDS:
-                if s.mean_photon == 0.0:
-                    continue
-                target = ModeIndex(s.target.pol, s.target.bin, 0)
-                branch_sources[0].append(
-                    _BranchSource(s.kind, s.mean_photon, s.phase, (target, IDLER))
+            if s.kind == "fock1" and s.overlap not in (0.0, 1.0):
+                raise ValueError(
+                    "fock1 photons cannot be split across sectors; use overlap 0 or 1"
                 )
-            elif s.kind == "coherent":
-                for b, share in ((0, s.overlap), (1, 1.0 - s.overlap)):
-                    mu_b = s.mean_photon * share
-                    if mu_b > 0.0:
-                        target = ModeIndex(s.target.pol, s.target.bin, b)
-                        branch_sources[b].append(
-                            _BranchSource("coherent", mu_b, s.phase, (target,))
-                        )
-            elif s.kind == "thermal":
-                if s.mean_photon == 0.0:
-                    continue
-                target = ModeIndex(s.target.pol, s.target.bin, 0)
-                branch_sources[0].append(
-                    _BranchSource("thermal", s.mean_photon, s.phase, (target,))
-                )
-            elif s.kind == "fock1":
-                if s.overlap not in (0.0, 1.0):
-                    raise ValueError(
-                        "fock1 photons cannot be split across sectors; use overlap 0 or 1"
+            # coherent light splits its intensity over the sectors by overlap
+            # and a lone photon rides whole in one; other sources sit in sector 0
+            split = s.kind in ("coherent", "fock1")
+            shares = (s.overlap, 1.0 - s.overlap) if split else (1.0, 0.0)
+            mean = 1.0 if s.kind == "fock1" else s.mean_photon
+            for b, share in enumerate(shares):
+                if mean * share > 0.0:
+                    target = ModeIndex(s.target.pol, s.target.bin, b)
+                    labels = (target, IDLER) if s.kind in PAIR_KINDS else (target,)
+                    branch_sources[b].append(
+                        _BranchSource(s.kind, mean * share, s.phase, labels)
                     )
-                b = 0 if s.overlap == 1.0 else 1
-                target = ModeIndex(s.target.pol, s.target.bin, b)
-                branch_sources[b].append(
-                    _BranchSource("fock1", 1.0, s.phase, (target,))
-                )
-            else:
-                raise ValueError(f"unsupported source kind {s.kind!r}")
 
         eta_walk = aggregate_transmission(walk) * eta_sys
         u_walk = walk_unitary(walk)
         self.branches = [
-            self._build_branch(
-                b, branch_sources[b], u_walk, eta_walk, eta_idler, pair_present, k_max
-            )
+            self._build_branch(b, branch_sources[b], u_walk, eta_walk, eta_idler)
             for b in (0, 1)
         ]
         self.truncation_leak = sum(br.leak for br in self.branches)
         self._tolerance = max(1e-12, 8.0 * self.truncation_leak)
         self._route(gates)
 
-    def _build_branch(
-        self, b, srcs, u_walk, eta_walk, eta_idler, pair_present, forced_k_max
-    ):
+    def _build_branch(self, b, srcs, u_walk, eta_walk, eta_idler):
         bins = self._bins
         labels = [ModeIndex(Pol.H, m, b) for m in range(1, bins + 1)]
         labels += [ModeIndex(Pol.V, m, b) for m in range(1, bins + 1)]
-        if b == 0 and pair_present:
+        if any(IDLER in src.labels for src in srcs):
             labels.append(IDLER)
 
         positions = {label: i for i, label in enumerate(labels)}
@@ -635,13 +530,8 @@ class ThresholdOracle:
         w = u_ext[:, active] * np.sqrt(etas)
         grams = dict(zip(labels, np.einsum("li,lj->lij", w.conj(), w)))
 
-        if srcs and forced_k_max is not None:
-            k_max = forced_k_max
-        elif srcs:
-            k_max = _choose_k_max(srcs, self.settings)
-        else:
-            k_max = 0
-        return _Branch(grams, srcs, k_max, self.settings)
+        k_max = _choose_k_max(srcs, self.settings) if srcs else 0
+        return _Branch(grams, srcs, k_max, self.settings.leak_target)
 
     def at(self, gates) -> ThresholdOracle:
         """This oracle routed at another gate point; it shares the branches

@@ -210,6 +210,19 @@ def test_fit_overlap_rejects_unreachable_targets():
         fit_overlap(spec, target=0.999)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [hom_visibility, lambda spec: hom_scan(spec, (0.5,)), fit_overlap],
+    ids=["hom_visibility", "hom_scan", "fit_overlap"],
+)
+def test_hom_refuses_a_zero_distinguishable_rate(call):
+    # without a pair source nothing heralds, so the reference rate is zero
+    spec = ExperimentSpec(walk=WalkConfig.uniform(1), kind="hom", mu_alpha=0.1, mu_xi=0.0)
+    message = "^distinguishable coincidence rate is zero; visibility is undefined$"
+    with pytest.raises(ConfigInvalid, match=message):
+        call(spec)
+
+
 def test_step_evolution_matches_direct_runs():
     spec = ExperimentSpec(
         walk=WalkConfig.uniform(4),
@@ -366,6 +379,12 @@ PER_POINT_ORACLE = [
     )),
     (dict(n=2, kind="two-fold"), PLAN, (
         0.009323559029298281, 1.8290436857389834e-09, 1.8290436857389834e-09,
+    )),
+    (dict(n=2, kind="two-fold", heralded=True, pair_source="squashed"), None, (
+        0.0006517266397703488, 1.0872427573295538e-09, 1.0872471384404124e-09,
+    )),
+    (dict(n=2, kind="two-fold", heralded=False, pair_source="squashed"), None, (
+        0.0004249341013573549, 8.75455263837921e-11, 8.75455263837921e-11,
     )),
 ]
 

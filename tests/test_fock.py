@@ -14,20 +14,29 @@ from qwalk.errors import (
     ResourceBound,
 )
 from qwalk.fock import (
-    FockState,
+    OracleSettings,
     ThresholdOracle,
     _box_geometry,
+    _BranchSource,
+    _ensemble,
     _gamma_blocks,
-    input_decompose,
     perm_reduced,
     permanent,
 )
 from qwalk.gaussian import SourceSpec, prepare
-from qwalk.modes import ModeIndex, Pol
+from qwalk.modes import IDLER, ModeIndex, Pol
 from qwalk.walk import WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
+LEAK_TARGET = OracleSettings().leak_target
+
+
+def ensemble(kind, mu, k_max):
+    """Caps and members of one source, as a branch of the oracle holds it."""
+    labels = (H1, IDLER) if kind in ("tmsv", "squashed") else (H1,)
+    return _ensemble(_BranchSource(kind, mu, 0.0, labels), k_max, LEAK_TARGET)
+
 
 def permanent_brute(a):
     n = a.shape[0]
@@ -152,12 +161,12 @@ def test_absent_detectors_give_one_and_zero_rows_are_recursed(monkeypatch):
 
     monkeypatch.setattr(fock, "_gamma_blocks", counted)
     # zero-step walk: no light reaches (V, 1), so APD4 watches a zero row;
-    # the cutoff leaves a visible truncation leak
+    # a loose leak target (cutoff 2) leaves a visible truncation leak
     oracle = ThresholdOracle(
         (SourceSpec("coherent", H1, 0.1),),
         WalkConfig.uniform(0),
         detector_labels={"APD2": ((Pol.H, 1),), "APD4": ((Pol.V, 1),)},
-        k_max=2,
+        settings=OracleSettings(leak_target=1e-3),
     )
     assert oracle.truncation_leak > 1e-5
     assert oracle._p0([("APD3",), ()]).tolist() == [1.0, 1.0]
@@ -239,86 +248,70 @@ def test_hom_null_for_indistinguishable_photons():
 
 def test_thermal_decomposition_weights():
     # geometric weights mu^n / (1+mu)^(n+1) for mu = 0.026
-    mixed = input_decompose(SourceSpec("thermal", H1, 0.026), cutoff=6)
-    weights = {state.amplitudes and next(iter(state.amplitudes))[0]: w
-               for w, state in mixed.ensemble}
+    caps, members = ensemble("thermal", 0.026, 6)
+    weights = {int(np.argmax(abs(amps))): w for w, amps in members}
     assert weights[0] == pytest.approx(0.9746588693957115, abs=1e-12)  # 1/1.026
     assert weights[1] == pytest.approx(0.024698957703984892, abs=1e-12)  # 0.026/1.026^2
-    assert mixed.weight_leak < 1e-9
+    assert 1.0 - sum(weights.values()) < 1e-9
 
 
 def test_coherent_decomposition_matches_poisson():
-    mixed = input_decompose(SourceSpec("coherent", H1, 0.1), cutoff=8)
-    assert len(mixed.ensemble) == 1
-    w, state = mixed.ensemble[0]
+    caps, members = ensemble("coherent", 0.1, 8)
+    assert caps == (8,)
+    assert len(members) == 1
+    w, amps = members[0]
     assert w == 1.0
-    assert abs(state.amplitudes[(0,)]) ** 2 == pytest.approx(
-        math.exp(-0.1), abs=1e-12
-    )
-    assert abs(state.amplitudes[(2,)]) ** 2 == pytest.approx(
-        math.exp(-0.1) * 0.1**2 / 2, abs=1e-12
-    )
+    assert abs(amps[0]) ** 2 == pytest.approx(math.exp(-0.1), abs=1e-12)
+    assert abs(amps[2]) ** 2 == pytest.approx(math.exp(-0.1) * 0.1**2 / 2, abs=1e-12)
 
 
 def test_tmsv_decomposition_is_twin_beam():
-    mixed = input_decompose(SourceSpec("tmsv", H1, 0.026), cutoff=8)
-    (w, state), = mixed.ensemble
+    caps, members = ensemble("tmsv", 0.026, 8)
+    (w, amps), = members
     assert w == 1.0
+    assert caps == (4, 4)
     lam = math.sqrt(0.026 / 1.026)
     for n in range(4):
-        assert state.amplitudes[(n, n)] == pytest.approx(
-            lam**n / math.sqrt(1.026), rel=1e-12
-        )
-    assert all(occ[0] == occ[1] for occ in state.amplitudes)
+        assert amps[n, n] == pytest.approx(lam**n / math.sqrt(1.026), rel=1e-12)
+    assert not np.any(amps - np.diag(np.diag(amps)))
 
 
 def test_pair_source_at_zero_gain_is_two_mode_vacuum():
-    mixed = input_decompose(SourceSpec("tmsv", H1, 0.0), cutoff=2)
-    (w, state), = mixed.ensemble
-    assert state.amplitudes == {(0, 0): 1.0}
-    assert state.n_modes == 2
+    # a zero-gain pair adds no mode and no amplitude: the oracle beside it
+    # is the coherent light's own, to the bit
+    walk = WalkConfig.uniform(2)
+    gates = (GateSpec(1), GateSpec(3))
+    coherent = SourceSpec("coherent", V1, 0.2, overlap=0.7)
+    alone = ThresholdOracle((coherent,), walk, gates)
+    beside = ThresholdOracle((SourceSpec("tmsv", H1, 0.0), coherent), walk, gates)
+    assert beside.truncation_leak == alone.truncation_leak
+    for pattern in ClickPattern.full_patterns():
+        assert beside.pattern_prob(pattern) == alone.pattern_prob(pattern)
 
 
 def test_squashed_decomposition_reproduces_pair_moments():
     # the coherent-pair mixture must carry <n_sig> = mu and <a b> = mu
     mu = 0.026
-    mixed = input_decompose(SourceSpec("squashed", H1, mu), cutoff=10)
-    assert sum(w for w, _ in mixed.ensemble) == pytest.approx(1.0, abs=1e-12)
+    caps, members = ensemble("squashed", mu, 10)
+    assert caps == (10, 10)
+    assert sum(w for w, _ in members) == pytest.approx(1.0, abs=1e-12)
+    raised = np.sqrt(np.arange(1, 11))
 
-    def lowering_mean(state, mode):
-        total = 0.0j
-        for occ, amp in state.amplitudes.items():
-            raised = list(occ)
-            raised[mode] += 1
-            other = state.amplitudes.get(tuple(raised))
-            if other is not None:
-                total += np.conj(amp) * other * math.sqrt(occ[mode] + 1)
-        return total
+    def lowering_mean(amps, mode):
+        amps = np.moveaxis(amps, mode, 0)
+        return np.sum(np.conj(amps[:-1]) * amps[1:] * raised[:, None])
 
-    n_sig = sum(
-        w * occ[0] * abs(amp) ** 2
-        for w, state in mixed.ensemble
-        for occ, amp in state.amplitudes.items()
-    )
-    cross = sum(
-        w * lowering_mean(state, 0) * lowering_mean(state, 1)
-        for w, state in mixed.ensemble
-    )
+    n_sig = sum(w * np.arange(11) @ (abs(amps) ** 2).sum(axis=1) for w, amps in members)
+    cross = sum(w * lowering_mean(amps, 0) * lowering_mean(amps, 1) for w, amps in members)
     assert n_sig == pytest.approx(mu, abs=1e-7)
     assert cross.real == pytest.approx(mu, abs=1e-7)
     assert abs(cross.imag) < 1e-9
 
 
-def test_fock_state_rejects_overfull_occupations():
-    with pytest.raises(CutoffTooSmall):
-        FockState(2, {(2, 1): 1.0}, cutoff=2)
-    with pytest.raises(DimensionMismatch):
-        FockState(2, {(1, 0, 0): 1.0}, cutoff=2)
-
-
 def test_pair_kinds_need_room_for_two_photons():
-    with pytest.raises(CutoffTooSmall):
-        input_decompose(SourceSpec("tmsv", H1, 0.026), cutoff=1)
+    # at mu_xi = 1e-10 the leak target is met with no photon at all
+    with pytest.raises(CutoffTooSmall, match="at least 2"):
+        ThresholdOracle((SourceSpec("tmsv", H1, 1e-10),), WalkConfig.uniform(1))
 
 
 def test_oracle_matches_gaussian_route_spot_check():
@@ -381,17 +374,23 @@ def test_truncation_leak_shrinks_with_cutoff():
     )
     walk = WalkConfig.uniform(1)
     leaks = [
-        ThresholdOracle(sources, walk, (), k_max=k).truncation_leak
-        for k in (4, 6, 8)
+        ThresholdOracle(
+            sources, walk, (), settings=OracleSettings(leak_target=target)
+        ).truncation_leak
+        for target in (1e-4, 1e-7, 1e-10)
     ]
     assert leaks[0] > leaks[1] > leaks[2]
 
 
-def test_oracle_wrapper_accepts_forced_cutoff():
+def test_oracle_cutoff_follows_the_leak_target():
     # zero-step walk: the coherent light never leaves its input mode
     oracle = ThresholdOracle(
-        (SourceSpec("coherent", H1, 0.1),), WalkConfig.uniform(0), (), k_max=8
+        (SourceSpec("coherent", H1, 0.1),),
+        WalkConfig.uniform(0),
+        (),
+        settings=OracleSettings(leak_target=1e-13),
     )
+    assert oracle.branches[0].geom.k_max == 8
     value = oracle.pattern_prob(ClickPattern.of(apd2=True))
     assert value == pytest.approx(1.0 - math.exp(-0.1), abs=1e-9)
 
