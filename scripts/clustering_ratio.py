@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from qwalk.experiments import ExperimentSpec, fit_overlap, run_two_fold
+from qwalk.experiments import ExperimentSpec, fit_overlap, run_experiment
 from qwalk.walk import WalkConfig
 
 
@@ -52,10 +52,10 @@ def main(argv=None) -> int:
     )
     print(f"{'mu_alpha':>9s} {'heralded':>12s} {'unheralded':>12s} {'ratio':>8s}")
     for mu_alpha in args.mu_alpha:
-        heralded = run_two_fold(
+        heralded = run_experiment(
             replace(base, mu_alpha=mu_alpha, heralded=True)
         )
-        unheralded = run_two_fold(
+        unheralded = run_experiment(
             replace(base, mu_alpha=mu_alpha, heralded=False)
         )
         top, bottom = max(heralded.raw), max(unheralded.raw)

@@ -17,7 +17,7 @@ from numbers import Real
 
 import yaml
 
-from .errors import ConfigInvalid, IoError
+from .errors import ConfigInvalid, EtaOutOfRange, IoError
 from .experiments import EXPERIMENT_KINDS, ExperimentSpec
 from .fock import OracleSettings
 from .walk import (
@@ -27,7 +27,7 @@ from .walk import (
     WalkConfig,
 )
 
-__all__ = ["RunConfig", "load_config"]
+__all__ = ["RunConfig"]
 
 _TOP_KEYS = ("experiment", "output", "oracle_check")
 _WALK_KEYS = ("n_steps", "bin_capacity", "omega", "gamma", "crystal_transmission")
@@ -107,28 +107,28 @@ def _build_walk(data: dict) -> WalkConfig:
     omega = _number(data, "omega", DEFAULT_COIN_ANGLE, "experiment.walk")
     gamma = _number(data, "gamma", 0.0, "experiment.walk")
     transmission = data.get("crystal_transmission", DEFAULT_CRYSTAL_TRANSMISSION)
-    if isinstance(transmission, (list, tuple)):
-        if len(transmission) != n_steps:
+    listed = isinstance(transmission, (list, tuple))
+    if listed and len(transmission) != n_steps:
+        raise ConfigInvalid(
+            "experiment.walk.crystal_transmission list must have one "
+            f"entry per step ({n_steps}), got {len(transmission)}"
+        )
+    entries = tuple(transmission) if listed else (transmission,)
+    for entry in entries:
+        if isinstance(entry, bool) or not isinstance(entry, Real):
             raise ConfigInvalid(
-                "experiment.walk.crystal_transmission list must have one "
-                f"entry per step ({n_steps}), got {len(transmission)}"
+                "experiment.walk.crystal_transmission must be a number or a list "
+                f"of numbers, got {entry!r}"
             )
+    # the walk checks its step count, capacity, coin angles and transmissions
+    try:
         layers = tuple(
             LayerParams(omega=omega, gamma=gamma, transmission=float(t))
-            for t in transmission
+            for t in (entries if listed else entries * n_steps)
         )
         return WalkConfig(n_steps, layers, bin_capacity)
-    if isinstance(transmission, bool) or not isinstance(transmission, Real):
-        raise ConfigInvalid(
-            "experiment.walk.crystal_transmission must be a number or a list"
-        )
-    return WalkConfig.uniform(
-        n_steps,
-        omega=omega,
-        gamma=gamma,
-        transmission=float(transmission),
-        bin_capacity=bin_capacity,
-    )
+    except (ValueError, EtaOutOfRange) as exc:
+        raise ConfigInvalid(f"experiment.walk: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -293,6 +293,3 @@ class RunConfig:
             data["oracle_check"]["enabled"] = oracle
         return RunConfig.from_dict(data)
 
-
-def load_config(path: str) -> RunConfig:
-    return RunConfig.from_file(path)

@@ -5,10 +5,10 @@ Detector plan, mirroring the four-APD readout of the experiment:
 * APD1 watches the herald idler.
 * APD2 is the bucket at the end of the delay fiber: every H-polarized
   walk output (both sectors), including whatever leaks past the gates.
-* APD3 and APD4 watch the routing ports of gate 1 and gate 2.  An
-  enabled gate on bin m couples each sector's (H, t_m) mode through a
-  beam splitter of intensity reflectivity eta_K into a fresh routing
-  mode; the transmitted 1 - eta_K share stays on the bucket path.
+* APD3 and APD4 watch the routing ports of gate 1 and gate 2.  A gate
+  on bin m couples each sector's (H, t_m) mode through a beam splitter
+  of intensity reflectivity eta_K into a fresh routing mode; the
+  transmitted 1 - eta_K share stays on the bucket path.
 
 V-polarized outputs are assigned to no detector.
 
@@ -80,7 +80,6 @@ class GateSpec:
 
     bin: int
     efficiency: float = 0.97
-    enabled: bool = True
 
     def __post_init__(self):
         if self.bin < 1:
@@ -148,14 +147,11 @@ class ClickPattern:
 
 
 def resolve_gate_slots(gates) -> list:
-    """Normalize a gate list to its two slots, dropping disabled entries."""
+    """Normalize a gate list to its two slots, None for a dark one."""
     gates = tuple(gates)
     if len(gates) > 2:
         raise IndexOutOfRange("at most two gates are supported")
-    slots: list = [None, None]
-    for k, gate in enumerate(gates):
-        if gate is not None and gate.enabled:
-            slots[k] = gate
+    slots = list(gates) + [None] * (2 - len(gates))
     if slots[0] is not None and slots[1] is not None and slots[0].bin == slots[1].bin:
         raise DuplicateGateBin(f"both gates target bin {slots[0].bin}")
     return slots
@@ -165,8 +161,8 @@ def build_layout(state: GaussianState, gates=()) -> tuple[GaussianState, Detecto
     """Install routing beam splitters and return the detector plan.
 
     `gates` holds at most two entries (gate 1 feeds APD3, gate 2 feeds
-    APD4); use None or enabled=False to leave a slot dark.  The returned
-    state is the input extended by the routing modes.
+    APD4); use None to leave a slot dark.  The returned state is the
+    input extended by the routing modes.
     """
     slots = resolve_gate_slots(gates)
     bins = state.registry.bins

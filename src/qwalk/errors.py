@@ -6,7 +6,6 @@ simulator failures in one place without swallowing genuine bugs.
 
 __all__ = [
     "QwalkError",
-    "OverflowPolicyViolation",
     "ModeCollision",
     "DimensionMismatch",
     "NonUnitary",
@@ -29,10 +28,6 @@ __all__ = [
 
 class QwalkError(Exception):
     """Base class for simulator-specific errors."""
-
-
-class OverflowPolicyViolation(QwalkError):
-    """A shift would push V-polarized amplitude past the last time bin."""
 
 
 class ModeCollision(QwalkError):

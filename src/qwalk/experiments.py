@@ -1,11 +1,11 @@
 """Experiment presets over the walk + detection pipeline.
 
-Each preset assembles the same physical chain: sources at the t_1 input
-(pair signal on H, attenuated coherent light on V), the sector-extended
-walk, crystal and system loss, idler loss, Kerr routing, and one of the
-APD click patterns.  Scans over gate positions return labeled
-distributions; the HOM preset and the overlap fitter drive the same
-chain with both gates off.
+Each preset assembles the same physical chain: the run's inputs at t_1
+(listed once, by `_sources`: pair signal on H, attenuated coherent light
+on V), the sector-extended walk, crystal and system loss, idler loss,
+Kerr routing, and one of the APD click patterns.  Scans over gate
+positions return labeled distributions; the HOM preset and the overlap
+fitter drive the same chain with both gates off.
 
 The mode-overlap between the coherent light and the heralded photon is
 modeled by splitting the coherent amplitude over two internal sectors
@@ -13,8 +13,10 @@ that never interfere; `overlap` is the squared fraction riding in the
 photon's sector.
 
 With `ideal_herald` the pair source is replaced by its vanishing-gain
-limit: probabilities are conditioned on exactly one signal photon
-entering the walk, computed in closed form (see
+limit, the heralded photon itself: a `fock1` source on the signal mode.
+The Fock oracle takes it as it is; the Gaussian route carries it as
+probe columns along its quadratures and conditions on exactly one photon
+entering the walk, in closed form (see
 detection.ClickCalculator.single_photon) instead of at small finite gain.
 """
 
@@ -60,12 +62,8 @@ __all__ = [
     "EXPERIMENT_KINDS",
     "ExperimentSpec",
     "Distribution",
-    "run_one_fold",
-    "run_two_fold",
-    "run_three_fold_partial",
     "run_experiment",
     "hom_coincidence",
-    "hom_visibility",
     "hom_scan",
     "fit_overlap",
     "step_evolution",
@@ -112,6 +110,10 @@ class ExperimentSpec:
                 raise ConfigInvalid(f"{name} must lie in [0, 1], got {value}")
         if self.ideal_herald and not self.heralded:
             raise ConfigInvalid("ideal_herald only makes sense for heralded runs")
+        if self.ideal_herald and self.kind == "hom":
+            raise ConfigInvalid(
+                "the HOM preset heralds on the pair source's idler, so it takes no ideal_herald"
+            )
         if self.kind == "three-fold" and self.walk.n_steps < 1:
             raise ConfigInvalid(
                 "three-fold readout needs two distinct gate bins, so at least one step"
@@ -149,8 +151,12 @@ def _normalize(raw) -> tuple:
 
 
 def _sources(spec: ExperimentSpec) -> tuple:
+    """The run's inputs: the pair source, or with `ideal_herald` the
+    heralded photon itself, on (H, t1); coherent light on (V, t1)."""
     out = []
-    if not spec.ideal_herald and spec.mu_xi > 0.0:
+    if spec.ideal_herald:
+        out.append(SourceSpec("fock1", ModeIndex(Pol.H, 1, 0), 1.0))
+    elif spec.mu_xi > 0.0:
         out.append(
             SourceSpec(spec.pair_source, ModeIndex(Pol.H, 1, 0), spec.mu_xi)
         )
@@ -170,10 +176,11 @@ def _sources(spec: ExperimentSpec) -> tuple:
 class _Stage:
     """Register after the walk and all loss, before any routing.
 
-    Holds the sources, the prepared states (theirs, then the ideal-herald
-    probes) and the optics; each form is built on first use.  `state` and
-    `probes` are dense, for the HOM preset and the per-point route;
-    `low_rank` is the factor [V | d | probes] that batched scans use.
+    Holds the Gaussian sources, the prepared states (theirs, then the
+    ideal-herald photon's probes) and the optics; each form is built on
+    first use.  `state` and `probes` are dense, for the HOM preset and
+    the per-point route; `low_rank` is the factor [V | d | probes] that
+    batched scans use.
     """
 
     sources: tuple
@@ -231,15 +238,16 @@ def _walk_unitary(walk: WalkConfig) -> np.ndarray:
 def _stage(spec: ExperimentSpec) -> _Stage:
     bins = spec.walk.bin_capacity
     sources = _sources(spec)
-    state = prepare(sources, bins=bins)
+    gaussian = tuple(s for s in sources if s.kind != "fock1")
+    state = prepare(gaussian, bins=bins)
     registry = state.registry
     m = len(registry)
 
     states = [state]
-    if spec.ideal_herald:
-        # unit probes along the signal quadratures; their pushed-through
+    for photon in (s for s in sources if s.kind == "fock1"):
+        # unit probes along the photon's quadratures; their pushed-through
         # means are the columns of the injection map
-        signal = registry.flatten(ModeIndex(Pol.H, 1, 0))
+        signal = registry.flatten(photon.target)
         for offset in (0, 1):
             mean = np.zeros(2 * m)
             mean[2 * signal + offset] = 1.0
@@ -255,7 +263,7 @@ def _stage(spec: ExperimentSpec) -> _Stage:
     idler = registry.idler_index()
     if idler is not None and spec.eta_idler < 1.0:
         losses.append((spec.eta_idler, (idler,)))
-    return _Stage(sources, states, u, losses)
+    return _Stage(gaussian, states, u, losses)
 
 
 def _gate_point(stage: _Stage, gates) -> tuple:
@@ -330,23 +338,14 @@ def _run_scan(kind: str, spec: ExperimentSpec) -> Distribution:
     return Distribution(kind, labels, probs, tuple(map(float, raw)), NORMALIZED, undefined)
 
 
-def run_one_fold(spec: ExperimentSpec) -> Distribution:
-    """Bin-by-bin readout: gate 2 scans the output, APD4 clicks."""
-    return _run_scan("one-fold", spec)
-
-
-def run_two_fold(spec: ExperimentSpec) -> Distribution:
-    """Pair readout: gates at (m1, m2), coincidence of APD3 and APD4."""
-    return _run_scan("two-fold", spec)
-
-
-def run_three_fold_partial(spec: ExperimentSpec) -> Distribution:
-    """Like two-fold, but additionally requiring a click in the bucket
-    of all remaining bins (APD2), which also collects gate leakage."""
-    return _run_scan("three-fold", spec)
-
-
 def run_experiment(spec: ExperimentSpec) -> Distribution:
+    """The gate scan of `spec.kind`.
+
+    one-fold: gate 2 scans the output bin by bin, APD4 clicks.  two-fold:
+    gates at (m1, m2), coincidence of APD3 and APD4.  three-fold: like
+    two-fold, but also requiring a click in the bucket of all remaining
+    bins (APD2), which also collects gate leakage.
+    """
     if spec.kind in _SCANS:
         return _run_scan(spec.kind, spec)
     raise ConfigInvalid(f"run_experiment does not handle kind {spec.kind!r}")
@@ -400,12 +399,6 @@ def _hom_reference(spec: ExperimentSpec) -> float:
     return reference
 
 
-def hom_visibility(spec: ExperimentSpec, overlap: float | None = None) -> float:
-    o = spec.overlap if overlap is None else overlap
-    reference = _hom_reference(spec)
-    return 1.0 - hom_coincidence(spec, o) / reference
-
-
 def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
     """Coincidence and visibility over a list of overlap values.
 
@@ -420,17 +413,13 @@ def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
     return Distribution("hom", overlaps, vis, raw, RAW_PATTERN, False)
 
 
-def fit_overlap(
-    spec: ExperimentSpec,
-    target: float = 0.70,
-    tol: float = 1e-4,
-    max_iter: int = 100,
-) -> tuple:
+def fit_overlap(spec: ExperimentSpec, target: float = 0.70, tol: float = 1e-4) -> tuple:
     """Bisection for the overlap reproducing a target HOM visibility.
 
     Visibility grows monotonically with overlap for physical settings,
     so plain bisection on [0, 1] converges; returns (overlap,
-    visibility).
+    visibility).  100 halvings exhaust double precision, so a fit that
+    has not met `tol` by then never will.
     """
     reference = _hom_reference(spec)
 
@@ -443,7 +432,7 @@ def fit_overlap(
         raise ConfigInvalid(
             f"target visibility {target} unreachable; maximum is {v_hi:.4f}"
         )
-    for _ in range(max_iter):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         v = visibility(mid)
         if abs(v - target) <= tol:
@@ -492,22 +481,6 @@ class OracleReport:
     truncation_leak: float
 
 
-def _oracle_sources(spec: ExperimentSpec) -> tuple:
-    if not spec.ideal_herald:
-        return _sources(spec)
-    out = [SourceSpec("fock1", ModeIndex(Pol.H, 1, 0), 1.0)]
-    if spec.mu_alpha > 0.0:
-        out.append(
-            SourceSpec(
-                "coherent",
-                ModeIndex(Pol.V, 1, 0),
-                spec.mu_alpha,
-                overlap=spec.overlap,
-            )
-        )
-    return tuple(out)
-
-
 def verify_against_oracle(
     spec: ExperimentSpec, settings: OracleSettings = OracleSettings()
 ) -> OracleReport:
@@ -524,9 +497,8 @@ def verify_against_oracle(
         for overlap, value in zip(gauss.labels, gauss.raw):
             probe = replace(spec, overlap=overlap)
             oracle = ThresholdOracle(
-                _oracle_sources(probe),
+                _sources(probe),
                 spec.walk,
-                (),
                 eta_sys=spec.eta_sys,
                 eta_idler=spec.eta_idler,
                 detector_labels={
@@ -544,7 +516,7 @@ def verify_against_oracle(
     stage_dist = run_experiment(spec)
     scan = _SCANS[spec.kind]
     oracle = ThresholdOracle(
-        _oracle_sources(spec),
+        _sources(spec),
         spec.walk,
         eta_sys=spec.eta_sys,
         eta_idler=spec.eta_idler,
@@ -553,7 +525,7 @@ def verify_against_oracle(
     diffs = []
     for label, value in zip(stage_dist.labels, stage_dist.raw):
         routed = oracle.at(scan.gates(label, spec.eta_kerr))
-        # the fock1 stand-in needs no herald: exactly one photon went in
+        # the heralded photon itself needs no herald: exactly one went in
         if spec.heralded and not spec.ideal_herald:
             fock = routed.heralded_prob(scan.pattern)
         else:

@@ -51,7 +51,7 @@ from .errors import (
     ResourceBound,
     ZeroHeraldRate,
 )
-from .gaussian import PAIR_KINDS, SOURCE_KINDS, SourceSpec
+from .gaussian import PAIR_KINDS, SourceSpec
 from .modes import IDLER, ModeIndex, Pol
 from .walk import WalkConfig, aggregate_transmission, walk_unitary
 
@@ -241,7 +241,6 @@ def _gamma_blocks(g: np.ndarray, geom: _BoxGeometry):
 class _BranchSource:
     kind: str
     mean_photon: float
-    phase: float
     labels: tuple  # branch-local mode labels, one per occupied axis
 
 
@@ -348,8 +347,7 @@ def _ensemble(src: _BranchSource, k_max: int, leak_target: float) -> tuple:
     if src.kind == "fock1":
         return (1,), [(1.0, np.array([0.0, 1.0], dtype=complex))]
     if src.kind == "coherent":
-        alpha = math.sqrt(mu) * np.exp(1j * src.phase)
-        return (k_max,), [(1.0, _coherent_amplitudes(alpha, k_max))]
+        return (k_max,), [(1.0, _coherent_amplitudes(math.sqrt(mu), k_max))]
     if src.kind == "thermal":
         cap = _thermal_member_cap(mu, leak_target / 8.0, k_max)
         numbers = np.eye(cap + 1, dtype=complex)
@@ -438,7 +436,7 @@ class ThresholdOracle:
 
     The walk, the loss and the inputs do not depend on the gates, so one
     oracle serves a whole scan and `at(gates)` routes it at each gate
-    point; `gates` here means the same as `.at(gates)`.  Routing acts at
+    point; the oracle as built has both gate slots dark.  Routing acts at
     query time on the branches' per-mode Gram terms: a gate of efficiency
     eta on bin m sends eta G_(H, m) to its detector and leaves
     (1 - eta) G_(H, m) on the bin.  P0 values are cached by the Gram sum
@@ -457,7 +455,6 @@ class ThresholdOracle:
         self,
         sources: tuple[SourceSpec, ...],
         walk: WalkConfig,
-        gates=(),
         eta_sys: float = 1.0,
         eta_idler: float = 1.0,
         detector_labels=None,
@@ -472,10 +469,6 @@ class ThresholdOracle:
         self._plan = detector_labels or _default_detector_labels(self._bins)
         branch_sources: list = [[], []]
         for s in sources:
-            if s.kind not in SOURCE_KINDS:
-                raise ValueError(f"unsupported source kind {s.kind!r}")
-            if s.kind == "vacuum":
-                continue
             if s.kind == "fock1" and s.overlap not in (0.0, 1.0):
                 raise ValueError(
                     "fock1 photons cannot be split across sectors; use overlap 0 or 1"
@@ -490,7 +483,7 @@ class ThresholdOracle:
                     target = ModeIndex(s.target.pol, s.target.bin, b)
                     labels = (target, IDLER) if s.kind in PAIR_KINDS else (target,)
                     branch_sources[b].append(
-                        _BranchSource(s.kind, mean * share, s.phase, labels)
+                        _BranchSource(s.kind, mean * share, labels)
                     )
 
         eta_walk = aggregate_transmission(walk) * eta_sys
@@ -501,7 +494,7 @@ class ThresholdOracle:
         ]
         self.truncation_leak = sum(br.leak for br in self.branches)
         self._tolerance = max(1e-12, 8.0 * self.truncation_leak)
-        self._route(gates)
+        self._route(())
 
     def _build_branch(self, b, srcs, u_walk, eta_walk, eta_idler):
         bins = self._bins

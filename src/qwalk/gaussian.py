@@ -44,7 +44,7 @@ __all__ = [
     "classicality_eigenvalues",
 ]
 
-SOURCE_KINDS = ("coherent", "thermal", "tmsv", "squashed", "vacuum", "fock1")
+SOURCE_KINDS = ("coherent", "thermal", "tmsv", "squashed", "fock1")
 PAIR_KINDS = ("tmsv", "squashed")
 
 _SYMMETRY_TOL = 1e-12
@@ -125,14 +125,17 @@ class SourceSpec:
     heralded reference: a fraction `overlap` of its mean photon number
     lands in sector 0 and the rest in the sector-1 copy.  Pair sources
     define the reference, so their signal always sits in sector 0 and
-    the conjugate idler is appended as an auxiliary mode.  `fock1` is
-    accepted only by the Fock-space oracle.
+    the conjugate idler is appended as an auxiliary mode.  A run has one
+    coherent input, so its phase is the reference and not a parameter.
+
+    `fock1` is the ideal-herald photon, one photon in its target mode:
+    the Fock-space oracle takes it as a source, `prepare` refuses it, and
+    the Gaussian route carries it as probe columns instead.
     """
 
     kind: str
     target: ModeIndex
     mean_photon: float = 0.0
-    phase: float = 0.0
     overlap: float = 1.0
 
     def __post_init__(self):
@@ -160,12 +163,12 @@ def _claimed_indices(source: SourceSpec, registry: ModeRegistry) -> tuple[int, .
     return (s0, s1)
 
 
-def prepare(sources, bins: int | None = None, registry: ModeRegistry | None = None) -> GaussianState:
+def prepare(sources, bins: int) -> GaussianState:
     """Assemble the input state for a list of sources.
 
-    Builds the canonical walk register (appending an idler when a pair
-    source is present) unless an explicit registry is given.  Raises
-    ModeCollision when two sources claim the same bin and polarization.
+    Builds the canonical walk register of `bins` time bins, appending an
+    idler when a pair source is present.  Raises ModeCollision when two
+    sources claim the same bin and polarization.
     """
     sources = tuple(sources)
     for source in sources:
@@ -174,12 +177,7 @@ def prepare(sources, bins: int | None = None, registry: ModeRegistry | None = No
     pair_sources = [s for s in sources if s.kind in PAIR_KINDS]
     if len(pair_sources) > 1:
         raise ValueError("at most one pair source is supported per run")
-    if registry is None:
-        if bins is None:
-            raise ValueError("either bins or an explicit registry is required")
-        registry = ModeRegistry.for_walk(bins, idler=bool(pair_sources))
-    elif pair_sources and registry.idler_index() is None:
-        raise IndexOutOfRange("pair source requires a register with an idler mode")
+    registry = ModeRegistry.for_walk(bins, idler=bool(pair_sources))
 
     state = vacuum_state(registry)
     claimed: set[int] = set()
@@ -198,13 +196,12 @@ def _install_source(state: GaussianState, source: SourceSpec, registry: ModeRegi
     mu = source.mean_photon
     s0 = registry.flatten(source.target)
     s1 = registry.flatten(replace(source.target, sector=1))
-    if source.kind == "vacuum" or mu == 0.0:
+    if mu == 0.0:
         return
     if source.kind == "coherent":
+        # real amplitude: the x quadrature carries it, p stays zero
         for mode, fraction in ((s0, source.overlap), (s1, 1.0 - source.overlap)):
-            amp = np.sqrt(fraction * mu) * np.exp(1j * source.phase)
-            state.mean[2 * mode] = np.sqrt(2.0) * amp.real
-            state.mean[2 * mode + 1] = np.sqrt(2.0) * amp.imag
+            state.mean[2 * mode] = np.sqrt(2.0) * np.sqrt(fraction * mu)
         return
     if source.kind == "thermal":
         state.cov[2 * s0 : 2 * s0 + 2, 2 * s0 : 2 * s0 + 2] += mu * np.eye(2)

@@ -99,10 +99,6 @@ class ModeRegistry:
         return len(self.labels)
 
     @property
-    def n_modes(self) -> int:
-        return len(self.labels)
-
-    @property
     def bins(self) -> int:
         """Largest time bin present among walk labels (0 if none)."""
         return max((l.bin for l in self.labels if isinstance(l, ModeIndex)), default=0)
@@ -118,20 +114,12 @@ class ModeRegistry:
             raise IndexOutOfRange(f"flat index {index} out of range 0..{len(self.labels) - 1}")
         return self.labels[index]
 
-    def __contains__(self, label) -> bool:
-        return label in self._positions
-
-    def walk_indices(self, pol: Pol | None = None, sector: int | None = None) -> tuple[int, ...]:
-        """Flat indices of walk modes, optionally filtered by pol / sector."""
+    def walk_indices(self, pol: Pol) -> tuple[int, ...]:
+        """Flat indices of the walk modes of one polarization, both sectors."""
         out = []
         for i, label in enumerate(self.labels):
-            if not isinstance(label, ModeIndex):
-                continue
-            if pol is not None and label.pol != pol:
-                continue
-            if sector is not None and label.sector != sector:
-                continue
-            out.append(i)
+            if isinstance(label, ModeIndex) and label.pol == pol:
+                out.append(i)
         return tuple(out)
 
     def idler_index(self) -> int | None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EtaOutOfRange, OverflowPolicyViolation
+from .errors import EtaOutOfRange
 
 __all__ = [
     "DEFAULT_COIN_ANGLE",
@@ -26,7 +26,6 @@ __all__ = [
     "WalkConfig",
     "coin_matrix",
     "step_unitary",
-    "step_apply",
     "walk_unitary",
     "sector_extend",
     "aggregate_transmission",
@@ -122,7 +121,8 @@ def _shift_matrix(bins: int) -> np.ndarray:
     The last V bin wraps cyclically so the matrix remains unitary on the
     full register.  Physical programs never populate it: with
     bin_capacity >= n_steps + 1 and input in t_1 the wrap entry is never
-    reached, and `step_apply` raises instead of silently wrapping.
+    reached, so the walk's columns for t_1 inputs do not depend on the
+    capacity.
     """
     eye = np.eye(bins)
     roll = np.roll(eye, 1, axis=0)
@@ -148,30 +148,6 @@ def _coin_rows(layer: LayerParams, rows: np.ndarray, bins: int) -> np.ndarray:
 def _shift_rows(rows: np.ndarray, bins: int) -> np.ndarray:
     """`_shift_matrix(bins) @ rows`: the V block rolls one bin later."""
     return np.concatenate((rows[:bins], np.roll(rows[bins:], 1, axis=0)))
-
-
-def step_apply(
-    layer: LayerParams,
-    amplitudes: np.ndarray,
-    bins: int,
-    atol: float = 1e-12,
-) -> np.ndarray:
-    """Apply one step to an amplitude vector, refusing to overflow.
-
-    Raises OverflowPolicyViolation if, after the coin, any amplitude
-    sits in the V mode of the last bin, because the shift would push it
-    past the register.
-    """
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    if amplitudes.shape != (2 * bins,):
-        raise ValueError(f"expected amplitude vector of length {2 * bins}")
-    after_coin = _coin_rows(layer, amplitudes, bins)
-    if abs(after_coin[2 * bins - 1]) > atol:
-        raise OverflowPolicyViolation(
-            f"V amplitude {after_coin[2 * bins - 1]:.3e} in bin {bins} would "
-            "shift past the register; increase bin_capacity"
-        )
-    return _shift_rows(after_coin, bins)
 
 
 def walk_unitary(config: WalkConfig) -> np.ndarray:

@@ -23,8 +23,6 @@ from qwalk.experiments import (
     _stage,
     fit_overlap,
     run_experiment,
-    run_one_fold,
-    run_two_fold,
     step_evolution,
     verify_against_oracle,
 )
@@ -139,7 +137,7 @@ def test_03_heralded_single_photon_reproduces_walk_columns():
             WalkConfig.uniform(n, transmission=1.0),
             random_walk(rng, n),
         ):
-            dist = run_one_fold(
+            dist = run_experiment(
                 ExperimentSpec(
                     walk=walk,
                     kind="one-fold",
@@ -169,7 +167,6 @@ def test_04_hom_null_and_visibility_fit(fitted_overlap):
             SourceSpec("fock1", ModeIndex(Pol.V, 1, 0), 1.0),
         ),
         WalkConfig.uniform(1, transmission=1.0),
-        (),
         detector_labels={
             "APD1": (),
             "APD2": ((Pol.V, 2),),
@@ -201,8 +198,8 @@ def test_05_heralding_concentrates_two_fold_patterns(fitted_overlap):
             overlap=o_star,
             eta_kerr=0.97,
         )
-        heralded = run_two_fold(ExperimentSpec(heralded=True, **common))
-        unheralded = run_two_fold(ExperimentSpec(heralded=False, **common))
+        heralded = run_experiment(ExperimentSpec(heralded=True, **common))
+        unheralded = run_experiment(ExperimentSpec(heralded=False, **common))
         ratios.append(max(heralded.raw) / max(unheralded.raw))
     assert all(r > 1.0 for r in ratios)
     assert ratios[0] > ratios[1] > ratios[2]
@@ -232,7 +229,7 @@ def test_06_squashed_source_sits_on_the_classical_boundary():
     )
     peaks = {
         source: max(
-            run_two_fold(ExperimentSpec(pair_source=source, **common)).raw
+            run_experiment(ExperimentSpec(pair_source=source, **common)).raw
         )
         for source in ("tmsv", "squashed")
     }
@@ -310,8 +307,8 @@ def test_08_scan_runtime_budgets():
         eta_kerr=0.97,
     )
     t0 = time.perf_counter()
-    run_two_fold(ExperimentSpec(heralded=True, **common))
-    run_two_fold(ExperimentSpec(heralded=False, **common))
+    run_experiment(ExperimentSpec(heralded=True, **common))
+    run_experiment(ExperimentSpec(heralded=False, **common))
     two_fold_s = time.perf_counter() - t0
 
     spec = ExperimentSpec(
@@ -328,7 +325,7 @@ def test_08_scan_runtime_budgets():
 
     large = dict(common, walk=WalkConfig.uniform(25))
     t2 = time.perf_counter()
-    run_two_fold(ExperimentSpec(heralded=True, **large))
+    run_experiment(ExperimentSpec(heralded=True, **large))
     run_experiment(ExperimentSpec(**dict(large, kind="three-fold", heralded=False)))
     large_s = time.perf_counter() - t2
 

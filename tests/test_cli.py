@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from qwalk.cli import main
-from qwalk.experiments import ExperimentSpec, run_two_fold
+from qwalk.experiments import ExperimentSpec, run_experiment
 from qwalk.io import read_distribution, render_distribution
 from qwalk.walk import WalkConfig
 
@@ -71,7 +71,7 @@ def test_csv_floats_round_trip_exactly(tmp_path):
         mu_xi=0.026,
         overlap=0.7,
     )
-    direct = run_two_fold(spec)
+    direct = run_experiment(spec)
     assert dist.raw == direct.raw
     assert dist.probs == direct.probs
 
@@ -154,6 +154,35 @@ def test_config_errors_exit_two(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["error"] == "ConfigInvalid"
     assert "oops" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        "n_steps: -1",
+        "n_steps: 1\n    omega: .nan",
+        "n_steps: 3\n    bin_capacity: 2",
+        "n_steps: 1\n    crystal_transmission: [abc]",
+        "n_steps: 1\n    crystal_transmission: 0",
+    ],
+    ids=["negative-steps", "nan-coin", "small-capacity", "text-transmission", "zero-transmission"],
+)
+def test_invalid_walk_values_exit_two(tmp_path, capsys, walk):
+    config = write_config(tmp_path, f"experiment:\n  walk:\n    {walk}\n")
+    assert main(["simulate", "--config", config]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigInvalid"
+    assert "experiment.walk" in payload["message"]
+
+
+def test_hom_with_ideal_herald_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, HOM_YAML + "  ideal_herald: true\n")
+    for command in ("simulate", "fit-overlap"):
+        assert main([command, "--config", config]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigInvalid"
+        assert "HOM preset" in payload["message"]
+        assert "ideal_herald" in payload["message"]
 
 
 def test_compute_errors_exit_one(tmp_path, capsys):
@@ -246,6 +275,6 @@ def test_render_rejects_unknown_format():
     spec = ExperimentSpec(
         walk=WalkConfig.uniform(1), kind="two-fold", mu_alpha=0.1, mu_xi=0.026
     )
-    dist = run_two_fold(spec)
+    dist = run_experiment(spec)
     with pytest.raises(Exception):
         render_distribution(dist, {}, "xml")

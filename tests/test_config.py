@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qwalk.config import RunConfig, load_config
+from qwalk.config import RunConfig
 from qwalk.errors import ConfigInvalid, IoError
 
 MINIMAL = {"experiment": {"walk": {"n_steps": 2}}}
@@ -148,7 +148,7 @@ def test_load_config_from_yaml(tmp_path):
         "    overlap_values: [0.0, 0.5, 1.0]\n"
         "    fit_target: 0.7\n"
     )
-    cfg = load_config(str(path))
+    cfg = RunConfig.from_file(str(path))
     assert cfg.kind == "hom"
     assert cfg.hom_overlaps == (0.0, 0.5, 1.0)
     assert cfg.fit_target == 0.7
@@ -156,11 +156,11 @@ def test_load_config_from_yaml(tmp_path):
 
 def test_load_config_errors(tmp_path):
     with pytest.raises(IoError):
-        load_config(str(tmp_path / "missing.yaml"))
+        RunConfig.from_file(str(tmp_path / "missing.yaml"))
     bad = tmp_path / "bad.yaml"
     bad.write_text("experiment: [unclosed\n")
     with pytest.raises(ConfigInvalid):
-        load_config(str(bad))
+        RunConfig.from_file(str(bad))
 
 
 def test_yaml_bare_scientific_notation_is_caught(tmp_path):
@@ -173,7 +173,7 @@ def test_yaml_bare_scientific_notation_is_caught(tmp_path):
         "  mu_alpha: 1e-6\n"
     )
     with pytest.raises(ConfigInvalid, match="1.0e-6"):
-        load_config(str(path))
+        RunConfig.from_file(str(path))
 
 
 def test_step_limit_applies_to_step_kind_only():

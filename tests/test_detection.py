@@ -156,9 +156,7 @@ def test_duplicate_gate_bins_rejected():
 
 def test_disabled_gate_is_skipped():
     state = prepare((SourceSpec("coherent", H1, 0.1),), bins=2)
-    routed, layout = build_layout(
-        state, (GateSpec(2, enabled=False), GateSpec(1))
-    )
+    routed, layout = build_layout(state, (None, GateSpec(1)))
     assert layout.detector("APD3").modes == frozenset()
     assert len(layout.detector("APD4").modes) == 2
 

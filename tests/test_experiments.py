@@ -15,16 +15,12 @@ from qwalk.experiments import (
     _SCANS,
     _batched_raw,
     _dense_raw,
-    _oracle_sources,
+    _sources,
     _stage,
     fit_overlap,
     hom_coincidence,
     hom_scan,
-    hom_visibility,
     run_experiment,
-    run_one_fold,
-    run_three_fold_partial,
-    run_two_fold,
     step_evolution,
     verify_against_oracle,
 )
@@ -81,7 +77,7 @@ def test_spec_validation():
 
 
 def test_single_photon_one_step_lands_in_bin_one():
-    dist = run_one_fold(ideal_spec(1))
+    dist = run_experiment(ideal_spec(1))
     assert dist.labels == (1, 2)
     assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
     assert dist.probs[1] == pytest.approx(0.0, abs=1e-12)
@@ -89,7 +85,7 @@ def test_single_photon_one_step_lands_in_bin_one():
 
 def test_single_photon_three_steps_frozen_distribution():
     # H-restricted weights (1/8, 1/2, 1/8, 0), renormalized
-    dist = run_one_fold(ideal_spec(3))
+    dist = run_experiment(ideal_spec(3))
     assert dist.probs[0] == pytest.approx(1.0 / 6.0, abs=1e-10)
     assert dist.probs[1] == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert dist.probs[2] == pytest.approx(1.0 / 6.0, abs=1e-10)
@@ -98,13 +94,13 @@ def test_single_photon_three_steps_frozen_distribution():
 
 @pytest.mark.parametrize("n_steps", [2, 5, 8])
 def test_single_photon_distribution_matches_walk_column(n_steps):
-    dist = run_one_fold(ideal_spec(n_steps))
+    dist = run_experiment(ideal_spec(n_steps))
     expected = h_restricted_column(WalkConfig.uniform(n_steps, transmission=1.0))
     assert np.allclose(dist.probs, expected, atol=1e-10)
 
 
 def test_one_fold_normalization_flag():
-    dist = run_one_fold(ideal_spec(2))
+    dist = run_experiment(ideal_spec(2))
     assert dist.normalization == "NormalizedOverOutcomes"
     assert not dist.undefined
     assert sum(dist.probs) == pytest.approx(1.0, abs=1e-12)
@@ -118,7 +114,7 @@ def test_vacuum_inputs_give_undefined_distribution():
         mu_xi=0.0,
         heralded=False,
     )
-    dist = run_two_fold(spec)
+    dist = run_experiment(spec)
     assert dist.undefined
     assert all(p == 0.0 for p in dist.probs)
 
@@ -132,7 +128,7 @@ def test_heralding_without_a_pair_source_fails():
         heralded=True,
     )
     with pytest.raises(ZeroHeraldRate):
-        run_one_fold(spec)
+        run_experiment(spec)
 
 
 def test_three_fold_is_bounded_by_two_fold():
@@ -143,8 +139,8 @@ def test_three_fold_is_bounded_by_two_fold():
         overlap=0.9,
         heralded=False,
     )
-    two = run_two_fold(ExperimentSpec(kind="two-fold", **base))
-    three = run_three_fold_partial(ExperimentSpec(kind="three-fold", **base))
+    two = run_experiment(ExperimentSpec(kind="two-fold", **base))
+    three = run_experiment(ExperimentSpec(kind="three-fold", **base))
     assert three.labels == two.labels
     for p3, p2 in zip(three.raw, two.raw):
         assert p3 <= p2 + 1e-15
@@ -160,7 +156,7 @@ def test_click_probabilities_decrease_with_loss():
             heralded=False,
             eta_sys=eta,
         )
-        return run_two_fold(spec).raw
+        return run_experiment(spec).raw
 
     lossless, mid, lossy = raw_at(1.0), raw_at(0.8), raw_at(0.5)
     for a, b, c in zip(lossless, mid, lossy):
@@ -176,12 +172,12 @@ def test_runs_are_deterministic():
         mu_xi=0.026,
         overlap=0.7,
     )
-    assert run_two_fold(spec) == run_two_fold(spec)
+    assert run_experiment(spec) == run_experiment(spec)
 
 
 def test_hom_visibility_grows_with_overlap():
     spec = ExperimentSpec(walk=WalkConfig.uniform(1), kind="hom", mu_alpha=0.1)
-    values = [hom_visibility(spec, o) for o in (0.0, 0.3, 0.6, 1.0)]
+    values = hom_scan(spec, (0.0, 0.3, 0.6, 1.0)).probs
     assert values[0] == pytest.approx(0.0, abs=1e-12)
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -201,7 +197,7 @@ def test_fit_overlap_reaches_target_visibility():
     overlap, visibility = fit_overlap(spec, target=0.70, tol=1e-4)
     assert abs(visibility - 0.70) <= 1e-4
     assert 0.0 < overlap < 1.0
-    assert hom_visibility(spec, overlap) == pytest.approx(visibility)
+    assert hom_scan(spec, (overlap,)).probs[0] == pytest.approx(visibility)
 
 
 def test_fit_overlap_rejects_unreachable_targets():
@@ -212,8 +208,8 @@ def test_fit_overlap_rejects_unreachable_targets():
 
 @pytest.mark.parametrize(
     "call",
-    [hom_visibility, lambda spec: hom_scan(spec, (0.5,)), fit_overlap],
-    ids=["hom_visibility", "hom_scan", "fit_overlap"],
+    [lambda spec: hom_scan(spec, (0.5,)), fit_overlap, verify_against_oracle],
+    ids=["hom_scan", "fit_overlap", "verify_against_oracle"],
 )
 def test_hom_refuses_a_zero_distinguishable_rate(call):
     # without a pair source nothing heralds, so the reference rate is zero
@@ -234,7 +230,7 @@ def test_step_evolution_matches_direct_runs():
     steps = step_evolution(spec, n_max=4, inner_kind="one-fold")
     assert [d.step for d in steps] == [1, 2, 3, 4]
     for n, dist in zip(range(1, 5), steps):
-        direct = run_one_fold(
+        direct = run_experiment(
             ExperimentSpec(
                 walk=spec.walk.truncated(n),
                 kind="one-fold",
@@ -398,12 +394,12 @@ def test_per_scan_oracle_matches_one_oracle_per_gate_point(params, plan, expecte
     )
     scan = _SCANS[spec.kind]
     kwargs = dict(eta_sys=spec.eta_sys, eta_idler=spec.eta_idler, detector_labels=plan)
-    per_scan = ThresholdOracle(_oracle_sources(spec), walk, **kwargs)
+    per_scan = ThresholdOracle(_sources(spec), walk, **kwargs)
     labels = scan.labels(walk.n_steps)
     assert len(labels) == len(expected)
     for label, value in zip(labels, expected):
         gates = scan.gates(label, spec.eta_kerr)
-        fresh = ThresholdOracle(_oracle_sources(spec), walk, gates, **kwargs)
+        fresh = ThresholdOracle(_sources(spec), walk, **kwargs).at(gates)
         for oracle in (per_scan.at(gates), fresh):
             if spec.heralded and not spec.ideal_herald:
                 got = oracle.heralded_prob(scan.pattern)
@@ -614,7 +610,7 @@ def test_scans_score_each_distinct_gram_once(monkeypatch, kind, heralded, distin
 def test_dead_idler_refuses_heralded_scans(n_steps):
     spec = ExperimentSpec(walk=WalkConfig.uniform(n_steps), kind="two-fold", eta_idler=0.0)
     with pytest.raises(ZeroHeraldRate):
-        run_two_fold(spec)
+        run_experiment(spec)
 
 
 # -- closed forms at any walk length --------------------------------------------

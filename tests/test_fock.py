@@ -35,7 +35,7 @@ LEAK_TARGET = OracleSettings().leak_target
 def ensemble(kind, mu, k_max):
     """Caps and members of one source, as a branch of the oracle holds it."""
     labels = (H1, IDLER) if kind in ("tmsv", "squashed") else (H1,)
-    return _ensemble(_BranchSource(kind, mu, 0.0, labels), k_max, LEAK_TARGET)
+    return _ensemble(_BranchSource(kind, mu, labels), k_max, LEAK_TARGET)
 
 
 def permanent_brute(a):
@@ -114,8 +114,7 @@ def two_branch_oracle():
             SourceSpec("coherent", V1, 0.2, overlap=0.7),
         ),
         WalkConfig.uniform(2),
-        (GateSpec(1), GateSpec(3)),
-    )
+    ).at((GateSpec(1), GateSpec(3)))
 
 
 def test_batched_branch_p0_matches_one_set_at_a_time():
@@ -198,7 +197,7 @@ def test_a_mode_on_two_detectors_counts_once_in_their_union():
 def lone_photon_oracle(monkeypatch, total):
     """An oracle whose two P0 values for an APD2 click differ by `total`."""
     oracle = ThresholdOracle(
-        (SourceSpec("fock1", H1, 1.0),), WalkConfig.uniform(0, transmission=1.0), ()
+        (SourceSpec("fock1", H1, 1.0),), WalkConfig.uniform(0, transmission=1.0)
     )
     monkeypatch.setattr(oracle, "_p0", lambda name_sets: np.array([total, 0.0]))
     return oracle
@@ -227,7 +226,6 @@ def hom_oracle():
     return ThresholdOracle(
         (SourceSpec("fock1", H1, 1.0), SourceSpec("fock1", V1, 1.0)),
         WalkConfig.uniform(1, transmission=1.0),
-        (),
         detector_labels={"APD2": ((Pol.H, 1),), "APD4": ((Pol.V, 2),)},
     )
 
@@ -282,8 +280,8 @@ def test_pair_source_at_zero_gain_is_two_mode_vacuum():
     walk = WalkConfig.uniform(2)
     gates = (GateSpec(1), GateSpec(3))
     coherent = SourceSpec("coherent", V1, 0.2, overlap=0.7)
-    alone = ThresholdOracle((coherent,), walk, gates)
-    beside = ThresholdOracle((SourceSpec("tmsv", H1, 0.0), coherent), walk, gates)
+    alone = ThresholdOracle((coherent,), walk).at(gates)
+    beside = ThresholdOracle((SourceSpec("tmsv", H1, 0.0), coherent), walk).at(gates)
     assert beside.truncation_leak == alone.truncation_leak
     for pattern in ClickPattern.full_patterns():
         assert beside.pattern_prob(pattern) == alone.pattern_prob(pattern)
@@ -331,7 +329,7 @@ def test_oracle_matches_gaussian_route_spot_check():
     routed, layout = build_layout(stage.state, gates)
     pattern = ClickPattern.of(apd1=True, apd3=True, apd4=True)
     gaussian_value = ClickCalculator(routed, layout).pattern(pattern)
-    oracle = ThresholdOracle(sources, walk, gates)
+    oracle = ThresholdOracle(sources, walk).at(gates)
     assert oracle.pattern_prob(pattern) == pytest.approx(
         gaussian_value, abs=5e-9
     )
@@ -342,7 +340,7 @@ def test_oracle_single_photon_survival_under_loss():
     # a lone photon through a trivial walk with 50% system loss
     sources = (SourceSpec("fock1", H1, 1.0),)
     walk = WalkConfig.uniform(0, transmission=1.0)
-    oracle = ThresholdOracle(sources, walk, (), eta_sys=0.5)
+    oracle = ThresholdOracle(sources, walk, eta_sys=0.5)
     silent = ClickPattern.of(apd2=False)
     assert oracle.pattern_prob(silent) == pytest.approx(0.5, abs=1e-12)
     click = ClickPattern.of(apd2=True)
@@ -352,7 +350,7 @@ def test_oracle_single_photon_survival_under_loss():
 def test_fock1_overlap_must_be_sharp():
     sources = (SourceSpec("fock1", H1, 1.0, overlap=0.5),)
     with pytest.raises(ValueError):
-        ThresholdOracle(sources, WalkConfig.uniform(1), ())
+        ThresholdOracle(sources, WalkConfig.uniform(1))
 
 
 def test_squashed_pair_heralds_fewer_signal_clicks_than_tmsv():
@@ -361,7 +359,6 @@ def test_squashed_pair_heralds_fewer_signal_clicks_than_tmsv():
         oracle = ThresholdOracle(
             (SourceSpec(kind, H1, 0.026),),
             WalkConfig.uniform(1, transmission=1.0),
-            (),
         )
         values[kind] = oracle.heralded_prob(ClickPattern.of(apd2=True))
     assert values["squashed"] < values["tmsv"]
@@ -375,7 +372,7 @@ def test_truncation_leak_shrinks_with_cutoff():
     walk = WalkConfig.uniform(1)
     leaks = [
         ThresholdOracle(
-            sources, walk, (), settings=OracleSettings(leak_target=target)
+            sources, walk, settings=OracleSettings(leak_target=target)
         ).truncation_leak
         for target in (1e-4, 1e-7, 1e-10)
     ]
@@ -387,7 +384,6 @@ def test_oracle_cutoff_follows_the_leak_target():
     oracle = ThresholdOracle(
         (SourceSpec("coherent", H1, 0.1),),
         WalkConfig.uniform(0),
-        (),
         settings=OracleSettings(leak_target=1e-13),
     )
     assert oracle.branches[0].geom.k_max == 8

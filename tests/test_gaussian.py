@@ -51,13 +51,6 @@ def test_coherent_mean_amplitude():
     assert np.count_nonzero(np.delete(state.mean, 2 * i)) == 0
 
 
-def test_coherent_phase_rotates_mean():
-    state = prepare((SourceSpec("coherent", V1, 0.1, phase=np.pi / 2),), bins=1)
-    i = state.registry.flatten(V1)
-    assert state.mean[2 * i] == pytest.approx(0.0, abs=1e-15)
-    assert state.mean[2 * i + 1] == pytest.approx(0.4472135954999579, abs=1e-15)
-
-
 def test_overlap_splits_mean_energy_between_sectors():
     mu, o = 0.1, 0.7
     state = prepare((SourceSpec("coherent", V1, mu, overlap=o),), bins=1)
@@ -218,4 +211,4 @@ def test_validate_rejects_tampered_covariance():
 def test_pair_source_registers_idler():
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=2)
     assert state.registry.idler_index() is not None
-    assert IDLER in state.registry
+    assert IDLER in state.registry.labels

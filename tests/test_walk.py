@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.errors import EtaOutOfRange, OverflowPolicyViolation
+from qwalk.errors import EtaOutOfRange
 from qwalk.modes import ModeIndex, Pol, ModeRegistry
 from qwalk.walk import (
     LayerParams,
@@ -11,7 +11,6 @@ from qwalk.walk import (
     aggregate_transmission,
     coin_matrix,
     sector_extend,
-    step_apply,
     step_unitary,
     walk_unitary,
 )
@@ -166,13 +165,28 @@ def test_step_unitary_composes_to_walk(n_steps, seed):
     assert np.abs(walk_unitary(config) - u).max() <= 1e-14
 
 
-def test_step_apply_flags_capacity_overflow():
-    # amplitude sitting at the last bin in H turns partly V under the
-    # coin and would shift past the register edge
-    state = np.zeros(4, dtype=complex)
-    state[1] = 1.0  # (H, t2) in a two-bin register
-    with pytest.raises(OverflowPolicyViolation):
-        step_apply(LayerParams(), state, 2)
+@given(
+    n_steps=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_t1_columns_never_reach_the_cyclic_wrap(n_steps, seed):
+    # with input in t_1 the shift's wrap entry is never populated, so one
+    # spare bin changes nothing: the t_1 columns at capacity N + 1 are the
+    # first N + 1 bins of those at N + 2, exactly, and the spare bin is empty
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        LayerParams(omega=rng.uniform(0, 2 * np.pi), gamma=rng.uniform(0, 2 * np.pi))
+        for _ in range(n_steps)
+    )
+    tight = walk_unitary(WalkConfig(n_steps, layers, n_steps + 1))
+    spare = walk_unitary(WalkConfig(n_steps, layers, n_steps + 2))
+    b = n_steps + 1
+    keep = np.r_[0:b, b + 1 : 2 * b + 1]  # H and V of bins 1..N+1 at capacity N + 2
+    for pol in (0, 1):
+        column = spare[:, pol * (b + 1)]
+        assert np.array_equal(tight[:, pol * b], column[keep])
+        assert not column[[b, 2 * b + 1]].any()
 
 
 def test_sector_extend_block_structure():
