@@ -12,6 +12,7 @@ is sufficient to reproduce the run.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Real
 
@@ -67,6 +68,9 @@ def _number(data: dict, key: str, default, where: str) -> float:
             f"{where}.{key} must be a number, got {value!r} "
             "(YAML note: write scientific notation as 1.0e-6)"
         )
+    # NaN fails both comparisons; an integer too large for a float fails one
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigInvalid(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
 
 

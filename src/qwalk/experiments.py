@@ -49,13 +49,13 @@ from .gaussian import (
     apply_passive,
     prepare,
 )
-from .modes import ModeIndex, Pol
+from .modes import ModeIndex, ModeRegistry, Pol
 from .walk import (
     WalkConfig,
     aggregate_transmission,
     sector_extend,
     step_unitary,
-    walk_unitary,
+    walk_columns,
 )
 
 __all__ = [
@@ -100,7 +100,10 @@ class ExperimentSpec:
         if self.pair_source not in _PAIR_SOURCES:
             raise ConfigInvalid(f"unknown pair source {self.pair_source!r}")
         for name in ("mu_alpha", "mu_xi"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigInvalid(f"{name} must be finite, got {value}")
+            if value < 0:
                 raise ConfigInvalid(f"{name} must be >= 0")
         if not 0.0 <= self.overlap <= 1.0:
             raise ConfigInvalid(f"overlap must lie in [0, 1], got {self.overlap}")
@@ -176,21 +179,27 @@ def _sources(spec: ExperimentSpec) -> tuple:
 class _Stage:
     """Register after the walk and all loss, before any routing.
 
-    Holds the Gaussian sources, the prepared states (theirs, then the
-    ideal-herald photon's probes) and the optics; each form is built on
-    first use.  `state` and `probes` are dense, for the HOM preset and
-    the per-point route; `low_rank` is the factor [V | d | probes] that
-    batched scans use.
+    Holds the Gaussian sources, the ideal-herald probe columns and the
+    optics; each form is built on first use.  `state` and `probes` are
+    dense, for the HOM preset and the per-point route.  `low_rank`, the
+    factor [V | d | probes] of batched scans, walks the t1 inputs' columns
+    alone: no walk unitary, M x M or 2M x 2M array is formed.
     """
 
+    walk: WalkConfig
+    registry: ModeRegistry
     sources: tuple
-    prepared: list
-    unitary: np.ndarray
+    probe_means: np.ndarray  # 2M x (0 or 2): the ideal-herald probes before the optics
     losses: list  # (transmission, modes) pairs
 
     @cached_property
     def _dense(self) -> list:
-        states = [apply_passive(s, self.unitary) for s in self.prepared]
+        bins, m = self.walk.bin_capacity, len(self.registry)
+        states = [prepare(self.sources, bins=bins)]
+        states += [GaussianState(self.registry, p, 0.5 * np.eye(2 * m)) for p in self.probe_means.T]
+        u = np.eye(m, dtype=complex)
+        u[: 4 * bins, : 4 * bins] = sector_extend(_walk_unitary(self.walk))
+        states = [apply_passive(s, u) for s in states]
         for eta, modes in self.losses:
             states = [apply_loss(s, eta, modes) for s in states]
         return states
@@ -205,10 +214,17 @@ class _Stage:
 
     @cached_property
     def low_rank(self) -> LowRankState:
-        registry = self.prepared[0].registry
-        probes = [p.mean for p in self.prepared[1:]]
-        state = LowRankState.of(self.sources, registry, probes)
-        state = state.passive(self.unitary)
+        registry, bins = self.registry, self.walk.bin_capacity
+        # the inputs enter at t1, flat modes 0, B, 2B, 3B (H, V in either
+        # sector); the idler bypasses the walk
+        idler = registry.idler_index()
+        modes = list(range(0, 4 * bins, bins)) + ([] if idler is None else [idler])
+        images = np.zeros((len(registry), len(modes)), dtype=complex)
+        images[modes, range(len(modes))] = 1.0
+        walked = walk_columns(self.walk, images[: 2 * bins, :2])
+        images[: 2 * bins, :2] = images[2 * bins : 4 * bins, 2:4] = walked
+        state = LowRankState.of(self.sources, registry, self.probe_means)
+        state = state.passive(modes, images)
         for eta, modes in self.losses:
             state = state.loss(eta, modes)
         return state
@@ -225,10 +241,8 @@ _DENSE_MAX_BINS = 7
 
 
 def _walk_unitary(walk: WalkConfig) -> np.ndarray:
-    """walk_unitary, but as the dense step product on the dense route's registers."""
+    """The walk unitary as the dense step product, as the dense route forms it."""
     bins = walk.bin_capacity
-    if bins > _DENSE_MAX_BINS:
-        return walk_unitary(walk)
     u = np.eye(2 * bins, dtype=complex)
     for layer in walk.layers:
         u = step_unitary(layer, bins) @ u
@@ -239,22 +253,13 @@ def _stage(spec: ExperimentSpec) -> _Stage:
     bins = spec.walk.bin_capacity
     sources = _sources(spec)
     gaussian = tuple(s for s in sources if s.kind != "fock1")
-    state = prepare(gaussian, bins=bins)
-    registry = state.registry
-    m = len(registry)
+    registry = ModeRegistry.for_walk(bins, idler=any(s.kind in _PAIR_SOURCES for s in sources))
 
-    states = [state]
-    for photon in (s for s in sources if s.kind == "fock1"):
-        # unit probes along the photon's quadratures; their pushed-through
-        # means are the columns of the injection map
-        signal = registry.flatten(photon.target)
-        for offset in (0, 1):
-            mean = np.zeros(2 * m)
-            mean[2 * signal + offset] = 1.0
-            states.append(GaussianState(registry, mean, 0.5 * np.eye(2 * m)))
-
-    u = np.eye(m, dtype=complex)
-    u[: 4 * bins, : 4 * bins] = sector_extend(_walk_unitary(spec.walk))
+    # unit probes along the photon's quadratures: pushed through, the injection map
+    photons = [registry.flatten(s.target) for s in sources if s.kind == "fock1"]
+    quads = [2 * i + o for i in photons for o in (0, 1)]
+    probes = np.zeros((2 * len(registry), len(quads)))
+    probes[quads, range(len(quads))] = 1.0
 
     losses = []
     eta_walk = aggregate_transmission(spec.walk) * spec.eta_sys
@@ -263,7 +268,7 @@ def _stage(spec: ExperimentSpec) -> _Stage:
     idler = registry.idler_index()
     if idler is not None and spec.eta_idler < 1.0:
         losses.append((spec.eta_idler, (idler,)))
-    return _Stage(gaussian, states, u, losses)
+    return _Stage(spec.walk, registry, gaussian, probes, losses)
 
 
 def _gate_point(stage: _Stage, gates) -> tuple:

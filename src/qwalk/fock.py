@@ -53,7 +53,7 @@ from .errors import (
 )
 from .gaussian import PAIR_KINDS, SourceSpec
 from .modes import IDLER, ModeIndex, Pol
-from .walk import WalkConfig, aggregate_transmission, walk_unitary
+from .walk import WalkConfig, aggregate_transmission, walk_columns
 
 __all__ = [
     "permanent",
@@ -487,16 +487,15 @@ class ThresholdOracle:
                     )
 
         eta_walk = aggregate_transmission(walk) * eta_sys
-        u_walk = walk_unitary(walk)
         self.branches = [
-            self._build_branch(b, branch_sources[b], u_walk, eta_walk, eta_idler)
+            self._build_branch(b, branch_sources[b], walk, eta_walk, eta_idler)
             for b in (0, 1)
         ]
         self.truncation_leak = sum(br.leak for br in self.branches)
         self._tolerance = max(1e-12, 8.0 * self.truncation_leak)
         self._route(())
 
-    def _build_branch(self, b, srcs, u_walk, eta_walk, eta_idler):
+    def _build_branch(self, b, srcs, walk, eta_walk, eta_idler):
         bins = self._bins
         labels = [ModeIndex(Pol.H, m, b) for m in range(1, bins + 1)]
         labels += [ModeIndex(Pol.V, m, b) for m in range(1, bins + 1)]
@@ -515,12 +514,13 @@ class ThresholdOracle:
                 active.append(positions[label])
                 etas.append(eta_idler if label == IDLER else eta_walk)
 
-        # Each lossy input first meets a beam splitter into its own ancilla,
-        # which no detector watches: on the register that scales its
-        # column by sqrt(eta).
-        u_ext = np.eye(len(labels), dtype=complex)
-        u_ext[: 2 * bins, : 2 * bins] = u_walk
-        w = u_ext[:, active] * np.sqrt(etas)
+        # The inputs' walk columns (the idler bypasses the walk).  Each lossy
+        # input first meets a beam splitter into its own ancilla, which no
+        # detector watches: on the register that scales its column by sqrt(eta).
+        w = np.zeros((len(labels), len(active)), dtype=complex)
+        w[active, range(len(active))] = 1.0
+        w[: 2 * bins] = walk_columns(walk, w[: 2 * bins])
+        w *= np.sqrt(etas)
         grams = dict(zip(labels, np.einsum("li,lj->lij", w.conj(), w)))
 
         k_max = _choose_k_max(srcs, self.settings) if srcs else 0

@@ -67,10 +67,11 @@ def omega_matrix(n_modes: int) -> np.ndarray:
 
 
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic action of a passive mode unitary."""
+    """Orthogonal symplectic action of a passive mode unitary; given only
+    some modes' images (n x k), the columns of their 2k quadratures."""
     u = np.asarray(u)
-    n = u.shape[0]
-    s = np.empty((2 * n, 2 * n))
+    n, k = u.shape
+    s = np.empty((2 * n, 2 * k))
     s[0::2, 0::2] = u.real
     s[0::2, 1::2] = -u.imag
     s[1::2, 0::2] = u.imag
@@ -273,8 +274,9 @@ class LowRankState:
     through the same optics (the ideal-herald injection map).  `core` is
     the r x r symmetric matrix C; it may be indefinite (nonclassical
     light) or singular (the squashed source).  Passive optics act on the
-    factor as S @ factor and loss with transmission eta scales its rows by
-    sqrt(eta), so the 2M x 2M covariance is never formed.
+    factor through the images of the modes it occupies and loss with
+    transmission eta scales its rows by sqrt(eta), so neither the 2M x 2M
+    covariance nor a full-register unitary or symplectic is ever formed.
     """
 
     registry: ModeRegistry
@@ -282,27 +284,35 @@ class LowRankState:
     core: np.ndarray
 
     @classmethod
-    def of(cls, sources, registry: ModeRegistry, probes=()) -> "LowRankState":
-        """Exact factor of the state `prepare` builds, with optional probe columns.
+    def of(cls, sources, registry: ModeRegistry, probes: np.ndarray) -> "LowRankState":
+        """Exact factor of the state `prepare` builds, with the 2M x p probe columns.
 
-        Sources fill cov - I/2 only on the quadratures they occupy (at
-        most four for a pair source).  Installing them on a zero
-        covariance gives that block directly as C, with V the unit
+        Sources fill cov - I/2 only on the quadratures they occupy (at most
+        four for a pair source).  Installing them on a zero covariance of
+        just the modes they touch gives that block as C, with V the unit
         columns of its quadratures: no rank cutoff, and no I/2 to subtract
         again, which would cost the relative accuracy of small mu.
         """
-        m = len(registry)
-        excess = GaussianState(registry, np.zeros(2 * m), np.zeros((2 * m, 2 * m)))
+        touched = {i for s in sources for i in _claimed_indices(s, registry)}
+        touched = sorted(touched | {registry.idler_index()} - {None})
+        local = ModeRegistry(tuple(registry.labels[i] for i in touched))
+        n = 2 * len(local)
+        excess = GaussianState(local, np.zeros(n), np.zeros((n, n)))
         for source in sources:
-            _install_source(excess, source, registry)
+            _install_source(excess, source, local)
         support = np.flatnonzero(np.any(excess.cov != 0.0, axis=1))
-        v = np.eye(2 * m)[:, support]
-        columns = [v, excess.mean[:, None]] + [np.asarray(p)[:, None] for p in probes]
-        return cls(registry, np.hstack(columns), excess.cov[np.ix_(support, support)])
+        rows = _quad_indices(touched)
+        factor = np.zeros((2 * len(registry), len(support) + 1 + probes.shape[1]))
+        factor[rows[support], np.arange(len(support))] = 1.0
+        factor[rows, len(support)] = excess.mean
+        factor[:, len(support) + 1 :] = probes
+        return cls(registry, factor, excess.cov[np.ix_(support, support)])
 
-    def passive(self, u: np.ndarray) -> "LowRankState":
-        """Like apply_passive: the symplectic of `u` acts on every column."""
-        return replace(self, factor=symplectic_from_unitary(u) @ self.factor)
+    def passive(self, modes, images: np.ndarray) -> "LowRankState":
+        """Like apply_passive, from the images U[:, modes] of `modes` alone;
+        the factor must be zero on every other mode's quadratures."""
+        quads = _quad_indices(modes)
+        return replace(self, factor=symplectic_from_unitary(images) @ self.factor[quads])
 
     def loss(self, eta: float, modes) -> "LowRankState":
         """Like apply_loss: the rows of the lossy modes scale by sqrt(eta)."""

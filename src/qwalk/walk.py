@@ -26,6 +26,7 @@ __all__ = [
     "WalkConfig",
     "coin_matrix",
     "step_unitary",
+    "walk_columns",
     "walk_unitary",
     "sector_extend",
     "aggregate_transmission",
@@ -138,30 +139,28 @@ def step_unitary(layer: LayerParams, bins: int) -> np.ndarray:
     return _shift_matrix(bins) @ coin
 
 
-def _coin_rows(layer: LayerParams, rows: np.ndarray, bins: int) -> np.ndarray:
-    """The layer's coin mixing the H and V blocks of `rows` bin by bin."""
-    c = coin_matrix(layer.omega, layer.gamma)
-    h, v = rows[:bins], rows[bins:]
-    return np.concatenate((c[0, 0] * h + c[0, 1] * v, c[1, 0] * h + c[1, 1] * v))
+def walk_columns(config: WalkConfig, inputs: np.ndarray) -> np.ndarray:
+    """The walk applied to input amplitude columns over its 2B modes.
 
-
-def _shift_rows(rows: np.ndarray, bins: int) -> np.ndarray:
-    """`_shift_matrix(bins) @ rows`: the V block rolls one bin later."""
-    return np.concatenate((rows[:bins], np.roll(rows[bins:], 1, axis=0)))
+    Each step acts on the rows directly, not as a dense step product: the
+    coin mixes the H and V row blocks bin by bin, then the V block rolls
+    one bin later, cyclically as in `_shift_matrix`.  Columns never mix, so
+    each equals its column of `walk_unitary` bit for bit.  Crystal
+    transmissions are not included; see `aggregate_transmission`.
+    """
+    bins = config.bin_capacity
+    h, v = np.split(np.asarray(inputs, dtype=complex), [bins])
+    for layer in config.layers:
+        c = coin_matrix(layer.omega, layer.gamma)
+        h, v = c[0, 0] * h + c[0, 1] * v, c[1, 0] * h + c[1, 1] * v
+        v = np.concatenate((v[-1:], v[:-1]))
+    return np.concatenate((h, v))
 
 
 def walk_unitary(config: WalkConfig) -> np.ndarray:
-    """Ordered product of all steps, first layer applied first.
-
-    Each step acts on the rows directly, not as a dense step product: the
-    coin mixes the H and V row blocks, then the V block shifts by one bin.
-    Crystal transmissions are not included; see `aggregate_transmission`.
-    """
-    bins = config.bin_capacity
-    total = np.eye(2 * bins, dtype=complex)
-    for layer in config.layers:
-        total = _shift_rows(_coin_rows(layer, total, bins), bins)
-    return total
+    """Ordered product of all steps, first layer applied first.  Batched
+    scans never form it: they walk their inputs' columns alone."""
+    return walk_columns(config, np.eye(2 * config.bin_capacity, dtype=complex))
 
 
 def sector_extend(u: np.ndarray) -> np.ndarray:

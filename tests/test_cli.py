@@ -175,6 +175,25 @@ def test_invalid_walk_values_exit_two(tmp_path, capsys, walk):
     assert "experiment.walk" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "experiment:\n  kind: two-fold\n  walk:\n    n_steps: 2\n  mu_xi: .inf\n",
+        "experiment:\n  kind: two-fold\n  walk:\n    n_steps: 2\n  mu_alpha: .nan\n",
+        TWO_FOLD_YAML + "oracle_check:\n  enabled: true\n  tolerance: .nan\n",
+        TWO_FOLD_YAML + "oracle_check:\n  enabled: true\n  leak_target: .nan\n",
+    ],
+    ids=["inf-mu-xi", "nan-mu-alpha", "nan-tolerance", "nan-leak-target"],
+)
+def test_non_finite_numbers_exit_two(tmp_path, capsys, entry):
+    config = write_config(tmp_path, entry)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out.csv")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigInvalid"
+    assert "must be finite" in payload["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_hom_with_ideal_herald_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, HOM_YAML + "  ideal_herald: true\n")
     for command in ("simulate", "fit-overlap"):

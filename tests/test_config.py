@@ -71,6 +71,28 @@ def test_type_errors_are_reported():
         RunConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("oracle_check", "tolerance", float("nan")),
+        ("oracle_check", "leak_target", float("nan")),
+        ("oracle_check", "leak_target", float("inf")),
+        ("experiment", "mu_xi", float("inf")),
+        ("experiment", "mu_alpha", float("nan")),
+        ("experiment", "mu_xi", 10**400),
+    ],
+    ids=["nan-tolerance", "nan-leak", "inf-leak", "inf-mu-xi", "nan-mu-alpha", "huge-int"],
+)
+def test_numbers_must_be_finite(section, key, value):
+    # a NaN tolerance passed every oracle check, a NaN leak target was
+    # refused only late, as a truncation failure, and an integer beyond the
+    # float range crashed the conversion
+    bad = deep(MINIMAL)
+    bad.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigInvalid, match=f"{section}.{key} must be finite"):
+        RunConfig.from_dict(bad)
+
+
 def test_walk_section_requires_n_steps():
     with pytest.raises(ConfigInvalid):
         RunConfig.from_dict({"experiment": {"walk": {}}})

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,8 +26,15 @@ from qwalk.experiments import (
     verify_against_oracle,
 )
 from qwalk.fock import ThresholdOracle
+from qwalk.gaussian import GaussianState, LowRankState, _install_source, symplectic_from_unitary
 from qwalk.modes import IDLER, ModeIndex, ModeRegistry, Pol
-from qwalk.walk import LayerParams, WalkConfig, aggregate_transmission, walk_unitary
+from qwalk.walk import (
+    LayerParams,
+    WalkConfig,
+    aggregate_transmission,
+    sector_extend,
+    walk_unitary,
+)
 
 SCAN_KINDS = ("one-fold", "two-fold", "three-fold")
 
@@ -74,6 +82,14 @@ def test_spec_validation():
         ExperimentSpec(walk=WalkConfig.uniform(0), kind="three-fold")
     with pytest.raises(ConfigInvalid):
         ExperimentSpec(walk=WalkConfig.uniform(2), kind="hom")
+
+
+@pytest.mark.parametrize("field, value", [("mu_xi", np.inf), ("mu_alpha", np.nan)])
+def test_mean_photon_numbers_must_be_finite(field, value):
+    # an infinite pair gain used to write NaN probabilities, and a NaN
+    # coherent intensity silently dropped the coherent input
+    with pytest.raises(ConfigInvalid, match=field):
+        ExperimentSpec(walk=WalkConfig.uniform(1), **{field: value})
 
 
 def test_single_photon_one_step_lands_in_bin_one():
@@ -522,6 +538,80 @@ def test_scans_pick_their_route_by_register_size():
         raw = run_experiment(spec).raw
         assert raw == tuple((batched_scan if n == 7 else dense_scan)(spec))
         assert np.allclose(raw, dense_scan(spec), rtol=0.0, atol=1e-12)
+
+
+def reference_low_rank(spec):
+    """The batched factor built as before: the sources on a dense zero
+    covariance, the symplectic of the full M x M walk unitary, then loss."""
+    stage, bins = _stage(spec), spec.walk.bin_capacity
+    reg, m = stage.registry, len(stage.registry)
+    excess = GaussianState(reg, np.zeros(2 * m), np.zeros((2 * m, 2 * m)))
+    for source in stage.sources:
+        _install_source(excess, source, reg)
+    support = np.flatnonzero(np.any(excess.cov != 0.0, axis=1))
+    signal = reg.flatten(ModeIndex(Pol.H, 1, 0))
+    probes = [2 * signal, 2 * signal + 1] if spec.ideal_herald else []
+    eye, u = np.eye(2 * m), np.eye(m, dtype=complex)
+    u[: 4 * bins, : 4 * bins] = sector_extend(walk_unitary(spec.walk))
+    columns = np.hstack((eye[:, support], excess.mean[:, None], eye[:, probes]))
+    core = excess.cov[np.ix_(support, support)]
+    state = LowRankState(reg, symplectic_from_unitary(u) @ columns, core)
+    for eta, modes in stage.losses:
+        state = state.loss(eta, modes)
+    return state
+
+
+@given(
+    n_steps=st.integers(min_value=1, max_value=60),
+    spare=st.integers(min_value=0, max_value=3),
+    herald=st.sampled_from(("heralded", "unheralded", "ideal")),
+    pair_source=st.sampled_from(("tmsv", "squashed")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_low_rank_stage_equals_the_full_register_construction(
+    n_steps, spare, herald, pair_source, seed
+):
+    # the walk's t1 columns alone give the factor bit for bit: each of its
+    # entries is one nonzero product either way
+    rng = np.random.default_rng(seed)
+    walk = random_walk(rng, n_steps)
+    spec = ExperimentSpec(
+        walk=WalkConfig(n_steps, walk.layers, n_steps + 1 + spare),
+        kind="two-fold",
+        mu_alpha=float(rng.uniform(0.0, 0.5)),
+        mu_xi=float(rng.uniform(0.0, 0.2)),
+        overlap=float(rng.uniform(0.0, 1.0)),
+        eta_sys=float(rng.uniform(0.5, 1.0)),
+        eta_idler=float(rng.uniform(0.5, 1.0)),
+        heralded=herald != "unheralded",
+        ideal_herald=herald == "ideal",
+        pair_source=pair_source,
+    )
+    state, reference = _stage(spec).low_rank, reference_low_rank(spec)
+    assert state.registry == reference.registry
+    assert np.array_equal(state.factor, reference.factor)
+    assert np.array_equal(state.core, reference.core)
+
+
+@pytest.mark.parametrize("herald", ("heralded", "ideal"))
+def test_batched_stage_forms_no_register_sized_square(herald):
+    # at N = 1001 (M = 4009 modes) one real 2M x 2M matrix is 514 MB and the
+    # complex M x M walk unitary 257 MB; the batched stage needs neither
+    spec = ExperimentSpec(
+        walk=WalkConfig.uniform(1001),
+        kind="two-fold",
+        eta_sys=0.9,
+        eta_idler=0.8,
+        ideal_herald=herald == "ideal",
+    )
+    tracemalloc.start()
+    try:
+        _stage(spec).low_rank
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def per_point_raw(spec):

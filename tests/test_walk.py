@@ -12,6 +12,7 @@ from qwalk.walk import (
     coin_matrix,
     sector_extend,
     step_unitary,
+    walk_columns,
     walk_unitary,
 )
 
@@ -187,6 +188,28 @@ def test_t1_columns_never_reach_the_cyclic_wrap(n_steps, seed):
         column = spare[:, pol * (b + 1)]
         assert np.array_equal(tight[:, pol * b], column[keep])
         assert not column[[b, 2 * b + 1]].any()
+
+
+@given(
+    n_steps=st.integers(min_value=0, max_value=60),
+    spare=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_walk_columns_are_the_unitarys_columns(n_steps, spare, seed):
+    # columns never mix, so walking any inputs alone gives exactly their
+    # columns of the full unitary, also on registers with spare bins
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        LayerParams(omega=rng.uniform(0, 2 * np.pi), gamma=rng.uniform(0, 2 * np.pi))
+        for _ in range(n_steps)
+    )
+    for capacity in (n_steps + 1, n_steps + 1 + spare):
+        config = WalkConfig(n_steps, layers, capacity)
+        u = walk_unitary(config)
+        picked = rng.choice(2 * capacity, size=min(3, 2 * capacity), replace=False)
+        inputs = np.eye(2 * capacity)[:, picked]
+        assert np.array_equal(walk_columns(config, inputs), u[:, picked])
 
 
 def test_sector_extend_block_structure():
