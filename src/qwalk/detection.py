@@ -54,7 +54,7 @@ from .errors import (
     ZeroHeraldRate,
 )
 from .gaussian import GaussianState, LowRankState, append_modes, apply_passive
-from .modes import ExtraMode, ModeIndex, Pol
+from .modes import IDLER, ModeIndex, Pol, flat_index
 
 __all__ = [
     "GateSpec",
@@ -162,21 +162,18 @@ def build_layout(state: GaussianState, gates=()) -> tuple[GaussianState, Detecto
 
     `gates` holds at most two entries (gate 1 feeds APD3, gate 2 feeds
     APD4); use None to leave a slot dark.  The returned state is the
-    input extended by the routing modes.
+    input extended by one vacuum routing mode per gate and sector; taps,
+    the bucket's H outputs and the idler are found by `flat_index`.
     """
     slots = resolve_gate_slots(gates)
-    bins = state.registry.bins
+    bins = state.bins
     routing: dict[int, list[int]] = {0: [], 1: []}
     for k, gate in enumerate(slots):
         if gate is None:
             continue
-        if gate.bin > bins:
-            raise IndexOutOfRange(
-                f"gate bin {gate.bin} exceeds register capacity {bins}"
-            )
         for sector in (0, 1):
-            tap = state.registry.flatten(ModeIndex(Pol.H, gate.bin, sector))
-            state = append_modes(state, (ExtraMode(f"gate{k + 1}_s{sector}"),))
+            tap = flat_index(ModeIndex(Pol.H, gate.bin, sector), bins)
+            state = append_modes(state, 1)
             new = state.n_modes - 1
             u = np.eye(state.n_modes, dtype=complex)
             r = np.sqrt(gate.efficiency)
@@ -188,10 +185,10 @@ def build_layout(state: GaussianState, gates=()) -> tuple[GaussianState, Detecto
             state = apply_passive(state, u)
             routing[k].append(new)
 
-    idler = state.registry.idler_index()
+    bucket = [ModeIndex(Pol.H, m, s) for s in (0, 1) for m in range(1, bins + 1)]
     detectors = (
-        Detector("APD1", frozenset(() if idler is None else (idler,))),
-        Detector("APD2", frozenset(state.registry.walk_indices(pol=Pol.H))),
+        Detector("APD1", frozenset((flat_index(IDLER, bins),) if state.idler else ())),
+        Detector("APD2", frozenset(flat_index(label, bins) for label in bucket)),
         Detector("APD3", frozenset(routing[0])),
         Detector("APD4", frozenset(routing[1])),
     )
@@ -434,7 +431,8 @@ def scan_patterns(
     probe columns they are the injection map of one ideal-herald photon,
     and the values are those of ClickCalculator.single_photon.
 
-    Routing only touches the two tapped (H, t_m) modes per sector, so each
+    Routing only touches the two tapped (H, t_m) modes per sector, found
+    with the idler by `flat_index` on the state's `bins`, so each
     detector's Gram F_S^T F_S is a weighted sum of per-bin Grams G_m over
     both sectors: APD3 and APD4 get efficiency * G_m of their bin, APD2
     the H total minus those shares, APD1 the idler.  A union with APD2 is
@@ -450,9 +448,8 @@ def scan_patterns(
     slots = np.asarray(slots, dtype=int).reshape(-1, 2)
     if not len(slots):
         return np.zeros(0)
-    registry, f = state.registry, state.factor
+    f, bins = state.factor, state.bins
     k = f.shape[1]
-    bins = registry.bins
     if slots.min() < 0 or slots.max() > bins:
         raise IndexOutOfRange(f"gate bins must lie in 1..{bins}")
     if np.any((slots[:, 0] == slots[:, 1]) & (slots[:, 0] > 0)):
@@ -461,7 +458,7 @@ def scan_patterns(
         raise EtaOutOfRange(f"gate efficiency must lie in [0, 1], got {efficiency}")
     taps = np.array(
         [
-            [q for s in (0, 1) for q in _quads(registry.flatten(ModeIndex(Pol.H, m, s)))]
+            [q for s in (0, 1) for q in _quads(flat_index(ModeIndex(Pol.H, m, s), bins))]
             for m in range(1, bins + 1)
         ]
     )
@@ -475,10 +472,9 @@ def scan_patterns(
     clicked = tuple(clicked)
     rate = 1.0
     if heralded:
-        idler = registry.idler_index()
-        if idler is None:
+        if not state.idler:
             raise ZeroHeraldRate("no idler mode is present to herald on")
-        rows = f[_quads(idler)]
+        rows = f[_quads(flat_index(IDLER, bins))]
         herald = rows.T @ rows
         excess = _no_click_excess(herald[None], state.core, lambda i: "herald detector APD1")
         rate = -float(excess[0])

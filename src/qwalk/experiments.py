@@ -49,7 +49,7 @@ from .gaussian import (
     apply_passive,
     prepare,
 )
-from .modes import ModeIndex, ModeRegistry, Pol
+from .modes import IDLER, ModeIndex, Pol, flat_index
 from .walk import (
     WalkConfig,
     aggregate_transmission,
@@ -187,16 +187,16 @@ class _Stage:
     """
 
     walk: WalkConfig
-    registry: ModeRegistry
+    idler: bool
     sources: tuple
     probe_means: np.ndarray  # 2M x (0 or 2): the ideal-herald probes before the optics
     losses: list  # (transmission, modes) pairs
 
     @cached_property
     def _dense(self) -> list:
-        bins, m = self.walk.bin_capacity, len(self.registry)
+        bins, m = self.walk.bin_capacity, len(self.probe_means) // 2
         states = [prepare(self.sources, bins=bins)]
-        states += [GaussianState(self.registry, p, 0.5 * np.eye(2 * m)) for p in self.probe_means.T]
+        states += [GaussianState(bins, self.idler, p, 0.5 * np.eye(2 * m)) for p in self.probe_means.T]
         u = np.eye(m, dtype=complex)
         u[: 4 * bins, : 4 * bins] = sector_extend(_walk_unitary(self.walk))
         states = [apply_passive(s, u) for s in states]
@@ -214,16 +214,17 @@ class _Stage:
 
     @cached_property
     def low_rank(self) -> LowRankState:
-        registry, bins = self.registry, self.walk.bin_capacity
-        # the inputs enter at t1, flat modes 0, B, 2B, 3B (H, V in either
-        # sector); the idler bypasses the walk
-        idler = registry.idler_index()
-        modes = list(range(0, 4 * bins, bins)) + ([] if idler is None else [idler])
-        images = np.zeros((len(registry), len(modes)), dtype=complex)
+        bins = self.walk.bin_capacity
+        # the inputs enter at t1 (H, V in either sector); the idler bypasses the walk
+        modes = [flat_index(ModeIndex(pol, 1, s), bins) for s in (0, 1) for pol in (Pol.H, Pol.V)]
+        if self.idler:
+            modes.append(flat_index(IDLER, bins))
+        images = np.zeros((len(self.probe_means) // 2, len(modes)), dtype=complex)
         images[modes, range(len(modes))] = 1.0
+        # each sector's 2B walk modes form one block, walked alike
         walked = walk_columns(self.walk, images[: 2 * bins, :2])
         images[: 2 * bins, :2] = images[2 * bins : 4 * bins, 2:4] = walked
-        state = LowRankState.of(self.sources, registry, self.probe_means)
+        state = LowRankState.of(self.sources, bins, self.probe_means)
         state = state.passive(modes, images)
         for eta, modes in self.losses:
             state = state.loss(eta, modes)
@@ -253,22 +254,22 @@ def _stage(spec: ExperimentSpec) -> _Stage:
     bins = spec.walk.bin_capacity
     sources = _sources(spec)
     gaussian = tuple(s for s in sources if s.kind != "fock1")
-    registry = ModeRegistry.for_walk(bins, idler=any(s.kind in _PAIR_SOURCES for s in sources))
+    has_idler = any(s.kind in _PAIR_SOURCES for s in sources)
+    idler = flat_index(IDLER, bins)  # the walk modes come first, then the idler if present
 
     # unit probes along the photon's quadratures: pushed through, the injection map
-    photons = [registry.flatten(s.target) for s in sources if s.kind == "fock1"]
+    photons = [flat_index(s.target, bins) for s in sources if s.kind == "fock1"]
     quads = [2 * i + o for i in photons for o in (0, 1)]
-    probes = np.zeros((2 * len(registry), len(quads)))
+    probes = np.zeros((2 * (idler + has_idler), len(quads)))
     probes[quads, range(len(quads))] = 1.0
 
     losses = []
     eta_walk = aggregate_transmission(spec.walk) * spec.eta_sys
     if eta_walk < 1.0:
-        losses.append((eta_walk, range(4 * bins)))
-    idler = registry.idler_index()
-    if idler is not None and spec.eta_idler < 1.0:
+        losses.append((eta_walk, range(idler)))
+    if has_idler and spec.eta_idler < 1.0:
         losses.append((spec.eta_idler, (idler,)))
-    return _Stage(spec.walk, registry, gaussian, probes, losses)
+    return _Stage(spec.walk, has_idler, gaussian, probes, losses)
 
 
 def _gate_point(stage: _Stage, gates) -> tuple:
@@ -365,17 +366,12 @@ def _hom_layout(state: GaussianState) -> DetectorLayout:
     APD4 watches the (H, t1) arm and APD2 the (V, t2) arm, in both
     sectors, with the herald on APD1 as always.  APD3 is unused.
     """
-    registry = state.registry
-    idler = registry.idler_index()
-    arm_h = frozenset(
-        registry.flatten(ModeIndex(Pol.H, 1, s)) for s in (0, 1)
-    )
-    arm_v = frozenset(
-        registry.flatten(ModeIndex(Pol.V, 2, s)) for s in (0, 1)
-    )
+    bins = state.bins
+    arm_h = frozenset(flat_index(ModeIndex(Pol.H, 1, s), bins) for s in (0, 1))
+    arm_v = frozenset(flat_index(ModeIndex(Pol.V, 2, s), bins) for s in (0, 1))
     return DetectorLayout(
         (
-            Detector("APD1", frozenset(() if idler is None else (idler,))),
+            Detector("APD1", frozenset((flat_index(IDLER, bins),) if state.idler else ())),
             Detector("APD2", arm_v),
             Detector("APD3", frozenset()),
             Detector("APD4", arm_h),

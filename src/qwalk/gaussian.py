@@ -27,7 +27,7 @@ from .errors import (
     NonUnitary,
     UnphysicalState,
 )
-from .modes import ModeIndex, ModeRegistry
+from .modes import IDLER, ModeIndex, flat_index
 
 __all__ = [
     "GaussianState",
@@ -81,18 +81,24 @@ def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianState:
-    """Mean vector and covariance over a mode register."""
+    """Mean vector and covariance over the register of a `bins`-bin walk.
 
-    registry: ModeRegistry
+    The register holds the walk modes at their `modes.flat_index`, the
+    herald idler when `idler` is set, then any vacuum modes that
+    `append_modes` added; `n_modes` counts them all.
+    """
+
+    bins: int
+    idler: bool
     mean: np.ndarray
     cov: np.ndarray
 
     @property
     def n_modes(self) -> int:
-        return len(self.registry)
+        return len(self.mean) // 2
 
     def copy(self) -> "GaussianState":
-        return GaussianState(self.registry, self.mean.copy(), self.cov.copy())
+        return GaussianState(self.bins, self.idler, self.mean.copy(), self.cov.copy())
 
     def validate(self, atol: float = _PHYSICALITY_TOL) -> None:
         """Check shapes, symmetry, and the bosonic uncertainty bound.
@@ -126,8 +132,8 @@ class SourceSpec:
     heralded reference: a fraction `overlap` of its mean photon number
     lands in sector 0 and the rest in the sector-1 copy.  Pair sources
     define the reference, so their signal always sits in sector 0 and
-    the conjugate idler is appended as an auxiliary mode.  A run has one
-    coherent input, so its phase is the reference and not a parameter.
+    the conjugate on the idler.  A run has one coherent input, so its
+    phase is the reference and not a parameter.
 
     `fock1` is the ideal-herald photon, one photon in its target mode:
     the Fock-space oracle takes it as a source, `prepare` refuses it, and
@@ -152,24 +158,25 @@ class SourceSpec:
             )
 
 
-def vacuum_state(registry: ModeRegistry) -> GaussianState:
-    m = len(registry)
-    return GaussianState(registry, np.zeros(2 * m), 0.5 * np.eye(2 * m))
+def vacuum_state(bins: int, idler: bool = False) -> GaussianState:
+    m = flat_index(IDLER, bins) + idler  # the idler follows the walk modes
+    return GaussianState(bins, idler, np.zeros(2 * m), 0.5 * np.eye(2 * m))
 
 
-def _claimed_indices(source: SourceSpec, registry: ModeRegistry) -> tuple[int, ...]:
+def _claimed_indices(source: SourceSpec, bins: int) -> tuple[int, ...]:
     """Flat indices a source occupies; both sector copies are claimed."""
-    s0 = registry.flatten(source.target)
-    s1 = registry.flatten(replace(source.target, sector=1))
+    s0 = flat_index(source.target, bins)
+    s1 = flat_index(replace(source.target, sector=1), bins)
     return (s0, s1)
 
 
 def prepare(sources, bins: int) -> GaussianState:
     """Assemble the input state for a list of sources.
 
-    Builds the canonical walk register of `bins` time bins, appending an
-    idler when a pair source is present.  Raises ModeCollision when two
-    sources claim the same bin and polarization.
+    Builds the walk register of `bins` time bins, with an idler when a
+    pair source is present.  Raises ModeCollision when two sources claim
+    the same bin and polarization, and IndexOutOfRange when a source's
+    bin lies beyond `bins`.
     """
     sources = tuple(sources)
     for source in sources:
@@ -178,43 +185,39 @@ def prepare(sources, bins: int) -> GaussianState:
     pair_sources = [s for s in sources if s.kind in PAIR_KINDS]
     if len(pair_sources) > 1:
         raise ValueError("at most one pair source is supported per run")
-    registry = ModeRegistry.for_walk(bins, idler=bool(pair_sources))
-
-    state = vacuum_state(registry)
+    state = vacuum_state(bins, idler=bool(pair_sources))
     claimed: set[int] = set()
     for source in sources:
-        indices = _claimed_indices(source, registry)
-        overlap_with_previous = claimed.intersection(indices)
-        if overlap_with_previous:
-            label = registry.unflatten(min(overlap_with_previous))
-            raise ModeCollision(f"two sources target mode {label!r}")
+        indices = _claimed_indices(source, bins)
+        if claimed.intersection(indices):
+            raise ModeCollision(f"two sources target mode {source.target!r}")
         claimed.update(indices)
-        _install_source(state, source, registry)
+        _install_source(state.mean, state.cov, source, indices + (flat_index(IDLER, bins),))
     return state
 
 
-def _install_source(state: GaussianState, source: SourceSpec, registry: ModeRegistry) -> None:
+def _install_source(mean: np.ndarray, cov: np.ndarray, source: SourceSpec, modes) -> None:
+    """Add a source to a mean and covariance in place; `modes` are the
+    positions of its target's sector-0 and sector-1 copies and the idler."""
     mu = source.mean_photon
-    s0 = registry.flatten(source.target)
-    s1 = registry.flatten(replace(source.target, sector=1))
+    s0, s1, idler = modes
     if mu == 0.0:
         return
     if source.kind == "coherent":
         # real amplitude: the x quadrature carries it, p stays zero
         for mode, fraction in ((s0, source.overlap), (s1, 1.0 - source.overlap)):
-            state.mean[2 * mode] = np.sqrt(2.0) * np.sqrt(fraction * mu)
+            mean[2 * mode] = np.sqrt(2.0) * np.sqrt(fraction * mu)
         return
     if source.kind == "thermal":
-        state.cov[2 * s0 : 2 * s0 + 2, 2 * s0 : 2 * s0 + 2] += mu * np.eye(2)
+        cov[2 * s0 : 2 * s0 + 2, 2 * s0 : 2 * s0 + 2] += mu * np.eye(2)
         return
-    # pair sources: signal in sector 0, conjugate idler on the appended mode
-    idler = registry.idler_index()
+    # pair sources: signal in sector 0, conjugate on the idler
     cross = np.sqrt(mu * (mu + 1.0)) if source.kind == "tmsv" else mu
     block = cross * np.diag([1.0, -1.0])
     for mode in (s0, idler):
-        state.cov[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] += mu * np.eye(2)
-    state.cov[2 * s0 : 2 * s0 + 2, 2 * idler : 2 * idler + 2] = block
-    state.cov[2 * idler : 2 * idler + 2, 2 * s0 : 2 * s0 + 2] = block.T
+        cov[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] += mu * np.eye(2)
+    cov[2 * s0 : 2 * s0 + 2, 2 * idler : 2 * idler + 2] = block
+    cov[2 * idler : 2 * idler + 2, 2 * s0 : 2 * s0 + 2] = block.T
 
 
 def apply_passive(state: GaussianState, u: np.ndarray) -> GaussianState:
@@ -228,7 +231,7 @@ def apply_passive(state: GaussianState, u: np.ndarray) -> GaussianState:
         raise NonUnitary(f"mode map deviates from unitarity by {defect:.3e}")
     s = symplectic_from_unitary(u)
     cov = s @ state.cov @ s.T
-    return GaussianState(state.registry, s @ state.mean, 0.5 * (cov + cov.T))
+    return GaussianState(state.bins, state.idler, s @ state.mean, 0.5 * (cov + cov.T))
 
 
 def apply_loss(state: GaussianState, eta: float, modes=None) -> GaussianState:
@@ -250,19 +253,17 @@ def apply_loss(state: GaussianState, eta: float, modes=None) -> GaussianState:
     noise = np.zeros(2 * m)
     noise[_quad_indices(modes)] = 0.5 * (1.0 - eta)
     cov[np.diag_indices_from(cov)] += noise
-    return GaussianState(state.registry, scale * state.mean, cov)
+    return GaussianState(state.bins, state.idler, scale * state.mean, cov)
 
 
-def append_modes(state: GaussianState, labels) -> GaussianState:
-    """Extend the register with fresh vacuum modes."""
-    labels = tuple(labels)
-    registry = state.registry.with_appended(labels)
-    m_old, m_new = state.n_modes, len(registry)
+def append_modes(state: GaussianState, count: int) -> GaussianState:
+    """Extend the register with `count` fresh vacuum modes."""
+    m_old, m_new = state.n_modes, state.n_modes + count
     mean = np.zeros(2 * m_new)
     mean[: 2 * m_old] = state.mean
     cov = 0.5 * np.eye(2 * m_new)
     cov[: 2 * m_old, : 2 * m_old] = state.cov
-    return GaussianState(registry, mean, cov)
+    return GaussianState(state.bins, state.idler, mean, cov)
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,8 @@ class LowRankState:
 
     `factor` stacks the columns [V | d | probes] over the register's 2M
     quadratures: r columns of V, the mean, then any probe columns carried
-    through the same optics (the ideal-herald injection map).  `core` is
+    through the same optics (the ideal-herald injection map), on the
+    register `GaussianState` describes by `bins` and `idler`.  `core` is
     the r x r symmetric matrix C; it may be indefinite (nonclassical
     light) or singular (the squashed source).  Passive optics act on the
     factor through the images of the modes it occupies and loss with
@@ -279,13 +281,15 @@ class LowRankState:
     covariance nor a full-register unitary or symplectic is ever formed.
     """
 
-    registry: ModeRegistry
+    bins: int
+    idler: bool
     factor: np.ndarray
     core: np.ndarray
 
     @classmethod
-    def of(cls, sources, registry: ModeRegistry, probes: np.ndarray) -> "LowRankState":
-        """Exact factor of the state `prepare` builds, with the 2M x p probe columns.
+    def of(cls, sources, bins: int, probes: np.ndarray) -> "LowRankState":
+        """Exact factor of the state `prepare(sources, bins)` builds, with the
+        2M x p probe columns.
 
         Sources fill cov - I/2 only on the quadratures they occupy (at most
         four for a pair source).  Installing them on a zero covariance of
@@ -293,20 +297,25 @@ class LowRankState:
         columns of its quadratures: no rank cutoff, and no I/2 to subtract
         again, which would cost the relative accuracy of small mu.
         """
-        touched = {i for s in sources for i in _claimed_indices(s, registry)}
-        touched = sorted(touched | {registry.idler_index()} - {None})
-        local = ModeRegistry(tuple(registry.labels[i] for i in touched))
-        n = 2 * len(local)
-        excess = GaussianState(local, np.zeros(n), np.zeros((n, n)))
-        for source in sources:
-            _install_source(excess, source, local)
-        support = np.flatnonzero(np.any(excess.cov != 0.0, axis=1))
+        idler = any(s.kind in PAIR_KINDS for s in sources)
+        claims = [_claimed_indices(s, bins) for s in sources]
+        touched = {i for claim in claims for i in claim}
+        if idler:
+            touched.add(flat_index(IDLER, bins))
+        touched = sorted(touched)
+        local = {i: j for j, i in enumerate(touched)}
+        n = 2 * len(touched)
+        mean, cov = np.zeros(n), np.zeros((n, n))
+        idler_at = local.get(flat_index(IDLER, bins))
+        for source, (s0, s1) in zip(sources, claims):
+            _install_source(mean, cov, source, (local[s0], local[s1], idler_at))
+        support = np.flatnonzero(np.any(cov != 0.0, axis=1))
         rows = _quad_indices(touched)
-        factor = np.zeros((2 * len(registry), len(support) + 1 + probes.shape[1]))
+        factor = np.zeros((len(probes), len(support) + 1 + probes.shape[1]))
         factor[rows[support], np.arange(len(support))] = 1.0
-        factor[rows, len(support)] = excess.mean
+        factor[rows, len(support)] = mean
         factor[:, len(support) + 1 :] = probes
-        return cls(registry, factor, excess.cov[np.ix_(support, support)])
+        return cls(bins, idler, factor, cov[np.ix_(support, support)])
 
     def passive(self, modes, images: np.ndarray) -> "LowRankState":
         """Like apply_passive, from the images U[:, modes] of `modes` alone;
@@ -325,7 +334,7 @@ class LowRankState:
         r = len(self.core)
         v = self.factor[:, :r]
         cov = 0.5 * np.eye(v.shape[0]) + v @ self.core @ v.T
-        return GaussianState(self.registry, self.factor[:, r].copy(), 0.5 * (cov + cov.T))
+        return GaussianState(self.bins, self.idler, self.factor[:, r].copy(), 0.5 * (cov + cov.T))
 
 
 def mean_photons(state: GaussianState) -> np.ndarray:

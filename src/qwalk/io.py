@@ -134,6 +134,14 @@ def _parse_csv(text: str, path: str):
     return kind, headers, config, columns, rows[1:]
 
 
+def _bin(field) -> int:
+    """A time-bin label; int() alone would read 1.7 as bin 1."""
+    value = int(field)
+    if value != float(field):
+        raise ValueError(f"bin label {field!r} is not a whole number")
+    return value
+
+
 def read_distribution(path: str):
     """Load one artifact back as (Distribution, config mapping)."""
     try:
@@ -176,19 +184,22 @@ def read_distribution(path: str):
         raise IoError(f"{path}: unexpected columns {columns!r}")
 
     labels, probs, raws = [], [], []
-    for row in rows:
-        if len(row) != n_label + 2:
-            raise IoError(f"{path}: ragged row {row!r}")
-        fields = row[:n_label]
-        if kind == "hom":
-            label = float(fields[0])
-        elif n_label == 1:
-            label = int(fields[0])
-        else:
-            label = tuple(int(f) for f in fields)
-        labels.append(label)
-        probs.append(float(row[n_label]))
-        raws.append(float(row[n_label + 1]))
+    try:
+        for row in rows:
+            if len(row) != n_label + 2:
+                raise IoError(f"{path}: ragged row {row!r}")
+            fields = row[:n_label]
+            if kind == "hom":
+                label = float(fields[0])
+            elif n_label == 1:
+                label = _bin(fields[0])
+            else:
+                label = tuple(_bin(f) for f in fields)
+            labels.append(label)
+            probs.append(float(row[n_label]))
+            raws.append(float(row[n_label + 1]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IoError(f"{path}: malformed row ({exc})") from exc
 
     dist = Distribution(
         kind=kind,

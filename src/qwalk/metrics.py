@@ -27,6 +27,8 @@ def _check_normalized(dist: Distribution, side: str):
             f"{side} distribution carries {dist.normalization!r} values, "
             "not outcome probabilities"
         )
+    if not all(math.isfinite(p) for p in dist.probs):
+        raise NotNormalized(f"{side} distribution has non-finite entries")
     total = sum(dist.probs)
     if abs(total - 1.0) > _NORM_ATOL:
         raise NotNormalized(f"{side} distribution sums to {total!r}")

@@ -28,7 +28,7 @@ from qwalk.experiments import (
 )
 from qwalk.fock import SourceSpec, ThresholdOracle
 from qwalk.gaussian import classicality_eigenvalues, prepare
-from qwalk.modes import ModeIndex, ModeRegistry, Pol
+from qwalk.modes import ModeIndex, Pol, flat_index
 from qwalk.walk import LayerParams, WalkConfig, walk_unitary
 
 SIGNAL = ModeIndex(Pol.H, 1, 0)
@@ -49,11 +49,11 @@ def random_walk(rng, n_steps, transmission=1.0):
 def h_restricted_column(walk):
     """Renormalized |walk column|^2 of the (H, t1) input over H outputs."""
     u = walk_unitary(walk)
-    reg = ModeRegistry.for_walk(walk.bin_capacity)
-    col = u[:, reg.flatten(SIGNAL)]
+    bins = walk.bin_capacity
+    col = u[:, flat_index(SIGNAL, bins)]
     weights = np.array(
         [
-            abs(col[reg.flatten(ModeIndex(Pol.H, m, 0))]) ** 2
+            abs(col[flat_index(ModeIndex(Pol.H, m, 0), bins)]) ** 2
             for m in range(1, walk.n_steps + 2)
         ]
     )

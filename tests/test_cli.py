@@ -244,6 +244,60 @@ def test_compare_rejects_mismatched_scans(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "LabelMismatch"
 
 
+def simulated(tmp_path, text, fmt):
+    out = tmp_path / f"good.{fmt}"
+    config = write_config(tmp_path, text)
+    assert main(["simulate", "--config", config, "--format", fmt, "--out", str(out)]) == 0
+    return out
+
+
+def test_compare_refuses_non_finite_probabilities(tmp_path, capsys):
+    good = simulated(tmp_path, TWO_FOLD_YAML, "json")
+    payload = json.loads(good.read_text())
+    payload["rows"] = [row[:2] + [float("nan"), float("nan")] for row in payload["rows"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip())["error"] == "NotNormalized"
+    assert captured.out == ""
+
+
+def _text_bin(good, bad):
+    payload = json.loads(good.read_text())
+    payload["rows"][0] = ["a", 0.5, 0.1]
+    bad.write_text(json.dumps(payload))
+
+
+def _scalar_row(good, bad):
+    payload = json.loads(good.read_text())
+    payload["rows"][0] = 5
+    bad.write_text(json.dumps(payload))
+
+
+def _fractional_bin(good, bad):
+    lines = good.read_text().splitlines(keepends=True)
+    first = lines.index("bin,probability,raw_pattern_probability\n") + 1
+    assert lines[first].startswith("1,")
+    lines[first] = "1.7" + lines[first][1:]
+    bad.write_text("".join(lines))
+
+
+@pytest.mark.parametrize(
+    "fmt, corrupt",
+    [("json", _text_bin), ("json", _scalar_row), ("csv", _fractional_bin)],
+    ids=["text-bin", "scalar-row", "fractional-bin"],
+)
+def test_compare_refuses_malformed_rows(tmp_path, capsys, fmt, corrupt):
+    good = simulated(tmp_path, TWO_FOLD_YAML.replace("two-fold", "one-fold"), fmt)
+    bad = tmp_path / f"bad.{fmt}"
+    corrupt(good, bad)
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "IoError"
+
+
 def test_hom_simulation_and_fit(tmp_path, capsys):
     config = write_config(tmp_path, HOM_YAML)
     out = tmp_path / "hom.csv"

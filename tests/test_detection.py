@@ -31,7 +31,7 @@ from qwalk.gaussian import (
     symplectic_from_unitary,
     vacuum_state,
 )
-from qwalk.modes import ModeIndex, ModeRegistry, Pol
+from qwalk.modes import ModeIndex, Pol, flat_index
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
@@ -40,7 +40,7 @@ V1 = ModeIndex(Pol.V, 1, 0)
 def test_coherent_no_click_probability():
     # exp(-0.1)
     state = prepare((SourceSpec("coherent", H1, 0.1),), bins=1)
-    i = state.registry.flatten(H1)
+    i = flat_index(H1, state.bins)
     layout = DetectorLayout((Detector("APD1", frozenset({i})),))
     assert ClickCalculator(state, layout).no_click({i}) == pytest.approx(
         0.9048374180359595, abs=1e-14
@@ -50,7 +50,7 @@ def test_coherent_no_click_probability():
 def test_thermal_no_click_probability():
     # 1/(1 + mu)
     state = prepare((SourceSpec("thermal", H1, 0.026),), bins=1)
-    i = state.registry.flatten(H1)
+    i = flat_index(H1, state.bins)
     layout = DetectorLayout((Detector("APD1", frozenset({i})),))
     assert ClickCalculator(state, layout).no_click({i}) == pytest.approx(1.0 / 1.026, abs=1e-14)
 
@@ -137,8 +137,7 @@ def test_heralded_rejects_patterns_that_pin_the_idler():
 def test_gate_splits_photon_flux():
     # eta_K of the tapped light routes out, the rest stays on the walk mode
     state = prepare((SourceSpec("coherent", H1, 0.5),), bins=1)
-    reg = state.registry
-    tap = reg.flatten(H1)
+    tap = flat_index(H1, state.bins)
     routed, layout = build_layout(state, (GateSpec(1, efficiency=0.97),))
     photons = mean_photons(routed)
     routed_modes = layout.detector("APD3").modes
@@ -184,8 +183,7 @@ def test_probability_depends_on_mode_set_not_order():
         (SourceSpec("coherent", H1, 0.4), SourceSpec("coherent", V1, 0.2)),
         bins=1,
     )
-    reg = state.registry
-    a, b = reg.flatten(H1), reg.flatten(V1)
+    a, b = flat_index(H1, state.bins), flat_index(V1, state.bins)
     fwd = DetectorLayout(
         (Detector("APD1", frozenset({a})), Detector("APD2", frozenset({b})))
     )
@@ -215,8 +213,7 @@ def test_swapping_gate_bins_swaps_the_routing_detectors():
 
 def test_single_photon_splits_at_a_balanced_coupler():
     # one photon into a 50:50 splitter clicks each side half the time
-    registry = ModeRegistry.for_walk(1)
-    state = vacuum_state(registry)
+    state = vacuum_state(1)
     u = np.eye(4, dtype=complex)
     u[np.ix_((0, 2), (0, 2))] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     s = symplectic_from_unitary(u)
@@ -240,8 +237,7 @@ def test_single_photon_splits_at_a_balanced_coupler():
 
 
 def test_single_photon_into_a_watched_mode_always_clicks():
-    registry = ModeRegistry.for_walk(1)
-    state = vacuum_state(registry)
+    state = vacuum_state(1)
     injection = np.zeros((8, 2))
     injection[0, 0] = 1.0
     injection[1, 1] = 1.0
@@ -254,11 +250,10 @@ def test_single_photon_into_a_watched_mode_always_clicks():
 
 def unphysical(eig: float, idler: bool = False, bins=(1,), capacity: int = 1) -> LowRankState:
     """cov - I/2 = eig on the x quadrature of (H, t_m, s0) for each m in `bins`; no mean."""
-    registry = ModeRegistry.for_walk(capacity, idler=idler)
-    factor = np.zeros((2 * len(registry), len(bins) + 1))
+    factor = np.zeros((2 * (4 * capacity + idler), len(bins) + 1))
     for j, m in enumerate(bins):
-        factor[2 * registry.flatten(ModeIndex(Pol.H, m, 0)), j] = 1.0
-    return LowRankState(registry, factor, eig * np.eye(len(bins)))
+        factor[2 * flat_index(ModeIndex(Pol.H, m, 0), capacity), j] = 1.0
+    return LowRankState(capacity, idler, factor, eig * np.eye(len(bins)))
 
 
 def dense_one_fold(state: LowRankState) -> float:

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from qwalk.experiments import (
     verify_against_oracle,
 )
 from qwalk.fock import ThresholdOracle
-from qwalk.gaussian import GaussianState, LowRankState, _install_source, symplectic_from_unitary
-from qwalk.modes import IDLER, ModeIndex, ModeRegistry, Pol
+from qwalk.gaussian import LowRankState, _install_source, symplectic_from_unitary
+from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
 from qwalk.walk import (
     LayerParams,
     WalkConfig,
@@ -56,11 +57,11 @@ def ideal_spec(n_steps, **kw):
 def h_restricted_column(walk):
     """Renormalized |walk column|^2 of the (H, t1) input over H outputs."""
     u = walk_unitary(walk)
-    reg = ModeRegistry.for_walk(walk.bin_capacity)
-    col = u[:, reg.flatten(ModeIndex(Pol.H, 1, 0))]
+    bins = walk.bin_capacity
+    col = u[:, flat_index(ModeIndex(Pol.H, 1, 0), bins)]
     weights = np.array(
         [
-            abs(col[reg.flatten(ModeIndex(Pol.H, m, 0))]) ** 2
+            abs(col[flat_index(ModeIndex(Pol.H, m, 0), bins)]) ** 2
             for m in range(1, walk.n_steps + 2)
         ]
     )
@@ -544,18 +545,19 @@ def reference_low_rank(spec):
     """The batched factor built as before: the sources on a dense zero
     covariance, the symplectic of the full M x M walk unitary, then loss."""
     stage, bins = _stage(spec), spec.walk.bin_capacity
-    reg, m = stage.registry, len(stage.registry)
-    excess = GaussianState(reg, np.zeros(2 * m), np.zeros((2 * m, 2 * m)))
+    m = 4 * bins + stage.idler
+    mean, cov = np.zeros(2 * m), np.zeros((2 * m, 2 * m))
     for source in stage.sources:
-        _install_source(excess, source, reg)
-    support = np.flatnonzero(np.any(excess.cov != 0.0, axis=1))
-    signal = reg.flatten(ModeIndex(Pol.H, 1, 0))
+        sectors = [flat_index(replace(source.target, sector=s), bins) for s in (0, 1)]
+        _install_source(mean, cov, source, (*sectors, flat_index(IDLER, bins)))
+    support = np.flatnonzero(np.any(cov != 0.0, axis=1))
+    signal = flat_index(ModeIndex(Pol.H, 1, 0), bins)
     probes = [2 * signal, 2 * signal + 1] if spec.ideal_herald else []
     eye, u = np.eye(2 * m), np.eye(m, dtype=complex)
     u[: 4 * bins, : 4 * bins] = sector_extend(walk_unitary(spec.walk))
-    columns = np.hstack((eye[:, support], excess.mean[:, None], eye[:, probes]))
-    core = excess.cov[np.ix_(support, support)]
-    state = LowRankState(reg, symplectic_from_unitary(u) @ columns, core)
+    columns = np.hstack((eye[:, support], mean[:, None], eye[:, probes]))
+    core = cov[np.ix_(support, support)]
+    state = LowRankState(bins, stage.idler, symplectic_from_unitary(u) @ columns, core)
     for eta, modes in stage.losses:
         state = state.loss(eta, modes)
     return state
@@ -589,7 +591,7 @@ def test_low_rank_stage_equals_the_full_register_construction(
         pair_source=pair_source,
     )
     state, reference = _stage(spec).low_rank, reference_low_rank(spec)
-    assert state.registry == reference.registry
+    assert (state.bins, state.idler) == (reference.bins, reference.idler)
     assert np.array_equal(state.factor, reference.factor)
     assert np.array_equal(state.core, reference.core)
 
@@ -618,19 +620,19 @@ def per_point_raw(spec):
     """Raw scan values from one no-click term per (detector union, gate point)."""
     scan, state = _SCANS[spec.kind], _stage(spec).low_rank
     slots = np.array([[b or 0 for b in scan.slots(x)] for x in scan.labels(spec.walk.n_steps)])
-    reg, f, core = state.registry, state.factor, state.core
+    capacity, f, core = state.bins, state.factor, state.core
 
     def gram(*modes):
         rows = f[[q for m in modes for q in (2 * m, 2 * m + 1)]]
         return rows.T @ rows
 
-    bins = [gram(*(reg.flatten(ModeIndex(Pol.H, m, s)) for s in (0, 1))) for m in range(1, reg.bins + 1)]
+    bins = [gram(*(flat_index(ModeIndex(Pol.H, m, s), capacity) for s in (0, 1))) for m in range(1, capacity + 1)]
     routed = spec.eta_kerr * np.array([0.0 * bins[0]] + bins)
     apd3, apd4 = routed[slots[:, 0]], routed[slots[:, 1]]
     detectors = {"APD2": sum(bins) - apd3 - apd4, "APD3": apd3, "APD4": apd4}
     clicked, rate = scan.clicked, 1.0
     if spec.heralded and not spec.ideal_herald:
-        detectors["APD1"] = gram(reg.idler_index())
+        detectors["APD1"] = gram(flat_index(IDLER, capacity))
         rate = -detection._no_click_excess(detectors["APD1"][None], core, str)[0]
         clicked = ("APD1",) + clicked
     joint = np.zeros(len(slots))
@@ -734,8 +736,8 @@ def closed_form_case(seed, n_steps, **kw):
     return spec, eta, walk_unitary(spec.walk)
 
 
-def h_output(u, reg, m, source):
-    return abs(u[reg.flatten(ModeIndex(Pol.H, m, 0)), reg.flatten(source)]) ** 2
+def h_output(u, bins, m, source):
+    return abs(u[flat_index(ModeIndex(Pol.H, m, 0), bins), flat_index(source, bins)]) ** 2
 
 
 @given(
@@ -748,9 +750,9 @@ def test_coherent_one_fold_is_poissonian(n_steps, seed, log_mu):
     # both sectors carry the coherent light: P(click) = 1 - exp(-eta mu |U|^2)
     mu = 10.0**log_mu
     spec, eta, u = closed_form_case(seed, n_steps, mu_alpha=mu, mu_xi=0.0)
-    reg = ModeRegistry.for_walk(spec.walk.bin_capacity)
+    bins = spec.walk.bin_capacity
     expected = [
-        -np.expm1(-eta * mu * h_output(u, reg, m, ModeIndex(Pol.V, 1, 0)))
+        -np.expm1(-eta * mu * h_output(u, bins, m, ModeIndex(Pol.V, 1, 0)))
         for m in range(1, n_steps + 2)
     ]
     assert np.allclose(batched_scan(spec), expected, rtol=1e-12, atol=0.0)
@@ -766,8 +768,8 @@ def test_unheralded_tmsv_one_fold_is_thermal(n_steps, seed, log_mu):
     # the signal marginal is thermal: P(click) = x / (1 + x), x = eta mu |U|^2
     mu = 10.0**log_mu
     spec, eta, u = closed_form_case(seed, n_steps, mu_alpha=0.0, mu_xi=mu)
-    reg = ModeRegistry.for_walk(spec.walk.bin_capacity)
+    bins = spec.walk.bin_capacity
     x = np.array(
-        [eta * mu * h_output(u, reg, m, ModeIndex(Pol.H, 1, 0)) for m in range(1, n_steps + 2)]
+        [eta * mu * h_output(u, bins, m, ModeIndex(Pol.H, 1, 0)) for m in range(1, n_steps + 2)]
     )
     assert np.allclose(batched_scan(spec), x / (1.0 + x), rtol=1e-12, atol=0.0)

@@ -22,7 +22,7 @@ from qwalk.gaussian import (
     symplectic_from_unitary,
     vacuum_state,
 )
-from qwalk.modes import IDLER, ModeIndex, ModeRegistry, Pol
+from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
@@ -37,7 +37,7 @@ def random_unitary(n, seed):
 
 def test_vacuum_is_half_identity():
     # two bins, two polarizations, two sectors: 8 modes
-    st_ = vacuum_state(ModeRegistry.for_walk(2))
+    st_ = vacuum_state(2)
     assert np.array_equal(st_.mean, np.zeros(16))
     assert np.array_equal(st_.cov, 0.5 * np.eye(16))
 
@@ -45,7 +45,7 @@ def test_vacuum_is_half_identity():
 def test_coherent_mean_amplitude():
     # sqrt(2 * 0.1) in the x quadrature of the target mode
     state = prepare((SourceSpec("coherent", V1, 0.1),), bins=1)
-    i = state.registry.flatten(V1)
+    i = flat_index(V1, state.bins)
     assert state.mean[2 * i] == pytest.approx(0.4472135954999579, abs=1e-15)
     assert state.mean[2 * i + 1] == 0.0
     assert np.count_nonzero(np.delete(state.mean, 2 * i)) == 0
@@ -55,9 +55,8 @@ def test_overlap_splits_mean_energy_between_sectors():
     mu, o = 0.1, 0.7
     state = prepare((SourceSpec("coherent", V1, mu, overlap=o),), bins=1)
     photons = mean_photons(state)
-    reg = state.registry
-    assert photons[reg.flatten(V1)] == pytest.approx(o * mu, abs=1e-14)
-    assert photons[reg.flatten(ModeIndex(Pol.V, 1, 1))] == pytest.approx(
+    assert photons[flat_index(V1, state.bins)] == pytest.approx(o * mu, abs=1e-14)
+    assert photons[flat_index(ModeIndex(Pol.V, 1, 1), state.bins)] == pytest.approx(
         (1 - o) * mu, abs=1e-14
     )
     assert photons.sum() == pytest.approx(mu, abs=1e-13)
@@ -65,7 +64,7 @@ def test_overlap_splits_mean_energy_between_sectors():
 
 def test_thermal_source_adds_isotropic_noise():
     state = prepare((SourceSpec("thermal", H1, 0.026),), bins=1)
-    i = state.registry.flatten(H1)
+    i = flat_index(H1, state.bins)
     block = state.cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
     assert np.allclose(block, (0.5 + 0.026) * np.eye(2), atol=1e-15)
     assert np.count_nonzero(state.mean) == 0
@@ -80,10 +79,9 @@ def test_tmsv_state_is_pure():
 
 def test_tmsv_photon_number_split():
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
-    reg = state.registry
     photons = mean_photons(state)
-    assert photons[reg.flatten(H1)] == pytest.approx(0.026, abs=1e-13)
-    assert photons[reg.idler_index()] == pytest.approx(0.026, abs=1e-13)
+    assert photons[flat_index(H1, state.bins)] == pytest.approx(0.026, abs=1e-13)
+    assert photons[flat_index(IDLER, state.bins)] == pytest.approx(0.026, abs=1e-13)
 
 
 def test_squashed_pair_is_classical_tmsv_is_not():
@@ -95,8 +93,7 @@ def test_squashed_pair_is_classical_tmsv_is_not():
 
 def test_squashed_pair_keeps_thermal_marginals():
     state = prepare((SourceSpec("squashed", H1, 0.026),), bins=1)
-    reg = state.registry
-    for i in (reg.flatten(H1), reg.idler_index()):
+    for i in (flat_index(H1, state.bins), flat_index(IDLER, state.bins)):
         block = state.cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
         assert np.allclose(block, (0.5 + 0.026) * np.eye(2), atol=1e-14)
 
@@ -147,7 +144,7 @@ def test_passive_transform_preserves_photon_number():
 
 
 def test_passive_transform_rejects_nonunitary():
-    state = vacuum_state(ModeRegistry.for_walk(1))
+    state = vacuum_state(1)
     with pytest.raises(NonUnitary):
         apply_passive(state, 0.9 * np.eye(4, dtype=complex))
     with pytest.raises(DimensionMismatch):
@@ -180,7 +177,7 @@ def test_full_loss_returns_vacuum():
 
 
 def test_loss_rejects_bad_transmission():
-    state = vacuum_state(ModeRegistry.for_walk(1))
+    state = vacuum_state(1)
     with pytest.raises(EtaOutOfRange):
         apply_loss(state, -0.1)
     with pytest.raises(EtaOutOfRange):
@@ -192,8 +189,7 @@ def test_selective_loss_touches_only_named_modes():
         (SourceSpec("coherent", V1, 0.2), SourceSpec("coherent", H1, 0.3)),
         bins=1,
     )
-    reg = state.registry
-    i, j = reg.flatten(V1), reg.flatten(H1)
+    i, j = flat_index(V1, state.bins), flat_index(H1, state.bins)
     out = apply_loss(state, 0.5, (i,))
     photons = mean_photons(out)
     assert photons[i] == pytest.approx(0.1, abs=1e-14)
@@ -202,13 +198,13 @@ def test_selective_loss_touches_only_named_modes():
 
 def test_validate_rejects_tampered_covariance():
     # noise below the vacuum floor violates the uncertainty bound
-    state = vacuum_state(ModeRegistry.for_walk(1))
-    bad = GaussianState(state.registry, state.mean, 0.1 * np.eye(8))
+    state = vacuum_state(1)
+    bad = GaussianState(1, False, state.mean, 0.1 * np.eye(8))
     with pytest.raises(UnphysicalState):
         bad.validate()
 
 
 def test_pair_source_registers_idler():
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=2)
-    assert state.registry.idler_index() is not None
-    assert IDLER in state.registry.labels
+    assert state.idler
+    assert state.n_modes == flat_index(IDLER, 2) + 1 == 9

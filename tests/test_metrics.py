@@ -62,3 +62,13 @@ def test_unnormalized_inputs_are_rejected():
         bhattacharyya(dist((0.5, 0.5), undefined=True), good)
     with pytest.raises(NotNormalized):
         bhattacharyya(dist((0.5, 0.5), normalization="RawPattern"), good)
+
+
+def test_non_finite_inputs_are_rejected():
+    # NaN slips past a tolerance test on the sum, and min(1.0, nan) is 1.0
+    good = dist((0.5, 0.5))
+    for bad in ((float("nan"), 0.5), (float("nan"), float("nan")), (float("inf"), 0.0)):
+        with pytest.raises(NotNormalized, match="non-finite"):
+            bhattacharyya(dist(bad), good)
+        with pytest.raises(NotNormalized, match="non-finite"):
+            bhattacharyya(good, dist(bad))
