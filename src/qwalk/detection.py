@@ -24,17 +24,20 @@ detectors.
 Two routes evaluate it.  `build_layout` + `ClickCalculator` route one
 dense state per gate point and factor each covariance block; HOM runs
 and scans on registers of up to 7 time bins use them.  `scan_patterns`
-evaluates every gate point of a scan at once from a `LowRankState`
-(cov - I/2 of rank <= 4 after the walk and loss) through per-bin Gram
-blocks, never building the routed register.  The bucket and both
-routing ports together see every H output, so
+evaluates every gate point of a scan at once in closed form.  After a
+passive walk only two inputs reach the detectors, the (H, t1) signal and
+the (V, t1) coherent light.  A detector union that collects a share w_j
+of each walk output j sees the signal's share a = sum_j w_j |u_j|^2 (its
+Gram block is a I_2), the coherent photons e = sum_j w_j |beta_j|^2, their
+overlap z = sqrt(overlap) sum_j w_j conj(u_j) beta_j, and the idler's
+transmission h when APD1 is in the union; P0 is a closed form in these
+four numbers (`_p0_excess`).  The bucket and both routing ports
+together see every H output, so
 
     APD2 + APD3 = H total - APD4's routed share,
 
-and an inclusion-exclusion term depends on gate 1's bin only when
-exactly one of APD2 and APD3 is in its detector union (gate 2 likewise
-with APD4).  `scan_patterns` scores terms that depend on no gate once
-per scan, on one gate once per bin, and on both once per gate point.
+and each union's sums are the H totals minus the routed shares of the
+gates outside it, or the shares of the gates inside it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .errors import (
     SingularMatrix,
     ZeroHeraldRate,
 )
-from .gaussian import GaussianState, LowRankState, append_modes, apply_passive
+from .gaussian import GaussianState, append_modes, apply_passive
 from .modes import IDLER, ModeIndex, Pol, flat_index
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "resolve_gate_slots",
     "build_layout",
     "ClickCalculator",
+    "WalkInputs",
     "scan_patterns",
     "APD_NAMES",
 ]
@@ -347,58 +351,75 @@ class ClickCalculator:
         return self._inclusion_exclusion(pattern, term)
 
 
+@dataclass(frozen=True)
+class WalkInputs:
+    """The run's two t1 inputs as the walk outputs receive them, after loss.
+
+    `signal[j]` is the amplitude that the (H, t1) input, the pair's signal
+    or the ideal-herald photon, puts on walk mode j of its sector (flat
+    index: H bins, then V bins); `coherent[j]` that of the coherent light,
+    sqrt(mu_alpha) included.  A fraction `overlap` of the coherent photons
+    rides in the signal's sector, the rest in the other one.  `source` is
+    the signal's kind ("tmsv", "squashed", "fock1" or None for no signal)
+    and `mu` its mean photon number; `idler` is the idler's transmission,
+    None when there is no idler.
+    """
+
+    signal: np.ndarray
+    coherent: np.ndarray
+    overlap: float
+    source: str | None
+    mu: float
+    idler: float | None
+
+
+def _p0_excess(inputs: WalkInputs, a, z, e, h) -> np.ndarray:
+    """P0 (1 + correction) - 1 of detector unions with the sums a, z, e, h.
+
+    For per-mode weights w_j of a union, a = sum w |u|^2 is the signal's
+    share, e = sum w |beta|^2 the coherent photons, z = sqrt(overlap)
+    sum w conj(u) beta their overlap, and h the idler's share.  The pair
+    gives log P0 = -e + kappa |z|^2 - log1p(delta) with mu = mu_xi:
+    delta = mu (a + h - a h) and kappa = mu (1 - h) / (1 + delta) for the
+    TMSV, delta = mu (a + h) and kappa = mu / (1 + delta) for the squashed
+    source (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)).  One
+    photon gives P0 = e^-e (1 - a + |z|^2), the ideal-herald term of
+    ClickCalculator.single_photon.  Returning the excess over 1 (via
+    expm1 and log1p) keeps small click probabilities to full relative
+    precision: inclusion-exclusion signs sum to zero, so the 1s cancel.
+    """
+    mu, z2 = inputs.mu, z.real**2 + z.imag**2
+    if inputs.source == "fock1":
+        return np.expm1(-e) + np.exp(-e) * (z2 - a)
+    if inputs.source == "tmsv":
+        delta = mu * (a + h * (1.0 - a))
+        kappa = mu * (1.0 - h) / (1.0 + delta)
+    elif inputs.source == "squashed":
+        delta = mu * (a + h)
+        kappa = mu / (1.0 + delta)
+    else:
+        return np.expm1(-e)
+    return np.expm1(-e + kappa * z2 - np.log1p(delta))
+
+
+def _spectrum(inputs: WalkInputs, a, h) -> tuple:
+    """Lowest and highest eigenvalue of cov + I/2 on a union, vacuum's = 1.
+
+    Only a pair moves them from 1: its signal and idler shares give the
+    block mu [[a, sqrt(a h) c], [sqrt(a h) c, h]] with c^2 = mu (mu + 1)
+    (TMSV) or mu^2 (squashed) over the identity.
+    """
+    mu = inputs.mu
+    if inputs.source not in ("tmsv", "squashed"):
+        return 1.0, 1.0
+    c2 = mu * (mu + 1.0) if inputs.source == "tmsv" else mu * mu
+    mid = 1.0 + 0.5 * mu * (a + h)
+    spread = np.sqrt((0.5 * mu * (a - h)) ** 2 + a * h * c2)
+    return np.minimum(mid - spread, 1.0), np.maximum(mid + spread, 1.0)
+
+
 def _gate_point_name(slots) -> str:
     return "the gate point with gates on bins " + ", ".join(str(int(b)) for b in slots if b)
-
-
-def _quads(mode: int) -> list:
-    return [2 * mode, 2 * mode + 1]
-
-
-def _no_click_excess(grams: np.ndarray, core: np.ndarray, where) -> np.ndarray:
-    """P0 (1 + correction) - 1 for stacked Grams of the factor [V | d | probes].
-
-    `grams` has shape (n, k, k) and holds F_S^T F_S for n detector unions
-    S.  With A = V_S^T V_S, K = I + A C, M = cov_S + I/2
-    and [b | P] = V_S^T [d_S | v_S], the Woodbury identity gives
-    [d v]^T M^-1 [d v] = [d v]_S^T [d v]_S - [b P]^T C K^-1 [b P], and the
-    determinant lemma det M = det K, with no C^-1 anywhere.  The
-    correction is the ideal-herald factor of ClickCalculator.single_photon
-    and is zero when the factor has no probe columns.
-
-    Returning the excess over 1 (via expm1 and log1p) keeps small click
-    probabilities to full relative precision: inclusion-exclusion signs
-    sum to zero, so the 1s cancel exactly.  `where(i)` names term i in
-    refusals; the first failing term in stack order is refused.
-    """
-    r = len(core)
-    head = grams[..., :r, r:]
-    schur = grams[..., r:, r:]
-    logdet = 0.0
-    if r:
-        a = grams[..., :r, :r]
-        # M's eigenvalues other than 1 are 1 + those of R C R^T, R^T R = A
-        lam, w = np.linalg.eigh(a)
-        root = np.sqrt(np.clip(lam, 0.0, None))[..., :, None] * np.swapaxes(w, -1, -2)
-        shift = np.linalg.eigvalsh(root @ core @ np.swapaxes(root, -1, -2))
-        lowest = 1.0 + np.minimum(shift.min(axis=-1), 0.0)
-        highest = 1.0 + np.maximum(shift.max(axis=-1), 0.0)
-        bad = np.flatnonzero(lowest <= 0.0)
-        if bad.size:
-            raise SingularMatrix(f"covariance block of {where(bad[0])} is not positive definite")
-        bad = np.flatnonzero(highest > _CONDITION_LIMIT * lowest)
-        if bad.size:
-            raise NumericalInstability(f"covariance block of {where(bad[0])} is too ill-conditioned")
-        logdet = np.log1p(shift).sum(axis=-1)
-        k = np.eye(r) + a @ core
-        schur = schur - np.swapaxes(head, -1, -2) @ (core @ np.linalg.solve(k, head))
-    log_p0 = -0.5 * schur[..., 0, 0] - 0.5 * logdet
-    excess = np.expm1(log_p0)
-    if schur.shape[-1] > 1:
-        cross = schur[..., 0, 1:]
-        trace = np.trace(schur[..., 1:, 1:], axis1=-2, axis2=-1)
-        excess += np.exp(log_p0) * (0.5 * (cross**2).sum(axis=-1) - 0.5 * trace)
-    return excess
 
 
 def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -415,8 +436,34 @@ def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+_REFUSALS = (
+    (SingularMatrix, "is not positive definite"),
+    (NumericalInstability, "is too ill-conditioned"),
+)
+
+
+def _failures(lowest, highest) -> list:
+    """The first point failing each check of _REFUSALS, None where none
+    fails; a value that no gate moves fails at the first point."""
+    return [
+        int(np.argmax(failing)) if np.any(failing) else None
+        for failing in (lowest <= 0.0, highest > _CONDITION_LIMIT * lowest)
+    ]
+
+
+def _union_sum(total, shares, bucket: bool, own) -> np.ndarray:
+    """A per-bin sum over a detector union from its H total and the gates'
+    routed shares: with the bucket, what the gates outside the union leave
+    on it; without, the shares of the gates inside it."""
+    out = total if bucket else 0.0
+    for share, inside in zip(shares, own):
+        if inside != bucket:
+            out = out - share if bucket else out + share
+    return out
+
+
 def scan_patterns(
-    state: LowRankState,
+    inputs: WalkInputs,
     slots,
     efficiency: float,
     clicked,
@@ -427,85 +474,70 @@ def scan_patterns(
     `slots` lists one (gate 1 bin, gate 2 bin) pair per point, 0 for a
     dark slot; both gates route with `efficiency`.  `clicked` names the
     detectors that must click, the others are marginal.  With `heralded`
-    the values are conditioned on an APD1 click.  When `state` carries
-    probe columns they are the injection map of one ideal-herald photon,
-    and the values are those of ClickCalculator.single_photon.
+    the values are conditioned on an APD1 click.  With an ideal-herald
+    photon as the signal, the values are those of
+    ClickCalculator.single_photon.
 
-    Routing only touches the two tapped (H, t_m) modes per sector, found
-    with the idler by `flat_index` on the state's `bins`, so each
-    detector's Gram F_S^T F_S is a weighted sum of per-bin Grams G_m over
-    both sectors: APD3 and APD4 get efficiency * G_m of their bin, APD2
-    the H total minus those shares, APD1 the idler.  A union with APD2 is
-    the H total minus the shares of the gates outside it, one without is
-    the shares of the gates in it; so it depends on a gate's bin only when
-    exactly one of APD2 and that gate's detector is in it.  Each term is
-    scored once per distinct Gram: per scan, per bin or per point as it
-    depends on no gate, one or both, all in one batched pass over
-    (terms, k, k) arrays, k = rank + 1 + probes.  Values match
-    ClickCalculator on the layout of build_layout, including its refusals,
-    which name the first failing gate point in scan order.
+    APD3 and APD4 collect `efficiency` of their bin's H outputs in both
+    sectors, APD2 the H totals minus those shares, APD1 the idler.  So
+    each detector union's sums a, z, e are flat arrays over the gate
+    points, gathered from three per-bin sums, and each of its terms is a
+    closed form in them (`_p0_excess`).  Values match ClickCalculator on
+    the layout of build_layout, including its refusals, which name the
+    first failing gate point in scan order.
     """
     slots = np.asarray(slots, dtype=int).reshape(-1, 2)
     if not len(slots):
         return np.zeros(0)
-    f, bins = state.factor, state.bins
-    k = f.shape[1]
+    bins = len(inputs.signal) // 2
     if slots.min() < 0 or slots.max() > bins:
         raise IndexOutOfRange(f"gate bins must lie in 1..{bins}")
     if np.any((slots[:, 0] == slots[:, 1]) & (slots[:, 0] > 0)):
         raise DuplicateGateBin("both gates target the same bin")
     if not 0.0 <= efficiency <= 1.0:
         raise EtaOutOfRange(f"gate efficiency must lie in [0, 1], got {efficiency}")
-    taps = np.array(
-        [
-            [q for s in (0, 1) for q in _quads(flat_index(ModeIndex(Pol.H, m, s), bins))]
-            for m in range(1, bins + 1)
-        ]
+    # the H outputs of bins 1..B; a routed share's index 0 is the dark slot
+    u, beta = inputs.signal[:bins], inputs.coherent[:bins]
+    per_bin = (
+        u.real**2 + u.imag**2,
+        np.sqrt(inputs.overlap) * u.conj() * beta,
+        beta.real**2 + beta.imag**2,
     )
-    rows = f[taps]
-    per_bin = np.einsum("bik,bil->bkl", rows, rows)
-    # index 0 is the dark slot
-    routed = efficiency * np.concatenate((np.zeros((1, k, k)), per_bin))
-    total = per_bin.sum(axis=0)
-    herald = np.zeros((k, k))
+    # per sum: (H total, gate 1's routed share, gate 2's) at every point
+    sums = [
+        (x.sum(), *(efficiency * np.concatenate(([0.0], x)))[slots.T])
+        for x in per_bin
+    ]
 
     clicked = tuple(clicked)
     rate = 1.0
     if heralded:
-        if not state.idler:
+        if inputs.idler is None:
             raise ZeroHeraldRate("no idler mode is present to herald on")
-        rows = f[_quads(flat_index(IDLER, bins))]
-        herald = rows.T @ rows
-        excess = _no_click_excess(herald[None], state.core, lambda i: "herald detector APD1")
-        rate = -float(excess[0])
+        for (error, what), p in zip(_REFUSALS, _failures(*_spectrum(inputs, 0.0, inputs.idler))):
+            if p is not None:
+                raise error(f"covariance block of herald detector APD1 {what}")
+        rate = -float(_p0_excess(inputs, 0.0, 0j, 0.0, inputs.idler))
         if rate <= 0.0:
             raise ZeroHeraldRate("herald detector can never click")
         clicked = ("APD1",) + clicked
 
-    names, grams, firsts, gathers = [], [], [], []
+    found = [None, None]  # per check of _REFUSALS: the first failing (union, point)
+    joint = np.full(len(slots), float(not clicked))
     for r in range(len(clicked) + 1):
         for subset in itertools.combinations(clicked, r):
-            bucket = "APD2" in subset
-            keys = slots * [("APD3" in subset) != bucket, ("APD4" in subset) != bucket]
-            _, first, inverse = np.unique(
-                keys[:, 0] * (bins + 1) + keys[:, 1], return_index=True, return_inverse=True
+            own = ("APD3" in subset, "APD4" in subset)
+            a, z, e = (_union_sum(total, shares, "APD2" in subset, own) for total, *shares in sums)
+            h = inputs.idler if "APD1" in subset else 0.0
+            for i, p in enumerate(_failures(*_spectrum(inputs, a, h))):
+                if p is not None and found[i] is None:
+                    found[i] = (subset, p)
+            if not any(found):  # else refused below, once every union is checked
+                joint += (-1.0) ** r * _p0_excess(inputs, a, z, e, h)
+    for (error, what), first in zip(_REFUSALS, found):
+        if first:
+            subset, p = first
+            raise error(
+                f"covariance block of detectors {subset} at {_gate_point_name(slots[p])} {what}"
             )
-            # distinct Grams in scan order, so a refusal names the first failing point
-            order = np.argsort(first)
-            gathers.append(sum(map(len, firsts)) + np.argsort(order)[inverse])
-            firsts.append(first[order])
-            one, two = routed[keys[first[order]].T]
-            gram = total - one - two if bucket else one + two
-            grams.append(gram + herald if "APD1" in subset else gram)
-            names.append(subset)
-    owner = np.repeat(np.arange(len(names)), [len(p) for p in firsts])
-    firsts = np.concatenate(firsts)
-    excess = _no_click_excess(
-        np.concatenate(grams),
-        state.core,
-        lambda i: f"detectors {names[owner[i]]} at {_gate_point_name(slots[firsts[i]])}",
-    )
-    joint = np.full(len(slots), float(not clicked))
-    for subset, gather in zip(names, gathers):
-        joint += (-1.0) ** len(subset) * excess[gather]
     return _checked(joint, slots) / rate

@@ -14,10 +14,11 @@ photon's sector.
 
 With `ideal_herald` the pair source is replaced by its vanishing-gain
 limit, the heralded photon itself: a `fock1` source on the signal mode.
-The Fock oracle takes it as it is; the Gaussian route carries it as
-probe columns along its quadratures and conditions on exactly one photon
-entering the walk, in closed form (see
-detection.ClickCalculator.single_photon) instead of at small finite gain.
+The Fock oracle takes it as it is; the Gaussian routes condition on
+exactly one photon entering the walk, in closed form (see
+detection.ClickCalculator.single_photon) instead of at small finite gain:
+the dense route carries it as probe columns along its quadratures, batched
+scans as the signal's amplitudes.
 """
 
 from __future__ import annotations
@@ -36,19 +37,13 @@ from .detection import (
     Detector,
     DetectorLayout,
     GateSpec,
+    WalkInputs,
     build_layout,
     scan_patterns,
 )
 from .errors import ConfigInvalid
 from .fock import OracleSettings, ThresholdOracle
-from .gaussian import (
-    GaussianState,
-    LowRankState,
-    SourceSpec,
-    apply_loss,
-    apply_passive,
-    prepare,
-)
+from .gaussian import GaussianState, SourceSpec, apply_loss, apply_passive, prepare
 from .modes import IDLER, ModeIndex, Pol, flat_index
 from .walk import (
     WalkConfig,
@@ -179,29 +174,43 @@ def _sources(spec: ExperimentSpec) -> tuple:
 class _Stage:
     """Register after the walk and all loss, before any routing.
 
-    Holds the Gaussian sources, the ideal-herald probe columns and the
-    optics; each form is built on first use.  `state` and `probes` are
-    dense, for the HOM preset and the per-point route.  `low_rank`, the
-    factor [V | d | probes] of batched scans, walks the t1 inputs' columns
-    alone: no walk unitary, M x M or 2M x 2M array is formed.
+    Holds the run's inputs (`_sources`) and the optics; each form is built
+    on first use.  `state` and `probes` are dense, for the HOM preset and
+    the per-point route.  `inputs`, what batched scans read, walks the two
+    t1 inputs' columns alone and scales them by the walk's transmission:
+    no walk unitary, covariance or register-sized array is formed.
     """
 
     walk: WalkConfig
-    idler: bool
     sources: tuple
-    probe_means: np.ndarray  # 2M x (0 or 2): the ideal-herald probes before the optics
-    losses: list  # (transmission, modes) pairs
+    eta_walk: float  # crystal and system transmission of every walk mode
+    eta_idler: float
+
+    @property
+    def idler(self) -> bool:
+        return any(s.kind in _PAIR_SOURCES for s in self.sources)
 
     @cached_property
     def _dense(self) -> list:
-        bins, m = self.walk.bin_capacity, len(self.probe_means) // 2
-        states = [prepare(self.sources, bins=bins)]
-        states += [GaussianState(bins, self.idler, p, 0.5 * np.eye(2 * m)) for p in self.probe_means.T]
+        bins = self.walk.bin_capacity
+        idler = flat_index(IDLER, bins)  # the walk modes come first, then the idler if present
+        m = idler + self.idler
+        # unit probes along the photon's quadratures: pushed through, the injection map
+        photons = [flat_index(s.target, bins) for s in self.sources if s.kind == "fock1"]
+        quads = [2 * i + o for i in photons for o in (0, 1)]
+        probes = np.zeros((2 * m, len(quads)))
+        probes[quads, range(len(quads))] = 1.0
+        states = [prepare(tuple(s for s in self.sources if s.kind != "fock1"), bins=bins)]
+        states += [GaussianState(bins, self.idler, p, 0.5 * np.eye(2 * m)) for p in probes.T]
         u = np.eye(m, dtype=complex)
         u[: 4 * bins, : 4 * bins] = sector_extend(_walk_unitary(self.walk))
         states = [apply_passive(s, u) for s in states]
-        for eta, modes in self.losses:
-            states = [apply_loss(s, eta, modes) for s in states]
+        losses = [(self.eta_walk, range(idler))]
+        if self.idler:
+            losses.append((self.eta_idler, (idler,)))
+        for eta, modes in losses:
+            if eta < 1.0:
+                states = [apply_loss(s, eta, modes) for s in states]
         return states
 
     @property
@@ -213,22 +222,23 @@ class _Stage:
         return tuple(self._dense[1:])
 
     @cached_property
-    def low_rank(self) -> LowRankState:
+    def inputs(self) -> WalkInputs:
         bins = self.walk.bin_capacity
-        # the inputs enter at t1 (H, V in either sector); the idler bypasses the walk
-        modes = [flat_index(ModeIndex(pol, 1, s), bins) for s in (0, 1) for pol in (Pol.H, Pol.V)]
-        if self.idler:
-            modes.append(flat_index(IDLER, bins))
-        images = np.zeros((len(self.probe_means) // 2, len(modes)), dtype=complex)
-        images[modes, range(len(modes))] = 1.0
-        # each sector's 2B walk modes form one block, walked alike
-        walked = walk_columns(self.walk, images[: 2 * bins, :2])
-        images[: 2 * bins, :2] = images[2 * bins : 4 * bins, 2:4] = walked
-        state = LowRankState.of(self.sources, bins, self.probe_means)
-        state = state.passive(modes, images)
-        for eta, modes in self.losses:
-            state = state.loss(eta, modes)
-        return state
+        signal = next((s for s in self.sources if s.kind != "coherent"), None)
+        light = next((s for s in self.sources if s.kind == "coherent"), None)
+        columns = np.zeros((2 * bins, 2), dtype=complex)
+        for j, source in enumerate((signal, light)):
+            if source is not None:
+                columns[flat_index(source.target, bins), j] = 1.0
+        u, beta = np.sqrt(self.eta_walk) * walk_columns(self.walk, columns).T
+        return WalkInputs(
+            u,
+            np.sqrt(light.mean_photon) * beta if light else beta,
+            light.overlap if light else 1.0,
+            signal.kind if signal else None,
+            signal.mean_photon if signal else 0.0,
+            self.eta_idler if self.idler else None,
+        )
 
 
 # Registers of up to 7 time bins (walks of up to 6 steps by default) are
@@ -251,25 +261,8 @@ def _walk_unitary(walk: WalkConfig) -> np.ndarray:
 
 
 def _stage(spec: ExperimentSpec) -> _Stage:
-    bins = spec.walk.bin_capacity
-    sources = _sources(spec)
-    gaussian = tuple(s for s in sources if s.kind != "fock1")
-    has_idler = any(s.kind in _PAIR_SOURCES for s in sources)
-    idler = flat_index(IDLER, bins)  # the walk modes come first, then the idler if present
-
-    # unit probes along the photon's quadratures: pushed through, the injection map
-    photons = [flat_index(s.target, bins) for s in sources if s.kind == "fock1"]
-    quads = [2 * i + o for i in photons for o in (0, 1)]
-    probes = np.zeros((2 * (idler + has_idler), len(quads)))
-    probes[quads, range(len(quads))] = 1.0
-
-    losses = []
     eta_walk = aggregate_transmission(spec.walk) * spec.eta_sys
-    if eta_walk < 1.0:
-        losses.append((eta_walk, range(idler)))
-    if has_idler and spec.eta_idler < 1.0:
-        losses.append((spec.eta_idler, (idler,)))
-    return _Stage(spec.walk, has_idler, gaussian, probes, losses)
+    return _Stage(spec.walk, _sources(spec), eta_walk, spec.eta_idler)
 
 
 def _gate_point(stage: _Stage, gates) -> tuple:
@@ -327,7 +320,7 @@ def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list
 def _batched_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> np.ndarray:
     slots = [[b or 0 for b in scan.slots(label)] for label in labels]
     return scan_patterns(
-        stage.low_rank,
+        stage.inputs,
         slots,
         spec.eta_kerr,
         scan.clicked,

@@ -31,7 +31,6 @@ from .modes import IDLER, ModeIndex, flat_index
 
 __all__ = [
     "GaussianState",
-    "LowRankState",
     "SourceSpec",
     "vacuum_state",
     "prepare",
@@ -67,8 +66,7 @@ def omega_matrix(n_modes: int) -> np.ndarray:
 
 
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic action of a passive mode unitary; given only
-    some modes' images (n x k), the columns of their 2k quadratures."""
+    """Orthogonal symplectic action of a passive mode unitary."""
     u = np.asarray(u)
     n, k = u.shape
     s = np.empty((2 * n, 2 * k))
@@ -264,77 +262,6 @@ def append_modes(state: GaussianState, count: int) -> GaussianState:
     cov = 0.5 * np.eye(2 * m_new)
     cov[: 2 * m_old, : 2 * m_old] = state.cov
     return GaussianState(state.bins, state.idler, mean, cov)
-
-
-@dataclass(frozen=True)
-class LowRankState:
-    """Gaussian state stored as cov = I/2 + V C V^T with mean d.
-
-    `factor` stacks the columns [V | d | probes] over the register's 2M
-    quadratures: r columns of V, the mean, then any probe columns carried
-    through the same optics (the ideal-herald injection map), on the
-    register `GaussianState` describes by `bins` and `idler`.  `core` is
-    the r x r symmetric matrix C; it may be indefinite (nonclassical
-    light) or singular (the squashed source).  Passive optics act on the
-    factor through the images of the modes it occupies and loss with
-    transmission eta scales its rows by sqrt(eta), so neither the 2M x 2M
-    covariance nor a full-register unitary or symplectic is ever formed.
-    """
-
-    bins: int
-    idler: bool
-    factor: np.ndarray
-    core: np.ndarray
-
-    @classmethod
-    def of(cls, sources, bins: int, probes: np.ndarray) -> "LowRankState":
-        """Exact factor of the state `prepare(sources, bins)` builds, with the
-        2M x p probe columns.
-
-        Sources fill cov - I/2 only on the quadratures they occupy (at most
-        four for a pair source).  Installing them on a zero covariance of
-        just the modes they touch gives that block as C, with V the unit
-        columns of its quadratures: no rank cutoff, and no I/2 to subtract
-        again, which would cost the relative accuracy of small mu.
-        """
-        idler = any(s.kind in PAIR_KINDS for s in sources)
-        claims = [_claimed_indices(s, bins) for s in sources]
-        touched = {i for claim in claims for i in claim}
-        if idler:
-            touched.add(flat_index(IDLER, bins))
-        touched = sorted(touched)
-        local = {i: j for j, i in enumerate(touched)}
-        n = 2 * len(touched)
-        mean, cov = np.zeros(n), np.zeros((n, n))
-        idler_at = local.get(flat_index(IDLER, bins))
-        for source, (s0, s1) in zip(sources, claims):
-            _install_source(mean, cov, source, (local[s0], local[s1], idler_at))
-        support = np.flatnonzero(np.any(cov != 0.0, axis=1))
-        rows = _quad_indices(touched)
-        factor = np.zeros((len(probes), len(support) + 1 + probes.shape[1]))
-        factor[rows[support], np.arange(len(support))] = 1.0
-        factor[rows, len(support)] = mean
-        factor[:, len(support) + 1 :] = probes
-        return cls(bins, idler, factor, cov[np.ix_(support, support)])
-
-    def passive(self, modes, images: np.ndarray) -> "LowRankState":
-        """Like apply_passive, from the images U[:, modes] of `modes` alone;
-        the factor must be zero on every other mode's quadratures."""
-        quads = _quad_indices(modes)
-        return replace(self, factor=symplectic_from_unitary(images) @ self.factor[quads])
-
-    def loss(self, eta: float, modes) -> "LowRankState":
-        """Like apply_loss: the rows of the lossy modes scale by sqrt(eta)."""
-        factor = self.factor.copy()
-        factor[_quad_indices(modes)] *= np.sqrt(eta)
-        return replace(self, factor=factor)
-
-    def dense(self) -> GaussianState:
-        """The state with its covariance formed (probe columns dropped)."""
-        r = len(self.core)
-        v = self.factor[:, :r]
-        cov = 0.5 * np.eye(v.shape[0]) + v @ self.core @ v.T
-        return GaussianState(self.bins, self.idler, self.factor[:, r].copy(), 0.5 * (cov + cov.T))
 
 
 def mean_photons(state: GaussianState) -> np.ndarray:

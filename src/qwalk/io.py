@@ -159,9 +159,16 @@ def read_distribution(path: str):
             kind = payload["kind"]
             columns = payload["columns"]
             rows = payload["rows"]
+            undefined = payload["undefined"]
+            if not isinstance(kind, str):
+                raise IoError(f"{path}: kind {kind!r} is not a string")
+            if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+                raise IoError(f"{path}: columns {columns!r} are not a list of strings")
+            if not isinstance(undefined, bool):
+                raise IoError(f"{path}: undefined {undefined!r} is not true or false")
             headers = {
                 "normalization": payload["normalization"],
-                "undefined": "true" if payload["undefined"] else "false",
+                "undefined": "true" if undefined else "false",
             }
             config = payload.get("config", {})
         else:
@@ -170,6 +177,9 @@ def read_distribution(path: str):
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise IoError(f"{path}: malformed artifact ({exc})") from exc
 
+    undefined = headers.get("undefined", "false")
+    if undefined not in ("true", "false"):
+        raise IoError(f"{path}: undefined {undefined!r} is not true or false")
     if kind == "step-evolution":
         raise IoError(
             f"{path} holds a step-evolution sequence, not a single distribution"
@@ -207,6 +217,6 @@ def read_distribution(path: str):
         probs=tuple(probs),
         raw=tuple(raws),
         normalization=headers.get("normalization", ""),
-        undefined=headers.get("undefined", "false") == "true",
+        undefined=undefined == "true",
     )
     return dist, config

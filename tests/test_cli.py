@@ -285,6 +285,43 @@ def _fractional_bin(good, bad):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [
+        ("columns", 5),
+        ("columns", [1, 2, 3]),
+        ("kind", 5),
+        ("kind", ["one-fold"]),
+        ("undefined", "false"),
+        ("undefined", 0),
+    ],
+    ids=["int-columns", "int-column-names", "int-kind", "list-kind", "string-undefined", "int-undefined"],
+)
+def test_compare_refuses_malformed_json_headers(tmp_path, capsys, field, value):
+    # each once raised TypeError (exit 1) or, for "undefined", loaded by truthiness
+    good = simulated(tmp_path, TWO_FOLD_YAML.replace("two-fold", "one-fold"), "json")
+    payload = json.loads(good.read_text())
+    payload[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    captured = json.loads(capsys.readouterr().err.strip())
+    assert captured["error"] == "IoError"
+    assert field in captured["message"]
+
+
+def test_compare_refuses_a_csv_undefined_flag_other_than_true_or_false(tmp_path, capsys):
+    good = simulated(tmp_path, TWO_FOLD_YAML.replace("two-fold", "one-fold"), "csv")
+    text = good.read_text()
+    assert "# undefined: false\n" in text
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text.replace("# undefined: false\n", "# undefined: no\n"))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "IoError"
+
+
+@pytest.mark.parametrize(
     "fmt, corrupt",
     [("json", _text_bin), ("json", _scalar_row), ("csv", _fractional_bin)],
     ids=["text-bin", "scalar-row", "fractional-bin"],

@@ -9,6 +9,7 @@ from qwalk.detection import (
     Detector,
     DetectorLayout,
     GateSpec,
+    WalkInputs,
     _checked,
     build_layout,
     scan_patterns,
@@ -23,7 +24,6 @@ from qwalk.errors import (
     ZeroHeraldRate,
 )
 from qwalk.gaussian import (
-    LowRankState,
     SourceSpec,
     apply_passive,
     mean_photons,
@@ -248,34 +248,39 @@ def test_single_photon_into_a_watched_mode_always_clicks():
 
 # -- batched scans: refusals --------------------------------------------------
 
-def unphysical(eig: float, idler: bool = False, bins=(1,), capacity: int = 1) -> LowRankState:
-    """cov - I/2 = eig on the x quadrature of (H, t_m, s0) for each m in `bins`; no mean."""
-    factor = np.zeros((2 * (4 * capacity + idler), len(bins) + 1))
-    for j, m in enumerate(bins):
-        factor[2 * flat_index(ModeIndex(Pol.H, m, 0), capacity), j] = 1.0
-    return LowRankState(capacity, idler, factor, eig * np.eye(len(bins)))
+def pair_inputs(mu: float, idler=None, bins=(1,), capacity: int = 1) -> WalkInputs:
+    """A TMSV signal of mean photon number `mu` reaching (H, t_m) with unit
+    amplitude for each m in `bins`, the idler's transmission `idler`, and
+    no coherent light."""
+    signal = np.zeros(2 * capacity, dtype=complex)
+    signal[[m - 1 for m in bins]] = 1.0
+    return WalkInputs(signal, np.zeros(2 * capacity, dtype=complex), 1.0, "tmsv", mu, idler)
 
 
-def dense_one_fold(state: LowRankState) -> float:
-    routed, layout = build_layout(state.dense(), (None, GateSpec(1, 1.0)))
+def dense_one_fold(mu: float) -> float:
+    """The same one-fold point on the dense route: the signal's thermal
+    marginal, cov = (1/2 + mu) I on (H, t1)."""
+    state = vacuum_state(1)
+    state.cov[:2, :2] += mu * np.eye(2)
+    routed, layout = build_layout(state, (None, GateSpec(1, 1.0)))
     return ClickCalculator(routed, layout).pattern(ClickPattern.of(apd4=True))
 
 
 @pytest.mark.parametrize(
-    "eig, error, message",
+    "mu, error, message",
     [
         (-2.0, SingularMatrix, "not positive definite"),
         (-(1.0 - 1e-13), NumericalInstability, "ill-conditioned"),
+        (1e13, NumericalInstability, "ill-conditioned"),
         (-0.9, NumericalInstability, "inclusion-exclusion produced"),
     ],
 )
-def test_scan_refusals_match_the_dense_route(eig, error, message):
-    state = unphysical(eig)
+def test_scan_refusals_match_the_dense_route(mu, error, message):
     with pytest.raises(error, match=message) as batched:
-        scan_patterns(state, [(0, 1)], 1.0, ("APD4",))
+        scan_patterns(pair_inputs(mu), [(0, 1)], 1.0, ("APD4",))
     assert "gate point with gates on bins 1" in str(batched.value)
     with pytest.raises(error):
-        dense_one_fold(state)
+        dense_one_fold(mu)
 
 
 @pytest.mark.parametrize(
@@ -295,9 +300,8 @@ def test_scan_refusals_match_the_dense_route(eig, error, message):
 )
 def test_scan_refusals_name_the_first_failing_gate_point(bins, slots, clicked, named):
     # only the terms that route a failing bin to a clicked detector fail
-    state = unphysical(-2.0, bins=bins, capacity=4)
     with pytest.raises(SingularMatrix, match=named):
-        scan_patterns(state, slots, 1.0, clicked)
+        scan_patterns(pair_inputs(-2.0, bins=bins, capacity=4), slots, 1.0, clicked)
 
 
 @pytest.mark.parametrize(
@@ -319,15 +323,18 @@ def test_refusals_show_the_total_at_full_precision(monkeypatch, total, shown):
 def test_scan_refuses_a_dead_herald_before_any_pattern():
     # the patterns themselves would raise SingularMatrix
     with pytest.raises(ZeroHeraldRate, match="no idler"):
-        scan_patterns(unphysical(-2.0), [(0, 1)], 1.0, ("APD4",), heralded=True)
+        scan_patterns(pair_inputs(-2.0), [(0, 1)], 1.0, ("APD4",), heralded=True)
     with pytest.raises(ZeroHeraldRate, match="never click"):
-        scan_patterns(
-            unphysical(-2.0, idler=True), [(0, 1)], 1.0, ("APD4",), heralded=True
-        )
+        scan_patterns(pair_inputs(-2.0, idler=0.0), [(0, 1)], 1.0, ("APD4",), heralded=True)
+
+
+def test_scan_refuses_the_herald_block_before_any_pattern():
+    with pytest.raises(SingularMatrix, match="herald detector APD1 is not positive definite"):
+        scan_patterns(pair_inputs(-2.0, idler=1.0), [(0, 1)], 1.0, ("APD4",), heralded=True)
 
 
 def test_scan_rejects_bad_gate_slots():
-    state = unphysical(0.1)
+    state = pair_inputs(0.1)
     with pytest.raises(IndexOutOfRange):
         scan_patterns(state, [(0, 2)], 1.0, ("APD4",))
     with pytest.raises(DuplicateGateBin):

@@ -27,15 +27,8 @@ from qwalk.experiments import (
     verify_against_oracle,
 )
 from qwalk.fock import ThresholdOracle
-from qwalk.gaussian import LowRankState, _install_source, symplectic_from_unitary
 from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
-from qwalk.walk import (
-    LayerParams,
-    WalkConfig,
-    aggregate_transmission,
-    sector_extend,
-    walk_unitary,
-)
+from qwalk.walk import LayerParams, WalkConfig, aggregate_transmission, walk_unitary
 
 SCAN_KINDS = ("one-fold", "two-fold", "three-fold")
 
@@ -484,7 +477,8 @@ def test_run_experiment_dispatch():
 
 
 def dense_scan(spec):
-    """Raw values of the scan from `_gate_point` + ClickCalculator, point by point."""
+    """Raw values of the scan from `_gate_point` + ClickCalculator, point by point,
+    at any walk length: the independent Gaussian reference of the batched route."""
     scan = _SCANS[spec.kind]
     return _dense_raw(scan, spec, _stage(spec), scan.labels(spec.walk.n_steps))
 
@@ -519,6 +513,25 @@ def batched_cases():
             yield ExperimentSpec(
                 mu_xi=0.1, eta_idler=0.7, eta_sys=0.8, heralded=heralded, **common
             )
+    # registers past the dense route's 7 bins: every pair source, herald mode
+    # and kind once, with lossy idler and system and a partial overlap
+    rng = np.random.default_rng(12)
+    for kind, pair_source, herald in itertools.product(
+        SCAN_KINDS, ("tmsv", "squashed"), ("heralded", "unheralded", "ideal")
+    ):
+        yield ExperimentSpec(
+            walk=random_walk(rng, int(rng.integers(7, 13))),
+            kind=kind,
+            pair_source=pair_source,
+            mu_alpha=float(rng.uniform(0.01, 1.0)),
+            mu_xi=float(rng.uniform(0.01, 0.3)),
+            overlap=float(rng.uniform(0.05, 0.95)),
+            eta_kerr=float(rng.uniform(0.5, 1.0)),
+            eta_sys=float(rng.uniform(0.5, 0.99)),
+            eta_idler=float(rng.uniform(0.5, 0.99)),
+            heralded=herald != "unheralded",
+            ideal_herald=herald == "ideal",
+        )
 
 
 def test_batched_scans_match_the_dense_route():
@@ -541,26 +554,28 @@ def test_scans_pick_their_route_by_register_size():
         assert np.allclose(raw, dense_scan(spec), rtol=0.0, atol=1e-12)
 
 
-def reference_low_rank(spec):
-    """The batched factor built as before: the sources on a dense zero
-    covariance, the symplectic of the full M x M walk unitary, then loss."""
+def dense_amplitudes(spec):
+    """(u, beta) read off the dense stage: u from the ideal-herald probe's
+    mean or from the signal's covariance with the idler, beta from the mean."""
     stage, bins = _stage(spec), spec.walk.bin_capacity
-    m = 4 * bins + stage.idler
-    mean, cov = np.zeros(2 * m), np.zeros((2 * m, 2 * m))
-    for source in stage.sources:
-        sectors = [flat_index(replace(source.target, sector=s), bins) for s in (0, 1)]
-        _install_source(mean, cov, source, (*sectors, flat_index(IDLER, bins)))
-    support = np.flatnonzero(np.any(cov != 0.0, axis=1))
-    signal = flat_index(ModeIndex(Pol.H, 1, 0), bins)
-    probes = [2 * signal, 2 * signal + 1] if spec.ideal_herald else []
-    eye, u = np.eye(2 * m), np.eye(m, dtype=complex)
-    u[: 4 * bins, : 4 * bins] = sector_extend(walk_unitary(spec.walk))
-    columns = np.hstack((eye[:, support], mean[:, None], eye[:, probes]))
-    core = cov[np.ix_(support, support)]
-    state = LowRankState(bins, stage.idler, symplectic_from_unitary(u) @ columns, core)
-    for eta, modes in stage.losses:
-        state = state.loss(eta, modes)
-    return state
+    state, idler = stage.state, 2 * flat_index(IDLER, bins)
+    walk_modes = [flat_index(ModeIndex(pol, m, 0), bins) for pol in (Pol.H, Pol.V) for m in range(1, bins + 1)]
+    if spec.ideal_herald:
+        mean = stage.probes[0].mean
+        u = np.array([mean[2 * j] + 1j * mean[2 * j + 1] for j in walk_modes])
+    else:
+        mu = spec.mu_xi
+        c = np.sqrt(mu * (mu + 1.0)) if spec.pair_source == "tmsv" else mu
+        # the cross block is c sqrt(eta_idler) [[Re u, Im u], [Im u, -Re u]]
+        cross = [state.cov[2 * j : 2 * j + 2, idler] for j in walk_modes]
+        u = np.array([x + 1j * y for x, y in cross]) / (c * np.sqrt(spec.eta_idler))
+    # sector 0 carries sqrt(2 overlap) beta on its quadratures, sector 1 sqrt(2 (1 - overlap)) beta
+    sectors = [
+        np.array([state.mean[2 * j] + 1j * state.mean[2 * j + 1] for j in walk_modes]),
+        np.array([state.mean[2 * (j + 2 * bins)] + 1j * state.mean[2 * (j + 2 * bins) + 1] for j in walk_modes]),
+    ]
+    beta = (np.sqrt(spec.overlap) * sectors[0] + np.sqrt(1.0 - spec.overlap) * sectors[1]) / np.sqrt(2.0)
+    return u, beta
 
 
 @given(
@@ -570,19 +585,17 @@ def reference_low_rank(spec):
     pair_source=st.sampled_from(("tmsv", "squashed")),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=40, deadline=None)
-def test_low_rank_stage_equals_the_full_register_construction(
-    n_steps, spare, herald, pair_source, seed
-):
-    # the walk's t1 columns alone give the factor bit for bit: each of its
-    # entries is one nonzero product either way
+@settings(max_examples=25, deadline=None)
+def test_walk_inputs_match_the_dense_stage(n_steps, spare, herald, pair_source, seed):
+    # the walk's t1 columns, scaled by the walk's transmission, are the
+    # amplitudes the dense stage carries in its mean and covariance
     rng = np.random.default_rng(seed)
     walk = random_walk(rng, n_steps)
     spec = ExperimentSpec(
         walk=WalkConfig(n_steps, walk.layers, n_steps + 1 + spare),
         kind="two-fold",
-        mu_alpha=float(rng.uniform(0.0, 0.5)),
-        mu_xi=float(rng.uniform(0.0, 0.2)),
+        mu_alpha=float(rng.uniform(0.01, 0.5)),
+        mu_xi=float(rng.uniform(0.01, 0.2)),
         overlap=float(rng.uniform(0.0, 1.0)),
         eta_sys=float(rng.uniform(0.5, 1.0)),
         eta_idler=float(rng.uniform(0.5, 1.0)),
@@ -590,16 +603,22 @@ def test_low_rank_stage_equals_the_full_register_construction(
         ideal_herald=herald == "ideal",
         pair_source=pair_source,
     )
-    state, reference = _stage(spec).low_rank, reference_low_rank(spec)
-    assert (state.bins, state.idler) == (reference.bins, reference.idler)
-    assert np.array_equal(state.factor, reference.factor)
-    assert np.array_equal(state.core, reference.core)
+    inputs = _stage(spec).inputs
+    u, beta = dense_amplitudes(spec)
+    assert np.allclose(inputs.signal, u, rtol=0.0, atol=1e-12)
+    assert np.allclose(inputs.coherent, beta, rtol=0.0, atol=1e-12)
+    assert inputs.overlap == spec.overlap
+    if herald == "ideal":
+        assert (inputs.source, inputs.idler) == ("fock1", None)
+    else:
+        assert (inputs.source, inputs.mu, inputs.idler) == (pair_source, spec.mu_xi, spec.eta_idler)
 
 
 @pytest.mark.parametrize("herald", ("heralded", "ideal"))
 def test_batched_stage_forms_no_register_sized_square(herald):
     # at N = 1001 (M = 4009 modes) one real 2M x 2M matrix is 514 MB and the
-    # complex M x M walk unitary 257 MB; the batched stage needs neither
+    # complex M x M walk unitary 257 MB; the batched stage holds two walk
+    # columns of 2004 complex amplitudes (32 kB each)
     spec = ExperimentSpec(
         walk=WalkConfig.uniform(1001),
         kind="two-fold",
@@ -609,37 +628,36 @@ def test_batched_stage_forms_no_register_sized_square(herald):
     )
     tracemalloc.start()
     try:
-        _stage(spec).low_rank
+        _stage(spec).inputs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16e6
+    assert peak < 1e6
 
 
 def per_point_raw(spec):
-    """Raw scan values from one no-click term per (detector union, gate point)."""
-    scan, state = _SCANS[spec.kind], _stage(spec).low_rank
+    """Raw scan values from one closed-form term per (detector union, gate
+    point), its sums taken over explicit per-bin routing weights."""
+    scan, inputs = _SCANS[spec.kind], _stage(spec).inputs
     slots = np.array([[b or 0 for b in scan.slots(x)] for x in scan.labels(spec.walk.n_steps)])
-    capacity, f, core = state.bins, state.factor, state.core
-
-    def gram(*modes):
-        rows = f[[q for m in modes for q in (2 * m, 2 * m + 1)]]
-        return rows.T @ rows
-
-    bins = [gram(*(flat_index(ModeIndex(Pol.H, m, s), capacity) for s in (0, 1))) for m in range(1, capacity + 1)]
-    routed = spec.eta_kerr * np.array([0.0 * bins[0]] + bins)
+    bins = spec.walk.bin_capacity
+    routed = spec.eta_kerr * np.vstack((np.zeros(bins), np.eye(bins)))  # row 0: a dark slot
     apd3, apd4 = routed[slots[:, 0]], routed[slots[:, 1]]
-    detectors = {"APD2": sum(bins) - apd3 - apd4, "APD3": apd3, "APD4": apd4}
+    weights = {"APD2": 1.0 - apd3 - apd4, "APD3": apd3, "APD4": apd4}
+    u, beta = inputs.signal[:bins], inputs.coherent[:bins]
     clicked, rate = scan.clicked, 1.0
     if spec.heralded and not spec.ideal_herald:
-        detectors["APD1"] = gram(flat_index(IDLER, capacity))
-        rate = -detection._no_click_excess(detectors["APD1"][None], core, str)[0]
+        rate = -detection._p0_excess(inputs, 0.0, 0j, 0.0, inputs.idler)
         clicked = ("APD1",) + clicked
     joint = np.zeros(len(slots))
     for r in range(len(clicked) + 1):
         for subset in itertools.combinations(clicked, r):
-            grams = sum((detectors[n] for n in subset), np.zeros((len(slots),) + bins[0].shape))
-            joint += (-1.0) ** r * detection._no_click_excess(grams, core, str)
+            w = sum((weights[n] for n in subset if n != "APD1"), np.zeros((len(slots), bins)))
+            a = w @ np.abs(u) ** 2
+            z = np.sqrt(spec.overlap) * (w @ (u.conj() * beta))
+            e = w @ np.abs(beta) ** 2
+            h = inputs.idler if "APD1" in subset else 0.0
+            joint += (-1.0) ** r * detection._p0_excess(inputs, a, z, e, h)
     return np.clip(joint, 0.0, 1.0) / rate
 
 
@@ -654,6 +672,7 @@ def per_point_raw(spec):
 def test_distinct_gram_scans_match_one_term_per_union_and_point(
     n_steps, kind, herald, pair_source, seed
 ):
+    # the scan's sums, H totals minus the routed shares, against explicit weights
     rng = np.random.default_rng(seed)
     spec = ExperimentSpec(
         walk=random_walk(rng, n_steps),  # coins with gamma != 0
@@ -669,33 +688,6 @@ def test_distinct_gram_scans_match_one_term_per_union_and_point(
         ideal_herald=herald == "ideal",
     )
     assert np.max(np.abs(batched_scan(spec) - per_point_raw(spec))) <= 1e-13
-
-
-@pytest.mark.parametrize(
-    "kind, heralded, distinct, per_point",
-    [
-        ("two-fold", True, 753, 2601),
-        ("three-fold", False, 752, 2600),
-        ("one-fold", True, 55, 105),
-        ("one-fold", False, 27, 52),
-    ],
-)
-def test_scans_score_each_distinct_gram_once(monkeypatch, kind, heralded, distinct, per_point):
-    # N = 25: 26 bins, 325 pairs; the herald rate is one more Gram
-    scored = []
-    real = detection._no_click_excess
-
-    def counted(grams, core, where):
-        scored.append(len(grams))
-        return real(grams, core, where)
-
-    monkeypatch.setattr(detection, "_no_click_excess", counted)
-    spec = ExperimentSpec(walk=WalkConfig.uniform(25), kind=kind, mu_alpha=0.24, heralded=heralded)
-    run_experiment(spec)
-    assert sum(scored) == distinct
-    scored.clear()
-    per_point_raw(spec)
-    assert sum(scored) == per_point
 
 
 @pytest.mark.parametrize("n_steps", [2, 7])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from qwalk.detection import GateSpec, build_layout, scan_patterns
+from qwalk.detection import GateSpec, WalkInputs, build_layout, scan_patterns
 from qwalk.errors import IndexOutOfRange, ModeCollision
-from qwalk.gaussian import LowRankState, SourceSpec, prepare
+from qwalk.gaussian import SourceSpec, prepare
 from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
 
 
@@ -39,16 +39,15 @@ def test_sources_beyond_the_register_are_refused(kind):
     source = SourceSpec(kind, ModeIndex(Pol.V, 3, 0), 0.1)
     with pytest.raises(IndexOutOfRange):
         prepare((source,), bins=2)
-    with pytest.raises(IndexOutOfRange):
-        LowRankState.of((source,), 2, np.zeros((18, 0)))
 
 
 def test_gates_beyond_the_register_are_refused():
     source = SourceSpec("coherent", ModeIndex(Pol.V, 1, 0), 0.1)
-    state = LowRankState.of((source,), 2, np.zeros((16, 0)))
-    assert scan_patterns(state, [(1, 2)], 0.97, ("APD3", "APD4")).shape == (1,)
+    # coherent light alone on the 2 x 2 walk modes of a 2-bin register
+    inputs = WalkInputs(np.zeros(4), np.full(4, 0.1 + 0j), 1.0, None, 0.0, None)
+    assert scan_patterns(inputs, [(1, 2)], 0.97, ("APD3", "APD4")).shape == (1,)
     with pytest.raises(IndexOutOfRange):
-        scan_patterns(state, [(1, 3)], 0.97, ("APD3", "APD4"))
+        scan_patterns(inputs, [(1, 3)], 0.97, ("APD3", "APD4"))
     with pytest.raises(IndexOutOfRange):
         build_layout(prepare((source,), bins=2), (GateSpec(3),))
 
