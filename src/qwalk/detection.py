@@ -22,14 +22,15 @@ and click patterns follow by inclusion-exclusion over the clicking
 detectors.
 
 Two routes evaluate it.  `build_layout` + `ClickCalculator` route one
-dense state per gate point and factor each covariance block; HOM runs
-and scans on registers of up to 7 time bins use them.  `scan_patterns`
-evaluates every gate point of a scan at once in closed form.  After a
-passive walk only two inputs reach the detectors, the (H, t1) signal and
-the (V, t1) coherent light.  A detector union that collects a share w_j
-of each walk output j sees the signal's share a = sum_j w_j |u_j|^2 (its
-Gram block is a I_2), the coherent photons e = sum_j w_j |beta_j|^2, their
-overlap z = sqrt(overlap) sum_j w_j conj(u_j) beta_j, and the idler's
+dense state per gate point and factor each covariance block; only scans
+on registers of up to 7 time bins use them.  `click_probabilities`
+evaluates any detector plan in closed form, `scan_patterns` every gate
+point of a scan at once.  After a passive walk only two inputs reach the
+detectors, the (H, t1) signal and the (V, t1) coherent light.  A
+detector union that collects a share w_j of each walk output j sees the
+signal's share a = sum_j w_j |u_j|^2 (its Gram block is a I_2), the
+coherent photons e = sum_j w_j |beta_j|^2, their overlap
+z = sqrt(overlap) sum_j w_j conj(u_j) beta_j, and the idler's
 transmission h when APD1 is in the union; P0 is a closed form in these
 four numbers (`_p0_excess`).  The bucket and both routing ports
 together see every H output, so
@@ -69,6 +70,7 @@ __all__ = [
     "ClickCalculator",
     "WalkInputs",
     "scan_patterns",
+    "click_probabilities",
     "APD_NAMES",
 ]
 
@@ -419,7 +421,8 @@ def _spectrum(inputs: WalkInputs, a, h) -> tuple:
 
 
 def _gate_point_name(slots) -> str:
-    return "the gate point with gates on bins " + ", ".join(str(int(b)) for b in slots if b)
+    bins = ", ".join(str(int(b)) for b in slots if b)
+    return "the gate point with " + (f"gates on bins {bins}" if bins else "both gates dark")
 
 
 def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -481,10 +484,8 @@ def scan_patterns(
     APD3 and APD4 collect `efficiency` of their bin's H outputs in both
     sectors, APD2 the H totals minus those shares, APD1 the idler.  So
     each detector union's sums a, z, e are flat arrays over the gate
-    points, gathered from three per-bin sums, and each of its terms is a
-    closed form in them (`_p0_excess`).  Values match ClickCalculator on
-    the layout of build_layout, including its refusals, which name the
-    first failing gate point in scan order.
+    points, gathered from three per-bin sums.  Values and refusals match
+    ClickCalculator on the layout of build_layout.
     """
     slots = np.asarray(slots, dtype=int).reshape(-1, 2)
     if not len(slots):
@@ -509,6 +510,23 @@ def scan_patterns(
         for x in per_bin
     ]
 
+    def union(subset):
+        own = ("APD3" in subset, "APD4" in subset)
+        a, z, e = (_union_sum(total, shares, "APD2" in subset, own) for total, *shares in sums)
+        return a, z, e, inputs.idler if "APD1" in subset else 0.0
+
+    return click_probabilities(inputs, slots, clicked, union, heralded)
+
+
+def click_probabilities(inputs: WalkInputs, slots, clicked, union, heralded=False) -> np.ndarray:
+    """P(every detector in `clicked` clicks), the others marginal, at each
+    gate point of `slots`, conditioned on an APD1 click with `heralded`.
+
+    `union(subset)` gives the sums (a, z, e, h) of `_p0_excess` over what
+    the detectors in `subset` watch, or None where they watch no mode: a
+    clicked detector that watches none gives exactly 0.  Refusals name the
+    first failing gate point in scan order.
+    """
     clicked = tuple(clicked)
     rate = 1.0
     if heralded:
@@ -524,11 +542,12 @@ def scan_patterns(
 
     found = [None, None]  # per check of _REFUSALS: the first failing (union, point)
     joint = np.full(len(slots), float(not clicked))
-    for r in range(len(clicked) + 1):
+    for r in range(1, len(clicked) + 1):  # the empty union's P0 - 1 is 0
         for subset in itertools.combinations(clicked, r):
-            own = ("APD3" in subset, "APD4" in subset)
-            a, z, e = (_union_sum(total, shares, "APD2" in subset, own) for total, *shares in sums)
-            h = inputs.idler if "APD1" in subset else 0.0
+            sums = union(subset)
+            if sums is None:
+                return np.zeros(len(slots))
+            a, z, e, h = sums
             for i, p in enumerate(_failures(*_spectrum(inputs, a, h))):
                 if p is not None and found[i] is None:
                     found[i] = (subset, p)

@@ -5,7 +5,9 @@ Each preset assembles the same physical chain: the run's inputs at t_1
 on V), the sector-extended walk, crystal and system loss, idler loss,
 Kerr routing, and one of the APD click patterns.  Scans over gate
 positions return labeled distributions; the HOM preset and the overlap
-fitter drive the same chain with both gates off.
+fitter drive the same chain with both gates off.  All but the scans of
+up to 7 time bins (_DENSE_MAX_BINS) are scored in closed form from the
+inputs' walk columns (detection.click_probabilities).
 
 The mode-overlap between the coherent light and the heralded photon is
 modeled by splitting the coherent amplitude over two internal sectors
@@ -34,11 +36,10 @@ from .detection import (
     APD_NAMES,
     ClickCalculator,
     ClickPattern,
-    Detector,
-    DetectorLayout,
     GateSpec,
     WalkInputs,
     build_layout,
+    click_probabilities,
     scan_patterns,
 )
 from .errors import ConfigInvalid
@@ -58,7 +59,6 @@ __all__ = [
     "ExperimentSpec",
     "Distribution",
     "run_experiment",
-    "hom_coincidence",
     "hom_scan",
     "fit_overlap",
     "step_evolution",
@@ -108,9 +108,10 @@ class ExperimentSpec:
                 raise ConfigInvalid(f"{name} must lie in [0, 1], got {value}")
         if self.ideal_herald and not self.heralded:
             raise ConfigInvalid("ideal_herald only makes sense for heralded runs")
-        if self.ideal_herald and self.kind == "hom":
+        if self.kind == "hom" and (self.ideal_herald or not self.heralded):
             raise ConfigInvalid(
-                "the HOM preset heralds on the pair source's idler, so it takes no ideal_herald"
+                "the HOM preset heralds on the pair source's idler, so it takes"
+                " no ideal_herald and no heralded: false"
             )
         if self.kind == "three-fold" and self.walk.n_steps < 1:
             raise ConfigInvalid(
@@ -175,10 +176,10 @@ class _Stage:
     """Register after the walk and all loss, before any routing.
 
     Holds the run's inputs (`_sources`) and the optics; each form is built
-    on first use.  `state` and `probes` are dense, for the HOM preset and
-    the per-point route.  `inputs`, what batched scans read, walks the two
-    t1 inputs' columns alone and scales them by the walk's transmission:
-    no walk unitary, covariance or register-sized array is formed.
+    on first use.  `state` and `probes` are dense, for small scans on the
+    per-point route.  `inputs`, what all else reads, walks the two t1
+    inputs' columns alone and scales them by the walk's transmission: no
+    walk unitary, covariance or register-sized array is formed.
     """
 
     walk: WalkConfig
@@ -318,7 +319,8 @@ def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list
 
 
 def _batched_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> np.ndarray:
-    slots = [[b or 0 for b in scan.slots(label)] for label in labels]
+    gate_bins = (b or 0 for label in labels for b in scan.slots(label))
+    slots = np.fromiter(gate_bins, dtype=int, count=2 * len(labels))
     return scan_patterns(
         stage.inputs,
         slots,
@@ -352,45 +354,44 @@ def run_experiment(spec: ExperimentSpec) -> Distribution:
 
 # -- HOM ----------------------------------------------------------------------
 
-
-def _hom_layout(state: GaussianState) -> DetectorLayout:
-    """Both gates off; the two N=1 output arms go to their own detectors.
-
-    APD4 watches the (H, t1) arm and APD2 the (V, t2) arm, in both
-    sectors, with the herald on APD1 as always.  APD3 is unused.
-    """
-    bins = state.bins
-    arm_h = frozenset(flat_index(ModeIndex(Pol.H, 1, s), bins) for s in (0, 1))
-    arm_v = frozenset(flat_index(ModeIndex(Pol.V, 2, s), bins) for s in (0, 1))
-    return DetectorLayout(
-        (
-            Detector("APD1", frozenset((flat_index(IDLER, bins),) if state.idler else ())),
-            Detector("APD2", arm_v),
-            Detector("APD3", frozenset()),
-            Detector("APD4", arm_h),
-        )
-    )
-
-
+# both gates off; APD4 watches the (H, t1) arm and APD2 the (V, t2) arm, in
+# both sectors, with the herald on APD1 as always; APD3 watches nothing
+_HOM_ARMS = {"APD2": ModeIndex(Pol.V, 2), "APD4": ModeIndex(Pol.H, 1)}
 _HOM_PATTERN = ClickPattern.of(apd1=True, apd2=True, apd4=True)
 
 
-def hom_coincidence(spec: ExperimentSpec, overlap: float) -> float:
-    """Raw herald + two-arm coincidence probability at the given overlap."""
-    probe = replace(spec, kind="hom", overlap=overlap)
-    stage = _stage(probe)
-    calc = ClickCalculator(stage.state, _hom_layout(stage.state))
-    return calc.pattern(_HOM_PATTERN)
+def _hom_clicks(inputs: WalkInputs, clicked=("APD1", "APD2", "APD4")) -> float:
+    """P(every detector in `clicked` clicks), the others marginal, on the HOM arms."""
+    arms = {d: flat_index(mode, len(inputs.signal) // 2) for d, mode in _HOM_ARMS.items()}
+
+    def union(subset):
+        modes = [arms[d] for d in subset if d in arms]
+        h = inputs.idler if "APD1" in subset else None
+        if not modes and h is None:
+            return None
+        u, beta = inputs.signal[modes], inputs.coherent[modes]
+        z = np.sqrt(inputs.overlap) * np.sum(u.conj() * beta)
+        return np.sum(u.real**2 + u.imag**2), z, np.sum(beta.real**2 + beta.imag**2), h or 0.0
+
+    return float(click_probabilities(inputs, np.zeros((1, 2), dtype=int), clicked, union)[0])
 
 
-def _hom_reference(spec: ExperimentSpec) -> float:
-    """Coincidence rate of fully distinguishable inputs, the visibility's denominator."""
-    reference = hom_coincidence(spec, 0.0)
+def _hom_rates(spec: ExperimentSpec) -> tuple:
+    """The coincidence rate at any overlap, from one stage, and at overlap 0,
+    the visibility's denominator."""
+    inputs = _stage(replace(spec, kind="hom")).inputs
+
+    def coincidence(overlap: float) -> float:
+        if not 0.0 <= overlap <= 1.0:
+            raise ConfigInvalid(f"overlap must lie in [0, 1], got {overlap}")
+        return _hom_clicks(replace(inputs, overlap=overlap))
+
+    reference = coincidence(0.0)
     if reference <= 0.0:
         raise ConfigInvalid(
             "distinguishable coincidence rate is zero; visibility is undefined"
         )
-    return reference
+    return coincidence, reference
 
 
 def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
@@ -401,8 +402,8 @@ def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
     visibilities (not a normalized set of outcomes).
     """
     overlaps = tuple(float(o) for o in overlaps)
-    reference = _hom_reference(spec)
-    raw = tuple(hom_coincidence(spec, o) for o in overlaps)
+    coincidence, reference = _hom_rates(spec)
+    raw = tuple(coincidence(o) for o in overlaps)
     vis = tuple(1.0 - c / reference for c in raw)
     return Distribution("hom", overlaps, vis, raw, RAW_PATTERN, False)
 
@@ -415,10 +416,10 @@ def fit_overlap(spec: ExperimentSpec, target: float = 0.70, tol: float = 1e-4) -
     visibility).  100 halvings exhaust double precision, so a fit that
     has not met `tol` by then never will.
     """
-    reference = _hom_reference(spec)
+    coincidence, reference = _hom_rates(spec)
 
     def visibility(o: float) -> float:
-        return 1.0 - hom_coincidence(spec, o) / reference
+        return 1.0 - coincidence(o) / reference
 
     lo, hi = 0.0, 1.0
     v_hi = visibility(hi)
@@ -484,45 +485,31 @@ def verify_against_oracle(
     with the oracle's truncation leak, so callers can judge both routes'
     agreement against their tolerance.
     """
-    if spec.kind == "hom":
-        gauss = hom_scan(spec, (0.0, spec.overlap))
-        diffs = []
-        leak = 0.0
-        for overlap, value in zip(gauss.labels, gauss.raw):
-            probe = replace(spec, overlap=overlap)
-            oracle = ThresholdOracle(
-                _sources(probe),
-                spec.walk,
-                eta_sys=spec.eta_sys,
-                eta_idler=spec.eta_idler,
-                detector_labels={
-                    "APD1": ("idler",),
-                    "APD2": ((Pol.V, 2),),
-                    "APD3": (),
-                    "APD4": ((Pol.H, 1),),
-                },
-                settings=settings,
-            )
-            diffs.append(abs(oracle.pattern_prob(_HOM_PATTERN) - value))
-            leak = max(leak, oracle.truncation_leak)
-        return OracleReport(max(diffs), len(diffs), leak)
 
-    stage_dist = run_experiment(spec)
-    scan = _SCANS[spec.kind]
-    oracle = ThresholdOracle(
-        _sources(spec),
-        spec.walk,
-        eta_sys=spec.eta_sys,
-        eta_idler=spec.eta_idler,
-        settings=settings,
-    )
-    diffs = []
-    for label, value in zip(stage_dist.labels, stage_dist.raw):
-        routed = oracle.at(scan.gates(label, spec.eta_kerr))
+    def oracle(probe: ExperimentSpec, plan=None) -> ThresholdOracle:
+        return ThresholdOracle(
+            _sources(probe),
+            spec.walk,
+            eta_sys=spec.eta_sys,
+            eta_idler=spec.eta_idler,
+            detector_labels=plan,
+            settings=settings,
+        )
+
+    if spec.kind == "hom":
+        dist = hom_scan(spec, (0.0, spec.overlap))
+        plan = {"APD1": ("idler",), **{d: ((m.pol, m.bin),) for d, m in _HOM_ARMS.items()}}
+        oracles = [oracle(replace(spec, overlap=o), plan) for o in dist.labels]
+        fock = [o.pattern_prob(_HOM_PATTERN) for o in oracles]
+    else:
+        dist = run_experiment(spec)
+        scan = _SCANS[spec.kind]
+        oracles = [oracle(spec)]
+        routed = [oracles[0].at(scan.gates(label, spec.eta_kerr)) for label in dist.labels]
         # the heralded photon itself needs no herald: exactly one went in
         if spec.heralded and not spec.ideal_herald:
-            fock = routed.heralded_prob(scan.pattern)
+            fock = [r.heralded_prob(scan.pattern) for r in routed]
         else:
-            fock = routed.pattern_prob(scan.pattern)
-        diffs.append(abs(fock - value))
-    return OracleReport(max(diffs), len(diffs), oracle.truncation_leak)
+            fock = [r.pattern_prob(scan.pattern) for r in routed]
+    diffs = [abs(f - v) for f, v in zip(fock, dist.raw)]
+    return OracleReport(max(diffs), len(diffs), max(o.truncation_leak for o in oracles))

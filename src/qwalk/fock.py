@@ -137,10 +137,9 @@ class OracleSettings:
 
     Each branch keeps the inputs' occupations up to the smallest total
     photon number k_max whose tail of the inputs' joint photon-number
-    distribution is at most leak_target / 4; thermal members are further
-    capped where their weight falls below leak_target / 8.  Inputs that
-    need more than `max_total_photons` are refused with CutoffTooSmall,
-    and so is a pair source left with room for fewer than two photons.
+    distribution is at most leak_target / 4.  Inputs that need more than
+    `max_total_photons` are refused with CutoffTooSmall, and so is a pair
+    source left with room for fewer than two photons.
     """
 
     leak_target: float = 1e-9
@@ -253,7 +252,7 @@ class _Branch:
     the inputs fix it; routing never enters a branch.
     """
 
-    def __init__(self, grams, sources, k_max, leak_target):
+    def __init__(self, grams, sources, k_max):
         self.grams = grams
         self._cache: dict = {}
         self.leak = 0.0
@@ -263,7 +262,7 @@ class _Branch:
         caps = []
         ensembles = []
         for src in sources:
-            src_caps, members = _ensemble(src, k_max, leak_target)
+            src_caps, members = _ensemble(src, k_max)
             caps.extend(src_caps)
             ensembles.append(members)
         caps = tuple(caps)
@@ -321,25 +320,16 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     )
 
 
-def _thermal_member_cap(mu: float, share: float, k_max: int) -> int:
-    p = mu / (1.0 + mu)
-    cap = 0
-    while p ** (cap + 1) > share and cap < k_max:
-        cap += 1
-    return cap
-
-
-def _ensemble(src: _BranchSource, k_max: int, leak_target: float) -> tuple:
+def _ensemble(src: _BranchSource, k_max: int) -> tuple:
     """One branch source as occupation caps, one per axis, and a list of
     (weight, amplitudes) members, each a dense array over the caps' box.
 
-    Coherent light and a lone photon are pure; thermal light is a
-    photon-number mixture; a TMSV pair is the twin beam, room for k_max
-    photons in all; a squashed pair is a Gauss-Hermite discretization of
-    its positive P-function over correlated coherent pairs (alpha on the
-    signal, conjugate alpha on the idler), occupations up to k_max in
-    total.  A truncated tail is left as missing weight, not renormalized
-    away.
+    Coherent light and a lone photon are pure; a TMSV pair is the twin
+    beam, room for k_max photons in all; a squashed pair is a
+    Gauss-Hermite discretization of its positive P-function over
+    correlated coherent pairs (alpha on the signal, conjugate alpha on
+    the idler), occupations up to k_max in total.  A truncated tail is
+    left as missing weight, not renormalized away.
     """
     mu = src.mean_photon
     if src.kind in PAIR_KINDS and k_max < 2:
@@ -348,10 +338,6 @@ def _ensemble(src: _BranchSource, k_max: int, leak_target: float) -> tuple:
         return (1,), [(1.0, np.array([0.0, 1.0], dtype=complex))]
     if src.kind == "coherent":
         return (k_max,), [(1.0, _coherent_amplitudes(math.sqrt(mu), k_max))]
-    if src.kind == "thermal":
-        cap = _thermal_member_cap(mu, leak_target / 8.0, k_max)
-        numbers = np.eye(cap + 1, dtype=complex)
-        return (cap,), [(mu**n / (1.0 + mu) ** (n + 1), numbers[n]) for n in range(cap + 1)]
     if src.kind == "tmsv":
         half = k_max // 2
         lam = math.sqrt(mu / (1.0 + mu))
@@ -385,9 +371,6 @@ def _source_total_pmf(src: _BranchSource, length: int) -> np.ndarray:
     mu = src.mean_photon
     if src.kind == "coherent":
         return _poisson_pmf(mu, length)
-    if src.kind == "thermal":
-        n = np.arange(length)
-        return (mu / (1.0 + mu)) ** n / (1.0 + mu)
     if src.kind == "tmsv":
         pmf = np.zeros(length)
         lam2 = mu / (1.0 + mu)
@@ -524,7 +507,7 @@ class ThresholdOracle:
         grams = dict(zip(labels, np.einsum("li,lj->lij", w.conj(), w)))
 
         k_max = _choose_k_max(srcs, self.settings) if srcs else 0
-        return _Branch(grams, srcs, k_max, self.settings.leak_target)
+        return _Branch(grams, srcs, k_max)
 
     def at(self, gates) -> ThresholdOracle:
         """This oracle routed at another gate point; it shares the branches

@@ -43,7 +43,7 @@ __all__ = [
     "classicality_eigenvalues",
 ]
 
-SOURCE_KINDS = ("coherent", "thermal", "tmsv", "squashed", "fock1")
+SOURCE_KINDS = ("coherent", "tmsv", "squashed", "fock1")
 PAIR_KINDS = ("tmsv", "squashed")
 
 _SYMMETRY_TOL = 1e-12
@@ -205,9 +205,6 @@ def _install_source(mean: np.ndarray, cov: np.ndarray, source: SourceSpec, modes
         # real amplitude: the x quadrature carries it, p stays zero
         for mode, fraction in ((s0, source.overlap), (s1, 1.0 - source.overlap)):
             mean[2 * mode] = np.sqrt(2.0) * np.sqrt(fraction * mu)
-        return
-    if source.kind == "thermal":
-        cov[2 * s0 : 2 * s0 + 2, 2 * s0 : 2 * s0 + 2] += mu * np.eye(2)
         return
     # pair sources: signal in sector 0, conjugate on the idler
     cross = np.sqrt(mu * (mu + 1.0)) if source.kind == "tmsv" else mu

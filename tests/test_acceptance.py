@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from qwalk.cli import main
-from qwalk.detection import ClickCalculator, ClickPattern, GateSpec
+from qwalk.detection import APD_NAMES, ClickPattern, GateSpec
 from qwalk.experiments import (
     NORMALIZED,
     ExperimentSpec,
     _gate_point,
-    _hom_layout,
+    _hom_clicks,
     _stage,
     fit_overlap,
     run_experiment,
@@ -261,9 +261,19 @@ def test_07_click_pattern_space_is_complete():
         calc, _ = _gate_point(stage, gates)
         total = sum(calc.pattern(p) for p in ClickPattern.full_patterns())
         worst = max(worst, abs(total - 1.0))
-    hom_calc = ClickCalculator(stage.state, _hom_layout(stage.state))
-    total = sum(hom_calc.pattern(p) for p in ClickPattern.full_patterns())
-    worst = max(worst, abs(total - 1.0))
+    # the HOM layout: each full pattern by Moebius inversion of the
+    # marginal-click queries, P(exactly C click) = sum over D >= C of
+    # (-1)^|D - C| P(every detector in D clicks)
+    marginal = {
+        d: _hom_clicks(stage.inputs, d)
+        for r in range(len(APD_NAMES) + 1)
+        for d in itertools.combinations(APD_NAMES, r)
+    }
+    full = [
+        sum((-1) ** (len(d) - len(c)) * q for d, q in marginal.items() if set(c) <= set(d))
+        for c in marginal
+    ]
+    worst = max(worst, abs(sum(full) - 1.0))
     assert worst < 1e-9
 
     worst_dist = 0.0

@@ -204,6 +204,23 @@ def test_hom_with_ideal_herald_exits_two(tmp_path, capsys):
         assert "ideal_herald" in payload["message"]
 
 
+def test_unheralded_hom_exits_two(tmp_path, capsys):
+    # the HOM coincidence clicks the herald, so an unheralded run would
+    # write heralded values under an echo that says otherwise
+    config = write_config(tmp_path, HOM_YAML + "  heralded: false\n")
+    plain = write_config(tmp_path, HOM_YAML, "plain.yaml")
+    for argv in (
+        ["simulate", "--config", config],
+        ["fit-overlap", "--config", config],
+        ["simulate", "--config", plain, "--unheralded"],
+    ):
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ConfigInvalid"
+        assert "HOM preset" in payload["message"]
+        assert "heralded: false" in payload["message"]
+
+
 def test_compute_errors_exit_one(tmp_path, capsys):
     config = write_config(
         tmp_path,

@@ -48,8 +48,8 @@ def test_coherent_no_click_probability():
 
 
 def test_thermal_no_click_probability():
-    # 1/(1 + mu)
-    state = prepare((SourceSpec("thermal", H1, 0.026),), bins=1)
+    # the unheralded TMSV signal is thermal: 1/(1 + mu)
+    state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
     i = flat_index(H1, state.bins)
     layout = DetectorLayout((Detector("APD1", frozenset({i})),))
     assert ClickCalculator(state, layout).no_click({i}) == pytest.approx(1.0 / 1.026, abs=1e-14)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qwalk.detection as detection
 import qwalk.fock as fock
+from qwalk.detection import ClickCalculator, ClickPattern, Detector, DetectorLayout
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
 from qwalk.experiments import (
     Distribution,
@@ -20,7 +21,6 @@ from qwalk.experiments import (
     _sources,
     _stage,
     fit_overlap,
-    hom_coincidence,
     hom_scan,
     run_experiment,
     step_evolution,
@@ -199,7 +199,51 @@ def test_hom_scan_packaging():
     assert dist.normalization == "RawPattern"
     assert dist.labels == (0.0, 0.5, 1.0)
     assert dist.probs[0] == pytest.approx(0.0, abs=1e-12)
-    assert dist.raw[0] == pytest.approx(hom_coincidence(spec, 0.0), rel=1e-12)
+    assert dist.raw[0] == pytest.approx(dense_hom(spec, 0.0), rel=1e-12)
+
+
+def dense_hom(spec, overlap):
+    """The HOM coincidence on the dense route, the independent reference of
+    the closed form: both gates off, APD4 on the (H, t1) arm and APD2 on the
+    (V, t2) arm in both sectors, the herald on APD1."""
+    state = _stage(replace(spec, overlap=overlap)).state
+    bins = state.bins
+
+    def arm(pol, m):
+        return frozenset(flat_index(ModeIndex(pol, m, s), bins) for s in (0, 1))
+
+    idler = frozenset((flat_index(IDLER, bins),) if state.idler else ())
+    layout = DetectorLayout(
+        (
+            Detector("APD1", idler),
+            Detector("APD2", arm(Pol.V, 2)),
+            Detector("APD3", frozenset()),
+            Detector("APD4", arm(Pol.H, 1)),
+        )
+    )
+    return ClickCalculator(state, layout).pattern(ClickPattern.of(apd1=True, apd2=True, apd4=True))
+
+
+@given(
+    overlap=st.floats(min_value=0.0, max_value=1.0),
+    mu_alpha=st.floats(min_value=0.0, max_value=1.0),
+    pair_source=st.sampled_from(("tmsv", "squashed")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_hom_scan_matches_the_dense_route(overlap, mu_alpha, pair_source, seed):
+    rng = np.random.default_rng(seed)
+    spec = ExperimentSpec(
+        walk=random_walk(rng, 1),
+        kind="hom",
+        pair_source=pair_source,
+        mu_alpha=mu_alpha,
+        mu_xi=float(rng.uniform(0.01, 0.3)),
+        eta_sys=float(rng.uniform(0.5, 0.99)),
+        eta_idler=float(rng.uniform(0.5, 0.99)),
+    )
+    raw = hom_scan(spec, (overlap,)).raw[0]
+    assert abs(raw - dense_hom(spec, overlap)) <= 1e-13
 
 
 def test_fit_overlap_reaches_target_visibility():

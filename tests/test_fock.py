@@ -29,13 +29,12 @@ from qwalk.walk import WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
-LEAK_TARGET = OracleSettings().leak_target
 
 
 def ensemble(kind, mu, k_max):
     """Caps and members of one source, as a branch of the oracle holds it."""
     labels = (H1, IDLER) if kind in ("tmsv", "squashed") else (H1,)
-    return _ensemble(_BranchSource(kind, mu, labels), k_max, LEAK_TARGET)
+    return _ensemble(_BranchSource(kind, mu, labels), k_max)
 
 
 def permanent_brute(a):
@@ -242,15 +241,6 @@ def test_two_photons_bunch_at_a_balanced_splitter():
 
 def test_hom_null_for_indistinguishable_photons():
     assert hom_oracle().pattern_prob(ClickPattern.of(apd2=True, apd4=True)) < 1e-14
-
-
-def test_thermal_decomposition_weights():
-    # geometric weights mu^n / (1+mu)^(n+1) for mu = 0.026
-    caps, members = ensemble("thermal", 0.026, 6)
-    weights = {int(np.argmax(abs(amps))): w for w, amps in members}
-    assert weights[0] == pytest.approx(0.9746588693957115, abs=1e-12)  # 1/1.026
-    assert weights[1] == pytest.approx(0.024698957703984892, abs=1e-12)  # 0.026/1.026^2
-    assert 1.0 - sum(weights.values()) < 1e-9
 
 
 def test_coherent_decomposition_matches_poisson():

@@ -62,14 +62,6 @@ def test_overlap_splits_mean_energy_between_sectors():
     assert photons.sum() == pytest.approx(mu, abs=1e-13)
 
 
-def test_thermal_source_adds_isotropic_noise():
-    state = prepare((SourceSpec("thermal", H1, 0.026),), bins=1)
-    i = flat_index(H1, state.bins)
-    block = state.cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-    assert np.allclose(block, (0.5 + 0.026) * np.eye(2), atol=1e-15)
-    assert np.count_nonzero(state.mean) == 0
-
-
 def test_tmsv_state_is_pure():
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
     # purity of a Gaussian state: det(2 sigma) = 1
@@ -101,7 +93,7 @@ def test_squashed_pair_keeps_thermal_marginals():
 def test_two_sources_cannot_share_a_mode():
     with pytest.raises(ModeCollision):
         prepare(
-            (SourceSpec("coherent", H1, 0.1), SourceSpec("thermal", H1, 0.2)),
+            (SourceSpec("coherent", H1, 0.1), SourceSpec("tmsv", H1, 0.2)),
             bins=1,
         )
 

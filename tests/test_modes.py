@@ -34,7 +34,7 @@ def test_flat_index_refuses_bins_beyond_the_register():
         flat_index(ModeIndex(Pol.H, 4, 0), 3)
 
 
-@pytest.mark.parametrize("kind", ("coherent", "thermal", "tmsv", "squashed"))
+@pytest.mark.parametrize("kind", ("coherent", "tmsv", "squashed"))
 def test_sources_beyond_the_register_are_refused(kind):
     source = SourceSpec(kind, ModeIndex(Pol.V, 3, 0), 0.1)
     with pytest.raises(IndexOutOfRange):
