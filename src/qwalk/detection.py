@@ -57,7 +57,7 @@ from .errors import (
     SingularMatrix,
     ZeroHeraldRate,
 )
-from .gaussian import GaussianState, append_modes, apply_passive
+from .gaussian import PAIR_KINDS, GaussianState, append_modes, apply_passive
 from .modes import IDLER, ModeIndex, Pol, flat_index
 
 __all__ = [
@@ -412,7 +412,7 @@ def _spectrum(inputs: WalkInputs, a, h) -> tuple:
     (TMSV) or mu^2 (squashed) over the identity.
     """
     mu = inputs.mu
-    if inputs.source not in ("tmsv", "squashed"):
+    if inputs.source not in PAIR_KINDS:
         return 1.0, 1.0
     c2 = mu * (mu + 1.0) if inputs.source == "tmsv" else mu * mu
     mid = 1.0 + 0.5 * mu * (a + h)
@@ -515,17 +515,31 @@ def scan_patterns(
         a, z, e = (_union_sum(total, shares, "APD2" in subset, own) for total, *shares in sums)
         return a, z, e, inputs.idler if "APD1" in subset else 0.0
 
-    return click_probabilities(inputs, slots, clicked, union, heralded)
+    # a bin is lit when either input reaches its H output; the bucket is judged
+    # from these per-bin values, since total - shares can leave round-off
+    lit = np.concatenate(([False], (per_bin[0] != 0.0) | (per_bin[2] != 0.0)))
+
+    def sees(name):
+        if name == "APD1":
+            return bool(inputs.idler)
+        if name == "APD2":  # only a gate of efficiency 1 takes all of its bin
+            return bool(lit.any()) if efficiency < 1.0 else lit.sum() > lit[slots].sum(axis=1)
+        return efficiency > 0.0 and lit[slots[:, int(name == "APD4")]]
+
+    return click_probabilities(inputs, slots, clicked, union, sees, heralded)
 
 
-def click_probabilities(inputs: WalkInputs, slots, clicked, union, heralded=False) -> np.ndarray:
+def click_probabilities(
+    inputs: WalkInputs, slots, clicked, union, sees, heralded=False
+) -> np.ndarray:
     """P(every detector in `clicked` clicks), the others marginal, at each
     gate point of `slots`, conditioned on an APD1 click with `heralded`.
 
     `union(subset)` gives the sums (a, z, e, h) of `_p0_excess` over what
-    the detectors in `subset` watch, or None where they watch no mode: a
-    clicked detector that watches none gives exactly 0.  Refusals name the
-    first failing gate point in scan order.
+    the detectors in `subset` watch.  `sees(name)` is False at the points
+    where all of that detector's own sums a, e and h are exactly 0: a
+    detector that sees no light cannot click, so a clicked one there gives
+    exactly 0.  Refusals name the first failing gate point in scan order.
     """
     clicked = tuple(clicked)
     rate = 1.0
@@ -540,14 +554,14 @@ def click_probabilities(inputs: WalkInputs, slots, clicked, union, heralded=Fals
             raise ZeroHeraldRate("herald detector can never click")
         clicked = ("APD1",) + clicked
 
+    lit = True
+    for name in clicked:
+        lit = lit & sees(name)
     found = [None, None]  # per check of _REFUSALS: the first failing (union, point)
     joint = np.full(len(slots), float(not clicked))
     for r in range(1, len(clicked) + 1):  # the empty union's P0 - 1 is 0
         for subset in itertools.combinations(clicked, r):
-            sums = union(subset)
-            if sums is None:
-                return np.zeros(len(slots))
-            a, z, e, h = sums
+            a, z, e, h = union(subset)
             for i, p in enumerate(_failures(*_spectrum(inputs, a, h))):
                 if p is not None and found[i] is None:
                     found[i] = (subset, p)
@@ -559,4 +573,4 @@ def click_probabilities(inputs: WalkInputs, slots, clicked, union, heralded=Fals
             raise error(
                 f"covariance block of detectors {subset} at {_gate_point_name(slots[p])} {what}"
             )
-    return _checked(joint, slots) / rate
+    return _checked(np.where(lit, joint, 0.0), slots) / rate

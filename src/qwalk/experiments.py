@@ -5,9 +5,10 @@ Each preset assembles the same physical chain: the run's inputs at t_1
 on V), the sector-extended walk, crystal and system loss, idler loss,
 Kerr routing, and one of the APD click patterns.  Scans over gate
 positions return labeled distributions; the HOM preset and the overlap
-fitter drive the same chain with both gates off.  All but the scans of
-up to 7 time bins (_DENSE_MAX_BINS) are scored in closed form from the
-inputs' walk columns (detection.click_probabilities).
+fitter drive the same chain with both gates off, with the overlaps as
+the points.  All but the scans of up to 7 time bins (_DENSE_MAX_BINS)
+are scored in closed form from the inputs' walk columns
+(detection.click_probabilities).
 
 The mode-overlap between the coherent light and the heralded photon is
 modeled by splitting the coherent amplitude over two internal sectors
@@ -44,7 +45,7 @@ from .detection import (
 )
 from .errors import ConfigInvalid
 from .fock import OracleSettings, ThresholdOracle
-from .gaussian import GaussianState, SourceSpec, apply_loss, apply_passive, prepare
+from .gaussian import PAIR_KINDS, GaussianState, SourceSpec, apply_loss, apply_passive, prepare
 from .modes import IDLER, ModeIndex, Pol, flat_index
 from .walk import (
     WalkConfig,
@@ -67,7 +68,6 @@ __all__ = [
 ]
 
 EXPERIMENT_KINDS = ("one-fold", "two-fold", "three-fold", "hom", "step-evolution")
-_PAIR_SOURCES = ("tmsv", "squashed")
 
 NORMALIZED = "NormalizedOverOutcomes"
 RAW_PATTERN = "RawPattern"
@@ -92,7 +92,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigInvalid(f"unknown experiment kind {self.kind!r}")
-        if self.pair_source not in _PAIR_SOURCES:
+        if self.pair_source not in PAIR_KINDS:
             raise ConfigInvalid(f"unknown pair source {self.pair_source!r}")
         for name in ("mu_alpha", "mu_xi"):
             value = getattr(self, name)
@@ -189,7 +189,7 @@ class _Stage:
 
     @property
     def idler(self) -> bool:
-        return any(s.kind in _PAIR_SOURCES for s in self.sources)
+        return any(s.kind in PAIR_KINDS for s in self.sources)
 
     @cached_property
     def _dense(self) -> list:
@@ -360,38 +360,44 @@ _HOM_ARMS = {"APD2": ModeIndex(Pol.V, 2), "APD4": ModeIndex(Pol.H, 1)}
 _HOM_PATTERN = ClickPattern.of(apd1=True, apd2=True, apd4=True)
 
 
-def _hom_clicks(inputs: WalkInputs, clicked=("APD1", "APD2", "APD4")) -> float:
-    """P(every detector in `clicked` clicks), the others marginal, on the HOM arms."""
+def _hom_clicks(inputs: WalkInputs, overlaps, clicked=("APD1", "APD2", "APD4")) -> np.ndarray:
+    """P(every detector in `clicked` clicks), the others marginal, on the HOM
+    arms at each of `overlaps`, which take the place of `inputs.overlap`.
+
+    Only z depends on the overlap, as sqrt(overlap) times the overlap-1
+    value, so the overlaps are the points of one evaluation.
+    """
     arms = {d: flat_index(mode, len(inputs.signal) // 2) for d, mode in _HOM_ARMS.items()}
+    root = np.sqrt(np.asarray(overlaps, dtype=float))
 
     def union(subset):
         modes = [arms[d] for d in subset if d in arms]
-        h = inputs.idler if "APD1" in subset else None
-        if not modes and h is None:
-            return None
+        h = (inputs.idler or 0.0) if "APD1" in subset else 0.0
         u, beta = inputs.signal[modes], inputs.coherent[modes]
-        z = np.sqrt(inputs.overlap) * np.sum(u.conj() * beta)
-        return np.sum(u.real**2 + u.imag**2), z, np.sum(beta.real**2 + beta.imag**2), h or 0.0
+        z = root * np.sum(u.conj() * beta)
+        return np.sum(u.real**2 + u.imag**2), z, np.sum(beta.real**2 + beta.imag**2), h
 
-    return float(click_probabilities(inputs, np.zeros((1, 2), dtype=int), clicked, union)[0])
+    def sees(name):
+        if name == "APD1":
+            return bool(inputs.idler)
+        return name in arms and bool(inputs.signal[arms[name]] or inputs.coherent[arms[name]])
+
+    slots = np.zeros((len(root), 2), dtype=int)
+    return click_probabilities(inputs, slots, clicked, union, sees)
 
 
-def _hom_rates(spec: ExperimentSpec) -> tuple:
-    """The coincidence rate at any overlap, from one stage, and at overlap 0,
-    the visibility's denominator."""
-    inputs = _stage(replace(spec, kind="hom")).inputs
-
-    def coincidence(overlap: float) -> float:
-        if not 0.0 <= overlap <= 1.0:
-            raise ConfigInvalid(f"overlap must lie in [0, 1], got {overlap}")
-        return _hom_clicks(replace(inputs, overlap=overlap))
-
-    reference = coincidence(0.0)
+def _hom_visibilities(inputs: WalkInputs, overlaps) -> tuple:
+    """The coincidence rates at `overlaps` and their visibilities against
+    the rate at overlap 0, all from one evaluation."""
+    for o in overlaps:
+        if not 0.0 <= o <= 1.0:
+            raise ConfigInvalid(f"overlap must lie in [0, 1], got {o}")
+    *raw, reference = _hom_clicks(inputs, (*overlaps, 0.0)).tolist()
     if reference <= 0.0:
         raise ConfigInvalid(
             "distinguishable coincidence rate is zero; visibility is undefined"
         )
-    return coincidence, reference
+    return raw, [1.0 - c / reference for c in raw]
 
 
 def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
@@ -402,10 +408,8 @@ def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
     visibilities (not a normalized set of outcomes).
     """
     overlaps = tuple(float(o) for o in overlaps)
-    coincidence, reference = _hom_rates(spec)
-    raw = tuple(coincidence(o) for o in overlaps)
-    vis = tuple(1.0 - c / reference for c in raw)
-    return Distribution("hom", overlaps, vis, raw, RAW_PATTERN, False)
+    raw, vis = _hom_visibilities(_stage(replace(spec, kind="hom")).inputs, overlaps)
+    return Distribution("hom", overlaps, tuple(vis), tuple(raw), RAW_PATTERN)
 
 
 def fit_overlap(spec: ExperimentSpec, target: float = 0.70, tol: float = 1e-4) -> tuple:
@@ -416,10 +420,10 @@ def fit_overlap(spec: ExperimentSpec, target: float = 0.70, tol: float = 1e-4) -
     visibility).  100 halvings exhaust double precision, so a fit that
     has not met `tol` by then never will.
     """
-    coincidence, reference = _hom_rates(spec)
+    inputs = _stage(replace(spec, kind="hom")).inputs
 
     def visibility(o: float) -> float:
-        return 1.0 - coincidence(o) / reference
+        return _hom_visibilities(inputs, (o,))[1][0]
 
     lo, hi = 0.0, 1.0
     v_hi = visibility(hi)

@@ -7,7 +7,8 @@ pushed through the full mode unitary of the pipeline, and projected onto
 threshold-detector outcomes.  It shares no covariance algebra with the
 Gaussian engine, which is the point; agreement between the two routes is
 the package's main correctness gate.  `OracleSettings` is the one
-control of the truncation.
+control of the truncation, which reads each source's photon-number
+distribution off the same ensembles.
 
 `ThresholdOracle` computes no-click projections from the identity
 P0(S) = <psi| :exp(-sum_{i in S} b_i^dag b_i): |psi>, whose Fock matrix
@@ -42,6 +43,7 @@ import numpy as np
 
 from .detection import APD_NAMES, ClickPattern, resolve_gate_slots
 from .errors import (
+    ConfigInvalid,
     CutoffTooSmall,
     DimensionMismatch,
     EtaOutOfRange,
@@ -137,13 +139,21 @@ class OracleSettings:
 
     Each branch keeps the inputs' occupations up to the smallest total
     photon number k_max whose tail of the inputs' joint photon-number
-    distribution is at most leak_target / 4.  Inputs that need more than
-    `max_total_photons` are refused with CutoffTooSmall, and so is a pair
-    source left with room for fewer than two photons.
+    distribution, summed from their ensembles at `max_total_photons`, is
+    at most leak_target / 4.  Inputs that need more are refused with
+    CutoffTooSmall, and so is a pair source left with room for fewer than
+    two photons.  A leak target outside (0, 1) or a negative cap is
+    refused with ConfigInvalid.
     """
 
     leak_target: float = 1e-9
     max_total_photons: int = 16
+
+    def __post_init__(self):
+        if not 0.0 < self.leak_target < 1.0:
+            raise ConfigInvalid(f"leak_target must lie in (0, 1), got {self.leak_target!r}")
+        if self.max_total_photons < 0:
+            raise ConfigInvalid(f"max_total_photons must be >= 0, got {self.max_total_photons!r}")
 
 
 # Gauss-Hermite nodes per axis of a squashed pair's P-function
@@ -259,16 +269,9 @@ class _Branch:
         self.trivial = not sources
         if self.trivial:
             return
-        caps = []
-        ensembles = []
-        for src in sources:
-            src_caps, members = _ensemble(src, k_max)
-            caps.extend(src_caps)
-            ensembles.append(members)
-        caps = tuple(caps)
-        box = 1
-        for c in caps:
-            box *= c + 1
+        caps, ensembles = zip(*(_ensemble(src, k_max) for src in sources))
+        caps = sum(caps, ())
+        box = math.prod(c + 1 for c in caps)
         if box > _BOX_LIMIT:
             raise ResourceBound(
                 f"occupation box of {box} tuples exceeds the oracle limit"
@@ -312,12 +315,12 @@ class _Branch:
         return [1.0 if k is None else self._cache[k] for k in keys]
 
 
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+def _coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
+    """Fock amplitudes 0..cutoff of a coherent state, one row per alpha."""
+    alpha = np.asarray(alpha, dtype=complex)[..., None]
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    return np.exp(
-        -0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * log_fact
-    )
+    return np.exp(-0.5 * np.abs(alpha) ** 2 + n * np.log(alpha) - 0.5 * log_fact)
 
 
 def _ensemble(src: _BranchSource, k_max: int) -> tuple:
@@ -344,68 +347,37 @@ def _ensemble(src: _BranchSource, k_max: int) -> tuple:
         twin = np.diag([lam**n / math.sqrt(1.0 + mu) for n in range(half + 1)])
         return (half, half), [(1.0, twin.astype(complex))]
     nodes, gh_weights = np.polynomial.hermite.hermgauss(_GRID_ORDER)
-    members = []
-    for j, k in itertools.product(range(_GRID_ORDER), repeat=2):
-        alpha = math.sqrt(mu) * (nodes[j] + 1j * nodes[k])
-        sig = _coherent_amplitudes(alpha, k_max)
-        idl = _coherent_amplitudes(np.conj(alpha), k_max)
-        # entry by entry: numpy's vectorised complex multiply can round
-        # differently from the scalar one the recorded oracle values used
-        amps = np.zeros((k_max + 1, k_max + 1), dtype=complex)
-        for n1 in range(k_max + 1):
-            for n2 in range(k_max + 1 - n1):
-                amps[n1, n2] = sig[n1] * idl[n2]
-        members.append((gh_weights[j] * gh_weights[k] / math.pi, amps))
-    return (k_max, k_max), members
+    alpha = math.sqrt(mu) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
+    sig, idl = _coherent_amplitudes(np.stack((alpha, alpha.conj())), k_max)
+    amps = sig[:, :, None] * idl[:, None, :]
+    n = np.arange(k_max + 1)
+    amps[:, n[:, None] + n[None, :] > k_max] = 0.0
+    weights = np.outer(gh_weights, gh_weights).ravel() / math.pi
+    return (k_max, k_max), list(zip(weights, amps))
 
 
-def _poisson_pmf(mu: float, length: int) -> np.ndarray:
-    pmf = np.zeros(length)
-    pmf[0] = math.exp(-mu)
-    for k in range(1, length):
-        pmf[k] = pmf[k - 1] * mu / k
-    return pmf
-
-
-def _source_total_pmf(src: _BranchSource, length: int) -> np.ndarray:
-    mu = src.mean_photon
-    if src.kind == "coherent":
-        return _poisson_pmf(mu, length)
-    if src.kind == "tmsv":
-        pmf = np.zeros(length)
-        lam2 = mu / (1.0 + mu)
-        for n in range(0, length, 2):
-            pmf[n] = (1.0 - lam2) * lam2 ** (n // 2)
-        return pmf
-    if src.kind == "squashed":
-        nodes, gh_weights = np.polynomial.hermite.hermgauss(_GRID_ORDER)
-        pmf = np.zeros(length)
-        for j in range(_GRID_ORDER):
-            for k in range(_GRID_ORDER):
-                inten = 2.0 * mu * (nodes[j] ** 2 + nodes[k] ** 2)
-                pmf += (gh_weights[j] * gh_weights[k] / math.pi) * _poisson_pmf(
-                    inten, length
-                )
-        return pmf
-    pmf = np.zeros(length)  # fock1
-    pmf[1] = 1.0
-    return pmf
+def _photon_pmf(src: _BranchSource, cap: int) -> np.ndarray:
+    """P(the source emits k photons in all), k = 0..cap, from its ensemble."""
+    _, members = _ensemble(src, cap)
+    density = sum(w * np.abs(amps) ** 2 for w, amps in members)
+    totals = np.indices(density.shape).sum(axis=0)
+    return np.bincount(totals.ravel(), density.ravel(), minlength=cap + 1)[: cap + 1]
 
 
 def _choose_k_max(sources, settings) -> int:
-    length = settings.max_total_photons + 8
-    pmf = np.zeros(length)
+    cap = settings.max_total_photons
+    pmf = np.zeros(cap + 1)
     pmf[0] = 1.0
     for src in sources:
-        pmf = np.convolve(pmf, _source_total_pmf(src, length))[:length]
+        pmf = np.convolve(pmf, _photon_pmf(src, cap))[: cap + 1]
     tails = 1.0 - np.cumsum(pmf)
     share = settings.leak_target / 4.0
-    for k in range(settings.max_total_photons + 1):
+    for k in range(cap + 1):
         if tails[k] <= share:
             return k
     raise CutoffTooSmall(
         f"cannot reach truncation leak {settings.leak_target:.1e} within "
-        f"{settings.max_total_photons} photons (best {tails[settings.max_total_photons]:.2e})"
+        f"{cap} photons (best {tails[cap]:.2e})"
     )
 
 

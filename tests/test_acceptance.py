@@ -265,7 +265,7 @@ def test_07_click_pattern_space_is_complete():
     # marginal-click queries, P(exactly C click) = sum over D >= C of
     # (-1)^|D - C| P(every detector in D clicks)
     marginal = {
-        d: _hom_clicks(stage.inputs, d)
+        d: _hom_clicks(stage.inputs, (spec.overlap,), d)[0]
         for r in range(len(APD_NAMES) + 1)
         for d in itertools.combinations(APD_NAMES, r)
     }

@@ -97,3 +97,17 @@ def test_paper_point_scans_match_50_digit_closed_form(seed, kind, heralded):
     errors = relative_errors(paper_spec(seed, kind, heralded))
     assert len(errors) > 100
     assert errors.max() <= 5e-8
+
+
+def test_gates_on_the_bin_without_h_light_give_exactly_zero():
+    # N steps leave no H light on bin N + 1, so gate 2 there cannot click;
+    # these points once came back as round-off of up to 2.2e-15
+    for seed in (1, 2):
+        for kind, heralded in [("two-fold", True), ("three-fold", True), ("three-fold", False)]:
+            spec = paper_spec(seed, kind, heralded)
+            inputs = _stage(spec).inputs
+            assert inputs.signal[25] == inputs.coherent[25] == 0.0
+            dist = run_experiment(spec)
+            dark = [r for (_, m2), r in zip(dist.labels, dist.raw) if m2 == 26]
+            assert dark == [0.0] * 25
+            assert min(r for (_, m2), r in zip(dist.labels, dist.raw) if m2 < 26) > 0.0

@@ -194,6 +194,17 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, entry):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("entry", ["leak_target: 2.0", "max_total_photons: -1"])
+def test_oracle_settings_no_truncation_can_meet_exit_two(tmp_path, capsys, entry):
+    # each once failed the run (exit 1) with CutoffTooSmall
+    config = write_config(tmp_path, TWO_FOLD_YAML + f"oracle_check:\n  enabled: true\n  {entry}\n")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out.csv")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigInvalid"
+    assert entry.split(":")[0] in payload["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_hom_with_ideal_herald_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, HOM_YAML + "  ideal_herald: true\n")
     for command in ("simulate", "fit-overlap"):

@@ -71,25 +71,45 @@ def test_type_errors_are_reported():
         RunConfig.from_dict(bad)
 
 
+FINITE = "{section}.{key} must be finite"
+LEAK_RANGE = r"leak_target must lie in \(0, 1\)"
+
+
 @pytest.mark.parametrize(
-    "section, key, value",
+    "section, key, value, message",
     [
-        ("oracle_check", "tolerance", float("nan")),
-        ("oracle_check", "leak_target", float("nan")),
-        ("oracle_check", "leak_target", float("inf")),
-        ("experiment", "mu_xi", float("inf")),
-        ("experiment", "mu_alpha", float("nan")),
-        ("experiment", "mu_xi", 10**400),
+        ("oracle_check", "tolerance", float("nan"), FINITE),
+        ("oracle_check", "leak_target", float("nan"), FINITE),
+        ("oracle_check", "leak_target", float("inf"), FINITE),
+        ("experiment", "mu_xi", float("inf"), FINITE),
+        ("experiment", "mu_alpha", float("nan"), FINITE),
+        ("experiment", "mu_xi", 10**400, FINITE),
+        ("oracle_check", "leak_target", 0.0, LEAK_RANGE),
+        ("oracle_check", "leak_target", -1.0, LEAK_RANGE),
+        ("oracle_check", "leak_target", 2.0, LEAK_RANGE),
+        ("oracle_check", "max_total_photons", -1, "max_total_photons must be >= 0"),
     ],
-    ids=["nan-tolerance", "nan-leak", "inf-leak", "inf-mu-xi", "nan-mu-alpha", "huge-int"],
+    ids=[
+        "nan-tolerance",
+        "nan-leak",
+        "inf-leak",
+        "inf-mu-xi",
+        "nan-mu-alpha",
+        "huge-int",
+        "zero-leak",
+        "negative-leak",
+        "leak-above-one",
+        "negative-photon-cap",
+    ],
 )
-def test_numbers_must_be_finite(section, key, value):
+def test_numbers_must_be_finite(section, key, value, message):
     # a NaN tolerance passed every oracle check, a NaN leak target was
     # refused only late, as a truncation failure, and an integer beyond the
-    # float range crashed the conversion
+    # float range crashed the conversion; so were leak targets outside
+    # (0, 1) and a negative photon cap, with the exit code of a failed run
     bad = deep(MINIMAL)
     bad.setdefault(section, {})[key] = value
-    with pytest.raises(ConfigInvalid, match=f"{section}.{key} must be finite"):
+    with pytest.raises(ConfigInvalid, match=message.format(section=section, key=key)):
         RunConfig.from_dict(bad)
 
 

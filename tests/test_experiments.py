@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwalk.detection as detection
+import qwalk.experiments as experiments
 import qwalk.fock as fock
 from qwalk.detection import ClickCalculator, ClickPattern, Detector, DetectorLayout
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
@@ -244,6 +245,20 @@ def test_hom_scan_matches_the_dense_route(overlap, mu_alpha, pair_source, seed):
     )
     raw = hom_scan(spec, (overlap,)).raw[0]
     assert abs(raw - dense_hom(spec, overlap)) <= 1e-13
+
+
+def test_hom_scan_scores_every_overlap_in_one_evaluation(monkeypatch):
+    # overlaps are the points of one call, with overlap 0 as the reference
+    calls = []
+
+    def counted(inputs, slots, *args):
+        calls.append(len(slots))
+        return detection.click_probabilities(inputs, slots, *args)
+
+    monkeypatch.setattr(experiments, "click_probabilities", counted)
+    spec = ExperimentSpec(walk=WalkConfig.uniform(1), kind="hom", mu_alpha=0.1)
+    hom_scan(spec, (0.0, 0.25, 0.5, 1.0))
+    assert calls == [5]
 
 
 def test_fit_overlap_reaches_target_visibility():
@@ -596,6 +611,23 @@ def test_scans_pick_their_route_by_register_size():
         raw = run_experiment(spec).raw
         assert raw == tuple((batched_scan if n == 7 else dense_scan)(spec))
         assert np.allclose(raw, dense_scan(spec), rtol=0.0, atol=1e-12)
+
+
+def test_a_gate_on_a_dark_bin_gives_exactly_zero_on_the_batched_route(monkeypatch):
+    # one step leaves no H light on bin 2, so gate 2 there cannot click; the
+    # batched route once returned 1.1e-15 here, normalized to probability 1
+    monkeypatch.setattr(experiments, "_DENSE_MAX_BINS", 0)
+    for heralded in (True, False):
+        spec = ExperimentSpec(
+            walk=WalkConfig.uniform(1),
+            kind="three-fold",
+            mu_alpha=0.24,
+            overlap=0.897461,
+            heralded=heralded,
+        )
+        dist = run_experiment(spec)
+        assert dist.raw == (0.0,)
+        assert dist.undefined
 
 
 def dense_amplitudes(spec):

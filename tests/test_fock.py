@@ -17,9 +17,12 @@ from qwalk.fock import (
     OracleSettings,
     ThresholdOracle,
     _box_geometry,
+    _GRID_ORDER,
     _BranchSource,
+    _choose_k_max,
     _ensemble,
     _gamma_blocks,
+    _photon_pmf,
     perm_reduced,
     permanent,
 )
@@ -31,10 +34,14 @@ H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
 
 
+def branch_source(kind, mu):
+    labels = (H1, IDLER) if kind in ("tmsv", "squashed") else (H1,)
+    return _BranchSource(kind, mu, labels)
+
+
 def ensemble(kind, mu, k_max):
     """Caps and members of one source, as a branch of the oracle holds it."""
-    labels = (H1, IDLER) if kind in ("tmsv", "squashed") else (H1,)
-    return _ensemble(_BranchSource(kind, mu, labels), k_max)
+    return _ensemble(branch_source(kind, mu), k_max)
 
 
 def permanent_brute(a):
@@ -385,3 +392,72 @@ def test_oracle_pattern_space_sums_to_one():
     oracle = two_branch_oracle()
     total = sum(oracle.pattern_prob(p) for p in ClickPattern.full_patterns())
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def poisson_pmf(mean, cap):
+    pmf = np.zeros(cap + 1)
+    pmf[0] = math.exp(-mean)
+    for k in range(1, cap + 1):
+        pmf[k] = pmf[k - 1] * mean / k
+    return pmf
+
+
+def closed_form_pmf(kind, mu, cap):
+    """P(k photons in all), k = 0..cap, of one source in closed form: Poisson
+    light, the twin beam's geometric law on even totals, one photon, and the
+    squashed pair as its Poisson mixture over the same Gauss-Hermite nodes."""
+    if kind == "coherent":
+        return poisson_pmf(mu, cap)
+    if kind == "tmsv":
+        lam2 = mu / (1.0 + mu)
+        return np.array([(1.0 - lam2) * lam2 ** (k // 2) * (k % 2 == 0) for k in range(cap + 1)])
+    if kind == "squashed":
+        nodes, weights = np.polynomial.hermite.hermgauss(_GRID_ORDER)
+        return sum(
+            wj * wk / math.pi * poisson_pmf(2.0 * mu * (xj**2 + xk**2), cap)
+            for xj, wj in zip(nodes, weights)
+            for xk, wk in zip(nodes, weights)
+        )
+    return (np.arange(cap + 1) == 1).astype(float)
+
+
+@pytest.mark.parametrize("kind", ["coherent", "tmsv", "squashed", "fock1"])
+@pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.026, 0.1, 0.24, 0.5, 1.0, 2.0])
+def test_photon_pmf_from_the_ensemble_matches_the_closed_form(kind, mu):
+    for cap in (2, 9, 16):
+        got = _photon_pmf(branch_source(kind, mu), cap)
+        assert got.shape == (cap + 1,)
+        assert np.abs(got - closed_form_pmf(kind, mu, cap)).max() <= 1e-15
+
+
+def reference_k_max(sources, target, cap):
+    """The truncation rule on the closed-form distributions; None where the
+    cap is too small."""
+    pmf = np.zeros(cap + 1)
+    pmf[0] = 1.0
+    for kind, mu in sources:
+        pmf = np.convolve(pmf, closed_form_pmf(kind, mu, cap))[: cap + 1]
+    tails = 1.0 - np.cumsum(pmf)
+    return next((k for k in range(cap + 1) if tails[k] <= target / 4.0), None)
+
+
+@pytest.mark.parametrize("signal", ["tmsv", "squashed", "fock1", None])
+def test_k_max_matches_the_closed_form_reference(signal):
+    # below a 1e-12 target the rule compares tails at round-off level, where
+    # two pmfs equal in exact arithmetic can pick different cutoffs
+    targets = (1e-2, 1e-4, 1e-6, 1e-9, 3e-11, 1e-12)
+    for mu_xi, mu_alpha, target, cap in itertools.product(
+        (1e-4, 0.026, 0.3), (0.0, 0.1, 0.24, 1.0), targets, (8, 16)
+    ):
+        sources = [(signal, 1.0 if signal == "fock1" else mu_xi)] if signal else []
+        sources += [("coherent", mu_alpha)] if mu_alpha else []
+        if not sources:
+            continue
+        settings = OracleSettings(leak_target=target, max_total_photons=cap)
+        branch = [branch_source(kind, mu) for kind, mu in sources]
+        expected = reference_k_max(sources, target, cap)
+        if expected is None:
+            with pytest.raises(CutoffTooSmall, match="cannot reach truncation leak"):
+                _choose_k_max(branch, settings)
+        else:
+            assert _choose_k_max(branch, settings) == expected
