@@ -21,15 +21,13 @@ to S, that probability is
 and click patterns follow by inclusion-exclusion over the clicking
 detectors.
 
-Two routes evaluate it.  `build_layout` + `ClickCalculator` route one
-dense state per gate point and factor each covariance block; only scans
-on registers of up to 7 time bins use them.  `click_probabilities`
-evaluates any detector plan in closed form, `scan_patterns` every gate
-point of a scan at once.  After a passive walk only two inputs reach the
-detectors, the (H, t1) signal and the (V, t1) coherent light.  A
-detector union that collects a share w_j of each walk output j sees the
-signal's share a = sum_j w_j |u_j|^2 (its Gram block is a I_2), the
-coherent photons e = sum_j w_j |beta_j|^2, their overlap
+Two routes evaluate it.  In closed form, `click_probabilities` evaluates
+any detector plan and `scan_patterns` every gate point of a scan at once.
+After a passive walk only two inputs reach the detectors, the (H, t1)
+signal and the (V, t1) coherent light.  A detector union that collects a
+share w_j of each walk output j sees the signal's share
+a = sum_j w_j |u_j|^2 (its Gram block is a I_2), the coherent photons
+e = sum_j w_j |beta_j|^2, their overlap
 z = sqrt(overlap) sum_j w_j conj(u_j) beta_j, and the idler's
 transmission h when APD1 is in the union; P0 is a closed form in these
 four numbers (`_p0_excess`).  The bucket and both routing ports
@@ -39,6 +37,11 @@ together see every H output, so
 
 and each union's sums are the H totals minus the routed shares of the
 gates outside it, or the shares of the gates inside it.
+
+`ClickCalculator` is the dense route: it factors each union's block of one
+full-register state routed at one gate point (`experiments._gate_point`).
+Only scans on registers of up to 7 time bins still use it, since the
+stored references in perfbench/ carry its round-off.
 """
 
 from __future__ import annotations
@@ -52,21 +55,16 @@ from .errors import (
     DuplicateGateBin,
     EtaOutOfRange,
     IndexOutOfRange,
-    ModeCollision,
     NumericalInstability,
     SingularMatrix,
     ZeroHeraldRate,
 )
-from .gaussian import PAIR_KINDS, GaussianState, append_modes, apply_passive
-from .modes import IDLER, ModeIndex, Pol, flat_index
+from .gaussian import PAIR_KINDS
 
 __all__ = [
     "GateSpec",
-    "Detector",
-    "DetectorLayout",
     "ClickPattern",
     "resolve_gate_slots",
-    "build_layout",
     "ClickCalculator",
     "WalkInputs",
     "scan_patterns",
@@ -94,40 +92,6 @@ class GateSpec:
             raise EtaOutOfRange(
                 f"gate efficiency must lie in [0, 1], got {self.efficiency}"
             )
-
-
-@dataclass(frozen=True)
-class Detector:
-    name: str
-    modes: frozenset
-
-
-@dataclass(frozen=True)
-class DetectorLayout:
-    """Ordered, pairwise-disjoint detector mode sets."""
-
-    detectors: tuple
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for det in self.detectors:
-            if seen & det.modes:
-                raise ModeCollision(f"detector {det.name} overlaps another detector")
-            seen |= det.modes
-        object.__setattr__(self, "_by_name", {d.name: d for d in self.detectors})
-
-    def __len__(self) -> int:
-        return len(self.detectors)
-
-    @property
-    def names(self) -> tuple:
-        return tuple(d.name for d in self.detectors)
-
-    def detector(self, name: str) -> Detector:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise IndexOutOfRange(f"no detector named {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -163,56 +127,21 @@ def resolve_gate_slots(gates) -> list:
     return slots
 
 
-def build_layout(state: GaussianState, gates=()) -> tuple[GaussianState, DetectorLayout]:
-    """Install routing beam splitters and return the detector plan.
-
-    `gates` holds at most two entries (gate 1 feeds APD3, gate 2 feeds
-    APD4); use None to leave a slot dark.  The returned state is the
-    input extended by one vacuum routing mode per gate and sector; taps,
-    the bucket's H outputs and the idler are found by `flat_index`.
-    """
-    slots = resolve_gate_slots(gates)
-    bins = state.bins
-    routing: dict[int, list[int]] = {0: [], 1: []}
-    for k, gate in enumerate(slots):
-        if gate is None:
-            continue
-        for sector in (0, 1):
-            tap = flat_index(ModeIndex(Pol.H, gate.bin, sector), bins)
-            state = append_modes(state, 1)
-            new = state.n_modes - 1
-            u = np.eye(state.n_modes, dtype=complex)
-            r = np.sqrt(gate.efficiency)
-            t = np.sqrt(1.0 - gate.efficiency)
-            u[new, tap] = r
-            u[new, new] = t
-            u[tap, tap] = t
-            u[tap, new] = -r
-            state = apply_passive(state, u)
-            routing[k].append(new)
-
-    bucket = [ModeIndex(Pol.H, m, s) for s in (0, 1) for m in range(1, bins + 1)]
-    detectors = (
-        Detector("APD1", frozenset((flat_index(IDLER, bins),) if state.idler else ())),
-        Detector("APD2", frozenset(flat_index(label, bins) for label in bucket)),
-        Detector("APD3", frozenset(routing[0])),
-        Detector("APD4", frozenset(routing[1])),
-    )
-    return state, DetectorLayout(detectors)
-
-
 class ClickCalculator:
-    """Click-pattern probabilities for one state and detector plan.
+    """Click-pattern probabilities of one dense state and detector plan.
 
+    `detectors` maps each detector's name to the register modes it
+    watches; patterns list one outcome per detector, in that order.
     Caches vacuum-projection values across patterns, which matters when
     a scan asks for heralded and unheralded variants of the same layout.
     """
 
-    def __init__(self, state: GaussianState, layout: DetectorLayout):
-        self.state = state
-        self.layout = layout
+    def __init__(self, mean: np.ndarray, cov: np.ndarray, detectors: dict):
+        self.mean = mean
+        self.cov = cov
+        self.detectors = {name: frozenset(modes) for name, modes in detectors.items()}
         self._p0_cache: dict[frozenset, float] = {}
-        self._m_plus = state.cov + 0.5 * np.eye(2 * state.n_modes)
+        self._m_plus = cov + 0.5 * np.eye(len(cov))
 
     def no_click(self, modes) -> float:
         """P(no photon anywhere in `modes`)."""
@@ -239,7 +168,7 @@ class ClickCalculator:
             return 1.0, 0.0
         idx = self._quad(modes)
         m = self._m_plus[np.ix_(idx, idx)]
-        d = self.state.mean[idx]
+        d = self.mean[idx]
         try:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -263,17 +192,17 @@ class ClickCalculator:
         return p0, correction
 
     def _split_pattern(self, pattern: ClickPattern):
-        if len(pattern.clicks) != len(self.layout):
+        if len(pattern.clicks) != len(self.detectors):
             raise IndexOutOfRange(
                 f"pattern has {len(pattern.clicks)} entries for "
-                f"{len(self.layout)} detectors"
+                f"{len(self.detectors)} detectors"
             )
         clicked, silent = [], []
-        for det, outcome in zip(self.layout.detectors, pattern.clicks):
+        for modes, outcome in zip(self.detectors.values(), pattern.clicks):
             if outcome is True:
-                clicked.append(det)
+                clicked.append(modes)
             elif outcome is False:
-                silent.append(det)
+                silent.append(modes)
         return clicked, silent
 
     def _clamp(self, value: float) -> float:
@@ -298,32 +227,27 @@ class ClickCalculator:
     def _inclusion_exclusion(self, pattern: ClickPattern, term) -> float:
         """Signed sum of `term(modes)` over the pattern's detector unions."""
         clicked, silent = self._split_pattern(pattern)
-        if any(not det.modes for det in clicked):
+        if not all(clicked):
             return 0.0
-        base: frozenset = frozenset()
-        for det in silent:
-            base |= det.modes
+        base: frozenset = frozenset().union(*silent)
         total = 0.0
         for r in range(len(clicked) + 1):
             for subset in itertools.combinations(clicked, r):
-                modes = base
-                for det in subset:
-                    modes |= det.modes
-                total += (-1) ** r * term(modes)
+                total += (-1) ** r * term(base.union(*subset))
         return self._clamp(total)
 
     def herald_rate(self) -> float:
-        herald = self.layout.detector("APD1")
-        if not herald.modes:
+        herald = self.detectors.get("APD1")
+        if not herald:
             raise ZeroHeraldRate("no idler mode is present to herald on")
-        rate = 1.0 - self.no_click(herald.modes)
+        rate = 1.0 - self.no_click(herald)
         if rate <= 0.0:
             raise ZeroHeraldRate("herald detector can never click")
         return rate
 
     def heralded(self, pattern: ClickPattern) -> float:
         """P(pattern | APD1 clicked); the pattern must leave APD1 free."""
-        position = self.layout.names.index("APD1")
+        position = list(self.detectors).index("APD1")
         if pattern.clicks[position] is not None:
             raise ValueError("heralded patterns must leave APD1 unconstrained")
         rate = self.herald_rate()
@@ -341,7 +265,7 @@ class ClickCalculator:
         inclusion-exclusion term is P0 (1 + d/dmu log P0 |_0), which is
         evaluated in closed form; no small-mu cancellation is involved.
         """
-        if injection.shape != (2 * self.state.n_modes, 2):
+        if injection.shape != (len(self.mean), 2):
             raise IndexOutOfRange(
                 "injection must map the two input quadratures into the register"
             )
@@ -485,7 +409,7 @@ def scan_patterns(
     sectors, APD2 the H totals minus those shares, APD1 the idler.  So
     each detector union's sums a, z, e are flat arrays over the gate
     points, gathered from three per-bin sums.  Values and refusals match
-    ClickCalculator on the layout of build_layout.
+    ClickCalculator on the layout of experiments._gate_point.
     """
     slots = np.asarray(slots, dtype=int).reshape(-1, 2)
     if not len(slots):

@@ -8,10 +8,8 @@ __all__ = [
     "QwalkError",
     "ModeCollision",
     "DimensionMismatch",
-    "NonUnitary",
     "EtaOutOfRange",
     "IndexOutOfRange",
-    "UnphysicalState",
     "SingularMatrix",
     "NumericalInstability",
     "DuplicateGateBin",
@@ -38,20 +36,12 @@ class DimensionMismatch(QwalkError):
     """An operator or vector does not match the state's mode count."""
 
 
-class NonUnitary(QwalkError):
-    """A matrix that must be unitary is not, within tolerance."""
-
-
 class EtaOutOfRange(QwalkError):
     """A transmission or efficiency lies outside its allowed interval."""
 
 
 class IndexOutOfRange(QwalkError):
     """A mode label or flat index does not exist in the register."""
-
-
-class UnphysicalState(QwalkError):
-    """A Gaussian state violates symmetry or the uncertainty bound."""
 
 
 class SingularMatrix(QwalkError):

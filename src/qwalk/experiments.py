@@ -6,9 +6,12 @@ on V), the sector-extended walk, crystal and system loss, idler loss,
 Kerr routing, and one of the APD click patterns.  Scans over gate
 positions return labeled distributions; the HOM preset and the overlap
 fitter drive the same chain with both gates off, with the overlaps as
-the points.  All but the scans of up to 7 time bins (_DENSE_MAX_BINS)
-are scored in closed form from the inputs' walk columns
-(detection.click_probabilities).
+the points.  Everything is scored in closed form from the two inputs'
+walk columns (`_Stage.inputs`, detection.click_probabilities), except the
+scans on registers of up to 7 time bins (_DENSE_MAX_BINS): those keep a
+private dense route (`_Stage.dense`, `_gate_point`) that evolves the full
+register's covariance, so that their values keep the round-off that the
+stored references in perfbench/ hold.
 
 The mode-overlap between the coherent light and the heralded photon is
 modeled by splitting the coherent amplitude over two internal sectors
@@ -39,21 +42,15 @@ from .detection import (
     ClickPattern,
     GateSpec,
     WalkInputs,
-    build_layout,
     click_probabilities,
+    resolve_gate_slots,
     scan_patterns,
 )
 from .errors import ConfigInvalid
 from .fock import OracleSettings, ThresholdOracle
-from .gaussian import PAIR_KINDS, GaussianState, SourceSpec, apply_loss, apply_passive, prepare
+from .gaussian import PAIR_KINDS, SourceSpec, prepare, symplectic_from_unitary
 from .modes import IDLER, ModeIndex, Pol, flat_index
-from .walk import (
-    WalkConfig,
-    aggregate_transmission,
-    sector_extend,
-    step_unitary,
-    walk_columns,
-)
+from .walk import WalkConfig, aggregate_transmission, step_unitary, walk_columns
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -117,6 +114,8 @@ class ExperimentSpec:
             raise ConfigInvalid(
                 "three-fold readout needs two distinct gate bins, so at least one step"
             )
+        if self.kind == "step-evolution" and self.walk.n_steps < 1:
+            raise ConfigInvalid("step evolution needs at least one walk step")
         if self.kind == "hom" and self.walk.n_steps != 1:
             raise ConfigInvalid("the HOM preset runs on a single-step walk")
 
@@ -176,7 +175,7 @@ class _Stage:
     """Register after the walk and all loss, before any routing.
 
     Holds the run's inputs (`_sources`) and the optics; each form is built
-    on first use.  `state` and `probes` are dense, for small scans on the
+    on first use.  `dense` is the full register, for small scans on the
     per-point route.  `inputs`, what all else reads, walks the two t1
     inputs' columns alone and scales them by the walk's transmission: no
     walk unitary, covariance or register-sized array is formed.
@@ -192,35 +191,36 @@ class _Stage:
         return any(s.kind in PAIR_KINDS for s in self.sources)
 
     @cached_property
-    def _dense(self) -> list:
+    def dense(self) -> tuple:
+        """The full register's mean and covariance, and the means of the
+        probes: unit vectors along the ideal-herald photon's quadratures,
+        which pushed through are its injection map.  The walk unitary is
+        the product of dense steps, not `walk_unitary`, whose round-off
+        differs and would move stored values past 1e-9; loss acts on the
+        walk modes, then on the idler."""
         bins = self.walk.bin_capacity
         idler = flat_index(IDLER, bins)  # the walk modes come first, then the idler if present
         m = idler + self.idler
-        # unit probes along the photon's quadratures: pushed through, the injection map
         photons = [flat_index(s.target, bins) for s in self.sources if s.kind == "fock1"]
         quads = [2 * i + o for i in photons for o in (0, 1)]
         probes = np.zeros((2 * m, len(quads)))
         probes[quads, range(len(quads))] = 1.0
-        states = [prepare(tuple(s for s in self.sources if s.kind != "fock1"), bins=bins)]
-        states += [GaussianState(bins, self.idler, p, 0.5 * np.eye(2 * m)) for p in probes.T]
+        state = prepare(tuple(s for s in self.sources if s.kind != "fock1"), bins=bins)
+        walk = np.eye(2 * bins, dtype=complex)
+        for layer in self.walk.layers:
+            walk = step_unitary(layer, bins) @ walk
         u = np.eye(m, dtype=complex)
-        u[: 4 * bins, : 4 * bins] = sector_extend(_walk_unitary(self.walk))
-        states = [apply_passive(s, u) for s in states]
-        losses = [(self.eta_walk, range(idler))]
-        if self.idler:
-            losses.append((self.eta_idler, (idler,)))
-        for eta, modes in losses:
-            if eta < 1.0:
-                states = [apply_loss(s, eta, modes) for s in states]
-        return states
-
-    @property
-    def state(self) -> GaussianState:
-        return self._dense[0]
-
-    @property
-    def probes(self) -> tuple:
-        return tuple(self._dense[1:])
+        u[: 2 * bins, : 2 * bins] = u[2 * bins : 4 * bins, 2 * bins : 4 * bins] = walk
+        cov, means = _passive(u, state.cov, [state.mean, *probes.T])
+        for eta, first, stop in ((self.eta_walk, 0, idler), (self.eta_idler, idler, m)):
+            if eta < 1.0 and first < stop:
+                scale = np.ones(2 * m)
+                scale[2 * first : 2 * stop] = np.sqrt(eta)
+                cov = scale[:, None] * cov * scale[None, :]
+                touched = np.arange(2 * first, 2 * stop)
+                cov[touched, touched] += 0.5 * (1.0 - eta)
+                means = [scale * x for x in means]
+        return means[0], cov, tuple(means[1:])
 
     @cached_property
     def inputs(self) -> WalkInputs:
@@ -243,22 +243,12 @@ class _Stage:
 
 
 # Registers of up to 7 time bins (walks of up to 6 steps by default) are
-# scanned point by point on the dense route, with the walk unitary formed
-# as a product of dense steps.  Their values then stay bit-identical to
-# earlier releases and to the stored references in perfbench/, which
-# carry that route's round-off: up to 1e-8 on tiny normalized three-fold
-# rates, and a whole normalized distribution built from round-off on
-# one-step coincidence scans that are exactly zero.
+# scanned point by point on the dense route.  Their values then stay
+# bit-identical to earlier releases and to the stored references in
+# perfbench/, which carry that route's round-off: up to 1e-8 on tiny
+# normalized three-fold rates, and a whole normalized distribution built
+# from round-off on one-step coincidence scans that are exactly zero.
 _DENSE_MAX_BINS = 7
-
-
-def _walk_unitary(walk: WalkConfig) -> np.ndarray:
-    """The walk unitary as the dense step product, as the dense route forms it."""
-    bins = walk.bin_capacity
-    u = np.eye(2 * bins, dtype=complex)
-    for layer in walk.layers:
-        u = step_unitary(layer, bins) @ u
-    return u
 
 
 def _stage(spec: ExperimentSpec) -> _Stage:
@@ -266,13 +256,45 @@ def _stage(spec: ExperimentSpec) -> _Stage:
     return _Stage(spec.walk, _sources(spec), eta_walk, spec.eta_idler)
 
 
+def _passive(u: np.ndarray, cov: np.ndarray, means) -> tuple:
+    """A passive map u on a dense covariance and on mean vectors."""
+    s = symplectic_from_unitary(u)
+    cov = s @ cov @ s.T
+    return 0.5 * (cov + cov.T), [s @ x for x in means]
+
+
 def _gate_point(stage: _Stage, gates) -> tuple:
-    state, layout = build_layout(stage.state, gates)
-    injection = None
-    if stage.probes:
-        columns = [build_layout(p, gates)[0].mean for p in stage.probes]
-        injection = np.column_stack(columns)
-    return ClickCalculator(state, layout), injection
+    """The dense route at one gate point: a ClickCalculator, and the
+    ideal-herald photon's injection map (None without that photon).
+
+    Each gate adds one vacuum routing mode per sector and couples it to
+    its bin's (H, t_m) mode by a beam splitter of reflectivity eta_K.
+    """
+    bins = stage.walk.bin_capacity
+    mean, cov, probes = stage.dense
+    means = [mean, *probes]
+    routing = ([], [])
+    for k, gate in enumerate(resolve_gate_slots(gates)):
+        if gate is None:
+            continue
+        r, t = np.sqrt(gate.efficiency), np.sqrt(1.0 - gate.efficiency)
+        for sector in (0, 1):
+            tap = flat_index(ModeIndex(Pol.H, gate.bin, sector), bins)
+            new = len(cov) // 2
+            grown = 0.5 * np.eye(len(cov) + 2)
+            grown[:-2, :-2] = cov
+            u = np.eye(new + 1, dtype=complex)
+            u[new, tap], u[new, new], u[tap, tap], u[tap, new] = r, t, t, -r
+            cov, means = _passive(u, grown, [np.append(x, (0.0, 0.0)) for x in means])
+            routing[k].append(new)
+    detectors = {
+        "APD1": (flat_index(IDLER, bins),) if stage.idler else (),
+        "APD2": [flat_index(ModeIndex(Pol.H, m, s), bins) for s in (0, 1) for m in range(1, bins + 1)],
+        "APD3": routing[0],
+        "APD4": routing[1],
+    }
+    injection = np.column_stack(means[1:]) if probes else None
+    return ClickCalculator(means[0], cov, detectors), injection
 
 
 @dataclass(frozen=True)
@@ -386,18 +408,21 @@ def _hom_clicks(inputs: WalkInputs, overlaps, clicked=("APD1", "APD2", "APD4")) 
     return click_probabilities(inputs, slots, clicked, union, sees)
 
 
-def _hom_visibilities(inputs: WalkInputs, overlaps) -> tuple:
-    """The coincidence rates at `overlaps` and their visibilities against
-    the rate at overlap 0, all from one evaluation."""
+def _hom_visibilities(inputs: WalkInputs, overlaps, reference=None) -> tuple:
+    """The coincidence rates at `overlaps`, their visibilities against the
+    rate at overlap 0, and that rate.  Without a `reference` rate, it is
+    scored in the same evaluation as the others."""
     for o in overlaps:
         if not 0.0 <= o <= 1.0:
             raise ConfigInvalid(f"overlap must lie in [0, 1], got {o}")
-    *raw, reference = _hom_clicks(inputs, (*overlaps, 0.0)).tolist()
-    if reference <= 0.0:
-        raise ConfigInvalid(
-            "distinguishable coincidence rate is zero; visibility is undefined"
-        )
-    return raw, [1.0 - c / reference for c in raw]
+    raw = _hom_clicks(inputs, overlaps if reference is not None else (*overlaps, 0.0)).tolist()
+    if reference is None:
+        reference = raw.pop()
+        if reference <= 0.0:
+            raise ConfigInvalid(
+                "distinguishable coincidence rate is zero; visibility is undefined"
+            )
+    return raw, [1.0 - c / reference for c in raw], reference
 
 
 def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
@@ -408,7 +433,7 @@ def hom_scan(spec: ExperimentSpec, overlaps) -> Distribution:
     visibilities (not a normalized set of outcomes).
     """
     overlaps = tuple(float(o) for o in overlaps)
-    raw, vis = _hom_visibilities(_stage(replace(spec, kind="hom")).inputs, overlaps)
+    raw, vis, _ = _hom_visibilities(_stage(replace(spec, kind="hom")).inputs, overlaps)
     return Distribution("hom", overlaps, tuple(vis), tuple(raw), RAW_PATTERN)
 
 
@@ -418,12 +443,14 @@ def fit_overlap(spec: ExperimentSpec, target: float = 0.70, tol: float = 1e-4) -
     Visibility grows monotonically with overlap for physical settings,
     so plain bisection on [0, 1] converges; returns (overlap,
     visibility).  100 halvings exhaust double precision, so a fit that
-    has not met `tol` by then never will.
+    has not met `tol` by then never will.  The rate at overlap 0 is
+    scored once, before the first step.
     """
     inputs = _stage(replace(spec, kind="hom")).inputs
+    reference = _hom_visibilities(inputs, ())[2]
 
     def visibility(o: float) -> float:
-        return _hom_visibilities(inputs, (o,))[1][0]
+        return _hom_visibilities(inputs, (o,), reference)[1][0]
 
     lo, hi = 0.0, 1.0
     v_hi = visibility(hi)

@@ -1,4 +1,4 @@
-"""Gaussian states under passive linear optics, loss, and preparation.
+"""Gaussian input states: the run's sources on the walk register.
 
 Conventions (fixed across the package):
 
@@ -9,8 +9,10 @@ Conventions (fixed across the package):
 * A passive unitary with mode map alpha_out = U alpha_in acts through
   the orthogonal symplectic S = [[Re U, -Im U], [Im U, Re U]] written in
   the interleaved ordering: mean -> S mean, cov -> S cov S^T.
-* Loss with transmission eta scales means by sqrt(eta) and mixes in
-  (1 - eta)/2 of vacuum noise on the diagonal of each touched mode.
+
+`prepare` builds the input state, `symplectic_from_unitary` gives S.  Only
+the dense route for short scans (`experiments._Stage.dense`) evolves a
+full register; every other computation reads the walk's input columns.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EtaOutOfRange,
-    IndexOutOfRange,
-    ModeCollision,
-    NonUnitary,
-    UnphysicalState,
-)
+from .errors import ModeCollision
 from .modes import IDLER, ModeIndex, flat_index
 
 __all__ = [
@@ -34,35 +29,12 @@ __all__ = [
     "SourceSpec",
     "vacuum_state",
     "prepare",
-    "apply_passive",
-    "apply_loss",
-    "append_modes",
     "symplectic_from_unitary",
-    "omega_matrix",
-    "mean_photons",
     "classicality_eigenvalues",
 ]
 
 SOURCE_KINDS = ("coherent", "tmsv", "squashed", "fock1")
 PAIR_KINDS = ("tmsv", "squashed")
-
-_SYMMETRY_TOL = 1e-12
-_PHYSICALITY_TOL = 1e-10
-_UNITARITY_TOL = 1e-10
-
-
-def _quad_indices(modes) -> np.ndarray:
-    modes = np.asarray(tuple(modes), dtype=int)
-    return np.ravel(np.column_stack((2 * modes, 2 * modes + 1)))
-
-
-def omega_matrix(n_modes: int) -> np.ndarray:
-    """Symplectic form in interleaved ordering: blocks [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for i in range(n_modes):
-        omega[2 * i, 2 * i + 1] = 1.0
-        omega[2 * i + 1, 2 * i] = -1.0
-    return omega
 
 
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -81,9 +53,8 @@ def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
 class GaussianState:
     """Mean vector and covariance over the register of a `bins`-bin walk.
 
-    The register holds the walk modes at their `modes.flat_index`, the
-    herald idler when `idler` is set, then any vacuum modes that
-    `append_modes` added; `n_modes` counts them all.
+    The register holds the walk modes at their `modes.flat_index` and
+    the herald idler when `idler` is set; `n_modes` counts them all.
     """
 
     bins: int
@@ -94,32 +65,6 @@ class GaussianState:
     @property
     def n_modes(self) -> int:
         return len(self.mean) // 2
-
-    def copy(self) -> "GaussianState":
-        return GaussianState(self.bins, self.idler, self.mean.copy(), self.cov.copy())
-
-    def validate(self, atol: float = _PHYSICALITY_TOL) -> None:
-        """Check shapes, symmetry, and the bosonic uncertainty bound.
-
-        Raises UnphysicalState; intended for tests and debugging rather
-        than hot loops.
-        """
-        m = self.n_modes
-        if self.mean.shape != (2 * m,) or self.cov.shape != (2 * m, 2 * m):
-            raise UnphysicalState(
-                f"mean/cov shapes {self.mean.shape}/{self.cov.shape} do not "
-                f"match {m} modes"
-            )
-        asym = np.abs(self.cov - self.cov.T).max() if m else 0.0
-        if asym > _SYMMETRY_TOL:
-            raise UnphysicalState(f"covariance asymmetry {asym:.3e}")
-        if m:
-            herm = self.cov + 0.5j * omega_matrix(m)
-            lowest = np.linalg.eigvalsh(herm)[0]
-            if lowest < -atol:
-                raise UnphysicalState(
-                    f"uncertainty bound violated: min eig {lowest:.3e}"
-                )
 
 
 @dataclass(frozen=True)
@@ -213,63 +158,6 @@ def _install_source(mean: np.ndarray, cov: np.ndarray, source: SourceSpec, modes
         cov[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] += mu * np.eye(2)
     cov[2 * s0 : 2 * s0 + 2, 2 * idler : 2 * idler + 2] = block
     cov[2 * idler : 2 * idler + 2, 2 * s0 : 2 * s0 + 2] = block.T
-
-
-def apply_passive(state: GaussianState, u: np.ndarray) -> GaussianState:
-    """Evolve through a passive mode unitary acting on the whole register."""
-    u = np.asarray(u, dtype=complex)
-    m = state.n_modes
-    if u.shape != (m, m):
-        raise DimensionMismatch(f"unitary shape {u.shape} does not match {m} modes")
-    defect = np.abs(u.conj().T @ u - np.eye(m)).max()
-    if defect > _UNITARITY_TOL:
-        raise NonUnitary(f"mode map deviates from unitarity by {defect:.3e}")
-    s = symplectic_from_unitary(u)
-    cov = s @ state.cov @ s.T
-    return GaussianState(state.bins, state.idler, s @ state.mean, 0.5 * (cov + cov.T))
-
-
-def apply_loss(state: GaussianState, eta: float, modes=None) -> GaussianState:
-    """Pure loss channel with transmission eta on the selected modes."""
-    if not 0.0 <= eta <= 1.0:
-        raise EtaOutOfRange(f"transmission must lie in [0, 1], got {eta}")
-    m = state.n_modes
-    if modes is None:
-        modes = range(m)
-    modes = tuple(modes)
-    for i in modes:
-        if not 0 <= i < m:
-            raise IndexOutOfRange(f"mode index {i} out of range for {m} modes")
-    if eta == 1.0 or not modes:
-        return state.copy()
-    scale = np.ones(2 * m)
-    scale[_quad_indices(modes)] = np.sqrt(eta)
-    cov = scale[:, None] * state.cov * scale[None, :]
-    noise = np.zeros(2 * m)
-    noise[_quad_indices(modes)] = 0.5 * (1.0 - eta)
-    cov[np.diag_indices_from(cov)] += noise
-    return GaussianState(state.bins, state.idler, scale * state.mean, cov)
-
-
-def append_modes(state: GaussianState, count: int) -> GaussianState:
-    """Extend the register with `count` fresh vacuum modes."""
-    m_old, m_new = state.n_modes, state.n_modes + count
-    mean = np.zeros(2 * m_new)
-    mean[: 2 * m_old] = state.mean
-    cov = 0.5 * np.eye(2 * m_new)
-    cov[: 2 * m_old, : 2 * m_old] = state.cov
-    return GaussianState(state.bins, state.idler, mean, cov)
-
-
-def mean_photons(state: GaussianState) -> np.ndarray:
-    """Expected photon number per mode."""
-    m = state.n_modes
-    out = np.empty(m)
-    for i in range(m):
-        block = state.cov[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        d = state.mean[2 * i : 2 * i + 2]
-        out[i] = 0.5 * (np.trace(block) + d @ d) - 0.5
-    return out
 
 
 def classicality_eigenvalues(state: GaussianState) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "step_unitary",
     "walk_columns",
     "walk_unitary",
-    "sector_extend",
     "aggregate_transmission",
 ]
 
@@ -161,12 +160,6 @@ def walk_unitary(config: WalkConfig) -> np.ndarray:
     """Ordered product of all steps, first layer applied first.  Batched
     scans never form it: they walk their inputs' columns alone."""
     return walk_columns(config, np.eye(2 * config.bin_capacity, dtype=complex))
-
-
-def sector_extend(u: np.ndarray) -> np.ndarray:
-    """Duplicate a walk unitary over both distinguishability sectors."""
-    zero = np.zeros_like(u)
-    return np.block([[u, zero], [zero, u]])
 
 
 def aggregate_transmission(config: WalkConfig) -> float:

@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from qwalk.cli import main
-from qwalk.detection import APD_NAMES, ClickPattern, GateSpec
+from qwalk.detection import APD_NAMES, ClickPattern, scan_patterns
 from qwalk.experiments import (
     NORMALIZED,
     ExperimentSpec,
-    _gate_point,
     _hom_clicks,
     _stage,
     fit_overlap,
@@ -250,30 +249,26 @@ def test_07_click_pattern_space_is_complete():
         overlap=0.7,
         eta_kerr=0.97,
     )
-    stage = _stage(spec)
-    gate_sets = {
-        "one-fold": (None, GateSpec(2, spec.eta_kerr)),
-        "two-fold": (GateSpec(1, spec.eta_kerr), GateSpec(3, spec.eta_kerr)),
-        "three-fold": (GateSpec(1, spec.eta_kerr), GateSpec(2, spec.eta_kerr)),
-    }
-    worst = 0.0
-    for gates in gate_sets.values():
-        calc, _ = _gate_point(stage, gates)
-        total = sum(calc.pattern(p) for p in ClickPattern.full_patterns())
-        worst = max(worst, abs(total - 1.0))
-    # the HOM layout: each full pattern by Moebius inversion of the
-    # marginal-click queries, P(exactly C click) = sum over D >= C of
-    # (-1)^|D - C| P(every detector in D clicks)
-    marginal = {
-        d: _hom_clicks(stage.inputs, (spec.overlap,), d)[0]
-        for r in range(len(APD_NAMES) + 1)
-        for d in itertools.combinations(APD_NAMES, r)
-    }
-    full = [
-        sum((-1) ** (len(d) - len(c)) * q for d, q in marginal.items() if set(c) <= set(d))
-        for c in marginal
+    inputs = _stage(spec).inputs
+    subsets = [d for r in range(len(APD_NAMES) + 1) for d in itertools.combinations(APD_NAMES, r)]
+
+    def full_patterns(marginal: dict) -> list:
+        # each full pattern by Moebius inversion of the marginal-click
+        # queries, P(exactly C click) = sum over D >= C of
+        # (-1)^|D - C| P(every detector in D clicks)
+        return [
+            sum((-1) ** (len(d) - len(c)) * q for d, q in marginal.items() if set(c) <= set(d))
+            for c in marginal
+        ]
+
+    # the scans' gate layouts, gates on bin 2 (one-fold), bins 1 and 3
+    # (two-fold) and bins 1 and 2 (three-fold), unheralded; then the HOM layout
+    layouts = [
+        {d: scan_patterns(inputs, [slots], spec.eta_kerr, d)[0] for d in subsets}
+        for slots in ((0, 2), (1, 3), (1, 2))
     ]
-    worst = max(worst, abs(sum(full) - 1.0))
+    layouts.append({d: _hom_clicks(inputs, (spec.overlap,), d)[0] for d in subsets})
+    worst = max(abs(sum(full_patterns(marginal)) - 1.0) for marginal in layouts)
     assert worst < 1e-9
 
     worst_dist = 0.0

@@ -232,6 +232,14 @@ def test_unheralded_hom_exits_two(tmp_path, capsys):
         assert "heralded: false" in payload["message"]
 
 
+def test_step_evolution_without_steps_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, "experiment:\n  kind: step-evolution\n  walk:\n    n_steps: 0\n")
+    assert main(["simulate", "--config", config]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigInvalid"
+    assert "step evolution needs at least one walk step" in payload["message"]
+
+
 def test_compute_errors_exit_one(tmp_path, capsys):
     config = write_config(
         tmp_path,

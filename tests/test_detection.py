@@ -6,96 +6,82 @@ import pytest
 from qwalk.detection import (
     ClickCalculator,
     ClickPattern,
-    Detector,
-    DetectorLayout,
     GateSpec,
     WalkInputs,
     _checked,
-    build_layout,
     scan_patterns,
 )
 from qwalk.errors import (
     DuplicateGateBin,
     EtaOutOfRange,
     IndexOutOfRange,
-    ModeCollision,
     NumericalInstability,
     SingularMatrix,
     ZeroHeraldRate,
 )
-from qwalk.gaussian import (
-    SourceSpec,
-    apply_passive,
-    mean_photons,
-    prepare,
-    symplectic_from_unitary,
-    vacuum_state,
-)
+from qwalk.experiments import _gate_point, _Stage
+from qwalk.gaussian import SourceSpec, prepare, symplectic_from_unitary
 from qwalk.modes import ModeIndex, Pol, flat_index
+from qwalk.walk import WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
+
+
+def routed(sources, gates=(), bins=1):
+    """The dense route's ClickCalculator at one gate point behind a walk of
+    no steps, so the sources reach the gates as they are."""
+    stage = _Stage(WalkConfig(0, (), bins), tuple(sources), 1.0, 1.0)
+    return _gate_point(stage, gates)[0]
+
+
+def mean_photons(calc):
+    """Expected photon number per mode of the calculator's state."""
+    return 0.5 * (np.diag(calc.cov) + calc.mean**2).reshape(-1, 2).sum(axis=1) - 0.5
 
 
 def test_coherent_no_click_probability():
     # exp(-0.1)
     state = prepare((SourceSpec("coherent", H1, 0.1),), bins=1)
     i = flat_index(H1, state.bins)
-    layout = DetectorLayout((Detector("APD1", frozenset({i})),))
-    assert ClickCalculator(state, layout).no_click({i}) == pytest.approx(
-        0.9048374180359595, abs=1e-14
-    )
+    calc = ClickCalculator(state.mean, state.cov, {"APD1": {i}})
+    assert calc.no_click({i}) == pytest.approx(0.9048374180359595, abs=1e-14)
 
 
 def test_thermal_no_click_probability():
     # the unheralded TMSV signal is thermal: 1/(1 + mu)
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
     i = flat_index(H1, state.bins)
-    layout = DetectorLayout((Detector("APD1", frozenset({i})),))
-    assert ClickCalculator(state, layout).no_click({i}) == pytest.approx(1.0 / 1.026, abs=1e-14)
+    calc = ClickCalculator(state.mean, state.cov, {"APD1": {i}})
+    assert calc.no_click({i}) == pytest.approx(1.0 / 1.026, abs=1e-14)
 
 
 def test_no_click_on_empty_set_is_one():
     state = prepare((SourceSpec("coherent", H1, 0.5),), bins=1)
-    layout = DetectorLayout((Detector("APD1", frozenset()),))
-    assert ClickCalculator(state, layout).no_click(()) == 1.0
+    assert ClickCalculator(state.mean, state.cov, {"APD1": ()}).no_click(()) == 1.0
 
 
 def test_tmsv_herald_rate():
     # 1 - 1/(1 + mu) = mu/(1 + mu)
-    state, layout = build_layout(
-        prepare((SourceSpec("tmsv", H1, 0.026),), bins=1), ()
-    )
-    calc = ClickCalculator(state, layout)
+    calc = routed((SourceSpec("tmsv", H1, 0.026),))
     assert calc.herald_rate() == pytest.approx(0.025341130604288498, abs=1e-15)
 
 
 def test_herald_needs_an_idler():
-    state, layout = build_layout(
-        prepare((SourceSpec("coherent", H1, 0.1),), bins=1), ()
-    )
     with pytest.raises(ZeroHeraldRate):
-        ClickCalculator(state, layout).herald_rate()
+        routed((SourceSpec("coherent", H1, 0.1),)).herald_rate()
 
 
 def test_pattern_space_is_complete():
-    state = prepare(
-        (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7)),
-        bins=2,
-    )
-    state, layout = build_layout(state, (GateSpec(1), GateSpec(2)))
-    calc = ClickCalculator(state, layout)
+    sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7))
+    calc = routed(sources, (GateSpec(1), GateSpec(2)), bins=2)
     total = sum(calc.pattern(p) for p in ClickPattern.full_patterns())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_marginal_equals_sum_over_outcomes():
-    state = prepare(
-        (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7)),
-        bins=2,
-    )
-    state, layout = build_layout(state, (GateSpec(1), GateSpec(2)))
-    calc = ClickCalculator(state, layout)
+    sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7))
+    calc = routed(sources, (GateSpec(1), GateSpec(2)), bins=2)
     for position in range(4):
         base = ClickPattern.of(apd3=True)
         if position == 2:
@@ -113,12 +99,8 @@ def test_marginal_equals_sum_over_outcomes():
 
 
 def test_heralded_is_joint_over_herald_rate():
-    state = prepare(
-        (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.1)),
-        bins=2,
-    )
-    state, layout = build_layout(state, (None, GateSpec(1)))
-    calc = ClickCalculator(state, layout)
+    sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.1))
+    calc = routed(sources, (None, GateSpec(1)), bins=2)
     want = ClickPattern.of(apd4=True)
     joint = calc.pattern(want.with_click(0))
     assert calc.heralded(want) == pytest.approx(
@@ -127,53 +109,34 @@ def test_heralded_is_joint_over_herald_rate():
 
 
 def test_heralded_rejects_patterns_that_pin_the_idler():
-    state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
-    state, layout = build_layout(state, ())
-    calc = ClickCalculator(state, layout)
+    calc = routed((SourceSpec("tmsv", H1, 0.026),))
     with pytest.raises(ValueError):
         calc.heralded(ClickPattern.of(apd1=True))
 
 
 def test_gate_splits_photon_flux():
     # eta_K of the tapped light routes out, the rest stays on the walk mode
-    state = prepare((SourceSpec("coherent", H1, 0.5),), bins=1)
-    tap = flat_index(H1, state.bins)
-    routed, layout = build_layout(state, (GateSpec(1, efficiency=0.97),))
-    photons = mean_photons(routed)
-    routed_modes = layout.detector("APD3").modes
-    assert sum(photons[i] for i in routed_modes) == pytest.approx(
+    calc = routed((SourceSpec("coherent", H1, 0.5),), (GateSpec(1, efficiency=0.97),))
+    photons = mean_photons(calc)
+    assert sum(photons[i] for i in calc.detectors["APD3"]) == pytest.approx(
         0.97 * 0.5, abs=1e-13
     )
-    assert photons[tap] == pytest.approx(0.03 * 0.5, abs=1e-13)
+    assert photons[flat_index(H1, 1)] == pytest.approx(0.03 * 0.5, abs=1e-13)
 
 
 def test_duplicate_gate_bins_rejected():
-    state = prepare((SourceSpec("coherent", H1, 0.1),), bins=2)
     with pytest.raises(DuplicateGateBin):
-        build_layout(state, (GateSpec(2), GateSpec(2)))
+        routed((SourceSpec("coherent", H1, 0.1),), (GateSpec(2), GateSpec(2)), bins=2)
 
 
 def test_disabled_gate_is_skipped():
-    state = prepare((SourceSpec("coherent", H1, 0.1),), bins=2)
-    routed, layout = build_layout(state, (None, GateSpec(1)))
-    assert layout.detector("APD3").modes == frozenset()
-    assert len(layout.detector("APD4").modes) == 2
-
-
-def test_layout_rejects_overlapping_detectors():
-    with pytest.raises(ModeCollision):
-        DetectorLayout(
-            (
-                Detector("APD1", frozenset({0, 1})),
-                Detector("APD2", frozenset({1, 2})),
-            )
-        )
+    calc = routed((SourceSpec("coherent", H1, 0.1),), (None, GateSpec(1)), bins=2)
+    assert calc.detectors["APD3"] == frozenset()
+    assert len(calc.detectors["APD4"]) == 2
 
 
 def test_pattern_on_empty_detector_is_zero():
-    state = prepare((SourceSpec("coherent", H1, 0.1),), bins=1)
-    state, layout = build_layout(state, ())
-    calc = ClickCalculator(state, layout)
+    calc = routed((SourceSpec("coherent", H1, 0.1),))
     assert calc.pattern(ClickPattern.of(apd3=True)) == 0.0
     assert calc.pattern(ClickPattern.of(apd3=False)) == pytest.approx(1.0)
 
@@ -184,24 +147,17 @@ def test_probability_depends_on_mode_set_not_order():
         bins=1,
     )
     a, b = flat_index(H1, state.bins), flat_index(V1, state.bins)
-    fwd = DetectorLayout(
-        (Detector("APD1", frozenset({a})), Detector("APD2", frozenset({b})))
-    )
-    rev = DetectorLayout(
-        (Detector("APD1", frozenset({b})), Detector("APD2", frozenset({a})))
-    )
-    p_fwd = ClickCalculator(state, fwd).pattern(ClickPattern((True, False)))
-    p_rev = ClickCalculator(state, rev).pattern(ClickPattern((False, True)))
+    fwd = ClickCalculator(state.mean, state.cov, {"APD1": {a}, "APD2": {b}})
+    rev = ClickCalculator(state.mean, state.cov, {"APD1": {b}, "APD2": {a}})
+    p_fwd = fwd.pattern(ClickPattern((True, False)))
+    p_rev = rev.pattern(ClickPattern((False, True)))
     assert p_fwd == pytest.approx(p_rev, rel=1e-13)
 
 
 def test_swapping_gate_bins_swaps_the_routing_detectors():
-    state = prepare(
-        (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3)),
-        bins=2,
-    )
-    calc12 = ClickCalculator(*build_layout(state, (GateSpec(1), GateSpec(2))))
-    calc21 = ClickCalculator(*build_layout(state, (GateSpec(2), GateSpec(1))))
+    sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3))
+    calc12 = routed(sources, (GateSpec(1), GateSpec(2)), bins=2)
+    calc21 = routed(sources, (GateSpec(2), GateSpec(1)), bins=2)
     coincidence = ClickPattern.of(apd3=True, apd4=True)
     assert calc12.pattern(coincidence) == pytest.approx(
         calc21.pattern(coincidence), rel=1e-12
@@ -212,20 +168,13 @@ def test_swapping_gate_bins_swaps_the_routing_detectors():
 
 
 def test_single_photon_splits_at_a_balanced_coupler():
-    # one photon into a 50:50 splitter clicks each side half the time
-    state = vacuum_state(1)
+    # one photon into a 50:50 splitter clicks each side half the time; the
+    # splitter leaves the vacuum state as it is
     u = np.eye(4, dtype=complex)
     u[np.ix_((0, 2), (0, 2))] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     s = symplectic_from_unitary(u)
     injection = s[:, [0, 1]]  # unit x and p probes entering mode 0
-    state = apply_passive(state, u)
-    layout = DetectorLayout(
-        (
-            Detector("APD1", frozenset({0})),
-            Detector("APD2", frozenset({2})),
-        )
-    )
-    calc = ClickCalculator(state, layout)
+    calc = ClickCalculator(np.zeros(8), 0.5 * np.eye(8), {"APD1": {0}, "APD2": {2}})
     p_a = calc.single_photon(ClickPattern((True, None)), injection)
     p_b = calc.single_photon(ClickPattern((None, True)), injection)
     p_none = calc.single_photon(ClickPattern((False, False)), injection)
@@ -237,12 +186,10 @@ def test_single_photon_splits_at_a_balanced_coupler():
 
 
 def test_single_photon_into_a_watched_mode_always_clicks():
-    state = vacuum_state(1)
     injection = np.zeros((8, 2))
     injection[0, 0] = 1.0
     injection[1, 1] = 1.0
-    layout = DetectorLayout((Detector("APD1", frozenset({0})),))
-    calc = ClickCalculator(state, layout)
+    calc = ClickCalculator(np.zeros(8), 0.5 * np.eye(8), {"APD1": {0}})
     assert calc.single_photon(ClickPattern((True,)), injection) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -260,10 +207,12 @@ def pair_inputs(mu: float, idler=None, bins=(1,), capacity: int = 1) -> WalkInpu
 def dense_one_fold(mu: float) -> float:
     """The same one-fold point on the dense route: the signal's thermal
     marginal, cov = (1/2 + mu) I on (H, t1)."""
-    state = vacuum_state(1)
-    state.cov[:2, :2] += mu * np.eye(2)
-    routed, layout = build_layout(state, (None, GateSpec(1, 1.0)))
-    return ClickCalculator(routed, layout).pattern(ClickPattern.of(apd4=True))
+    stage = _Stage(WalkConfig(0), (), 1.0, 1.0)
+    cov = 0.5 * np.eye(8)
+    cov[:2, :2] += mu * np.eye(2)
+    stage.dense = np.zeros(8), cov, ()
+    calc, _ = _gate_point(stage, (None, GateSpec(1, 1.0)))
+    return calc.pattern(ClickPattern.of(apd4=True))
 
 
 @pytest.mark.parametrize(
@@ -311,8 +260,7 @@ def test_scan_refusals_name_the_first_failing_gate_point(bins, slots, clicked, n
 )
 def test_refusals_show_the_total_at_full_precision(monkeypatch, total, shown):
     # at three digits a total of 1 + 2e-12 would read 1.000e+00
-    state = prepare((SourceSpec("coherent", H1, 0.1),), bins=1)
-    calc = ClickCalculator(*build_layout(state, ()))
+    calc = routed((SourceSpec("coherent", H1, 0.1),))
     monkeypatch.setattr(calc, "no_click", lambda modes: 0.0 if modes else total)
     with pytest.raises(NumericalInstability, match=f"produced {shown}$"):
         calc.pattern(ClickPattern.of(apd2=True))

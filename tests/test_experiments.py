@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import qwalk.detection as detection
 import qwalk.experiments as experiments
 import qwalk.fock as fock
-from qwalk.detection import ClickCalculator, ClickPattern, Detector, DetectorLayout
+from qwalk.detection import ClickCalculator, ClickPattern
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
 from qwalk.experiments import (
     Distribution,
@@ -207,22 +207,21 @@ def dense_hom(spec, overlap):
     """The HOM coincidence on the dense route, the independent reference of
     the closed form: both gates off, APD4 on the (H, t1) arm and APD2 on the
     (V, t2) arm in both sectors, the herald on APD1."""
-    state = _stage(replace(spec, overlap=overlap)).state
-    bins = state.bins
+    stage = _stage(replace(spec, overlap=overlap))
+    mean, cov, _ = stage.dense
+    bins = spec.walk.bin_capacity
 
     def arm(pol, m):
-        return frozenset(flat_index(ModeIndex(pol, m, s), bins) for s in (0, 1))
+        return [flat_index(ModeIndex(pol, m, s), bins) for s in (0, 1)]
 
-    idler = frozenset((flat_index(IDLER, bins),) if state.idler else ())
-    layout = DetectorLayout(
-        (
-            Detector("APD1", idler),
-            Detector("APD2", arm(Pol.V, 2)),
-            Detector("APD3", frozenset()),
-            Detector("APD4", arm(Pol.H, 1)),
-        )
-    )
-    return ClickCalculator(state, layout).pattern(ClickPattern.of(apd1=True, apd2=True, apd4=True))
+    detectors = {
+        "APD1": (flat_index(IDLER, bins),) if stage.idler else (),
+        "APD2": arm(Pol.V, 2),
+        "APD3": (),
+        "APD4": arm(Pol.H, 1),
+    }
+    calc = ClickCalculator(mean, cov, detectors)
+    return calc.pattern(ClickPattern.of(apd1=True, apd2=True, apd4=True))
 
 
 @given(
@@ -328,6 +327,12 @@ def test_step_evolution_rejects_bad_ranges():
         step_evolution(spec, n_max=0)
     with pytest.raises(ConfigInvalid):
         step_evolution(spec, inner_kind="hom")
+
+
+def test_step_evolution_refuses_a_walk_of_no_steps():
+    # once refused only later, as "n_max must lie in [1, 0], got 0"
+    with pytest.raises(ConfigInvalid, match="^step evolution needs at least one walk step$"):
+        ExperimentSpec(walk=WalkConfig(0), kind="step-evolution")
 
 
 def test_step_evolution_supports_three_fold_from_step_one():
@@ -633,22 +638,21 @@ def test_a_gate_on_a_dark_bin_gives_exactly_zero_on_the_batched_route(monkeypatc
 def dense_amplitudes(spec):
     """(u, beta) read off the dense stage: u from the ideal-herald probe's
     mean or from the signal's covariance with the idler, beta from the mean."""
-    stage, bins = _stage(spec), spec.walk.bin_capacity
-    state, idler = stage.state, 2 * flat_index(IDLER, bins)
+    mean, cov, probes = _stage(spec).dense
+    bins, idler = spec.walk.bin_capacity, 2 * flat_index(IDLER, spec.walk.bin_capacity)
     walk_modes = [flat_index(ModeIndex(pol, m, 0), bins) for pol in (Pol.H, Pol.V) for m in range(1, bins + 1)]
     if spec.ideal_herald:
-        mean = stage.probes[0].mean
-        u = np.array([mean[2 * j] + 1j * mean[2 * j + 1] for j in walk_modes])
+        u = np.array([probes[0][2 * j] + 1j * probes[0][2 * j + 1] for j in walk_modes])
     else:
         mu = spec.mu_xi
         c = np.sqrt(mu * (mu + 1.0)) if spec.pair_source == "tmsv" else mu
         # the cross block is c sqrt(eta_idler) [[Re u, Im u], [Im u, -Re u]]
-        cross = [state.cov[2 * j : 2 * j + 2, idler] for j in walk_modes]
+        cross = [cov[2 * j : 2 * j + 2, idler] for j in walk_modes]
         u = np.array([x + 1j * y for x, y in cross]) / (c * np.sqrt(spec.eta_idler))
     # sector 0 carries sqrt(2 overlap) beta on its quadratures, sector 1 sqrt(2 (1 - overlap)) beta
     sectors = [
-        np.array([state.mean[2 * j] + 1j * state.mean[2 * j + 1] for j in walk_modes]),
-        np.array([state.mean[2 * (j + 2 * bins)] + 1j * state.mean[2 * (j + 2 * bins) + 1] for j in walk_modes]),
+        np.array([mean[2 * j] + 1j * mean[2 * j + 1] for j in walk_modes]),
+        np.array([mean[2 * (j + 2 * bins)] + 1j * mean[2 * (j + 2 * bins) + 1] for j in walk_modes]),
     ]
     beta = (np.sqrt(spec.overlap) * sectors[0] + np.sqrt(1.0 - spec.overlap) * sectors[1]) / np.sqrt(2.0)
     return u, beta

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.detection import ClickCalculator, ClickPattern, GateSpec, build_layout
+from qwalk.detection import ClickPattern, GateSpec
 from qwalk.errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -26,7 +26,7 @@ from qwalk.fock import (
     perm_reduced,
     permanent,
 )
-from qwalk.gaussian import SourceSpec, prepare
+from qwalk.gaussian import SourceSpec
 from qwalk.modes import IDLER, ModeIndex, Pol
 from qwalk.walk import WalkConfig
 
@@ -316,16 +316,15 @@ def test_oracle_matches_gaussian_route_spot_check():
     )
     walk = WalkConfig.uniform(2)
     gates = (GateSpec(1), GateSpec(2))
-    state = prepare(sources, bins=walk.bin_capacity)
     import qwalk.experiments as exp
 
     spec = exp.ExperimentSpec(
         walk=walk, kind="two-fold", mu_alpha=0.2, mu_xi=0.026, overlap=0.6
     )
     stage = exp._stage(spec)
-    routed, layout = build_layout(stage.state, gates)
+    calc, _ = exp._gate_point(stage, gates)
     pattern = ClickPattern.of(apd1=True, apd3=True, apd4=True)
-    gaussian_value = ClickCalculator(routed, layout).pattern(pattern)
+    gaussian_value = calc.pattern(pattern)
     oracle = ThresholdOracle(sources, walk).at(gates)
     assert oracle.pattern_prob(pattern) == pytest.approx(
         gaussian_value, abs=5e-9

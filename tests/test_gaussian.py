@@ -3,29 +3,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.errors import (
-    DimensionMismatch,
-    EtaOutOfRange,
-    ModeCollision,
-    NonUnitary,
-    UnphysicalState,
-)
+from qwalk.errors import ConfigInvalid, ModeCollision
+from qwalk.experiments import ExperimentSpec, _Stage
 from qwalk.gaussian import (
-    GaussianState,
     SourceSpec,
-    apply_loss,
-    apply_passive,
     classicality_eigenvalues,
-    mean_photons,
-    omega_matrix,
     prepare,
     symplectic_from_unitary,
     vacuum_state,
 )
 from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
+from qwalk.walk import LayerParams, WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
+
+
+def omega(n_modes):
+    """Symplectic form in interleaved ordering: blocks [[0, 1], [-1, 0]]."""
+    return np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def mean_photons(mean, cov):
+    """Expected photon number per mode: (tr block + |d|^2) / 2 - 1/2."""
+    return 0.5 * (np.diag(cov) + mean**2).reshape(-1, 2).sum(axis=1) - 0.5
+
+
+def assert_physical(cov):
+    """Symmetric, and within the bosonic uncertainty bound cov + i omega / 2 >= 0."""
+    assert np.abs(cov - cov.T).max() <= 1e-12
+    assert np.linalg.eigvalsh(cov + 0.5j * omega(len(cov) // 2))[0] >= -1e-10
+
+
+def dense(sources, eta_walk=1.0, eta_idler=1.0, walk=WalkConfig(0)):
+    """The dense stage's mean and covariance after the walk and loss."""
+    mean, cov, _ = _Stage(walk, tuple(sources), eta_walk, eta_idler).dense
+    return mean, cov
 
 
 def random_unitary(n, seed):
@@ -54,7 +67,7 @@ def test_coherent_mean_amplitude():
 def test_overlap_splits_mean_energy_between_sectors():
     mu, o = 0.1, 0.7
     state = prepare((SourceSpec("coherent", V1, mu, overlap=o),), bins=1)
-    photons = mean_photons(state)
+    photons = mean_photons(state.mean, state.cov)
     assert photons[flat_index(V1, state.bins)] == pytest.approx(o * mu, abs=1e-14)
     assert photons[flat_index(ModeIndex(Pol.V, 1, 1), state.bins)] == pytest.approx(
         (1 - o) * mu, abs=1e-14
@@ -66,12 +79,12 @@ def test_tmsv_state_is_pure():
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
     # purity of a Gaussian state: det(2 sigma) = 1
     assert np.linalg.det(2.0 * state.cov) == pytest.approx(1.0, rel=1e-10)
-    state.validate()
+    assert_physical(state.cov)
 
 
 def test_tmsv_photon_number_split():
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
-    photons = mean_photons(state)
+    photons = mean_photons(state.mean, state.cov)
     assert photons[flat_index(H1, state.bins)] == pytest.approx(0.026, abs=1e-13)
     assert photons[flat_index(IDLER, state.bins)] == pytest.approx(0.026, abs=1e-13)
 
@@ -116,84 +129,56 @@ def test_single_pair_source_limit():
 def test_symplectic_from_unitary_is_symplectic(seed):
     u = random_unitary(4, seed)
     s = symplectic_from_unitary(u)
-    omega = omega_matrix(4)
-    assert np.allclose(s.T @ omega @ s, omega, atol=1e-12)
+    assert np.allclose(s.T @ omega(4) @ s, omega(4), atol=1e-12)
 
 
 def test_passive_transform_preserves_photon_number():
-    state = prepare(
-        (SourceSpec("coherent", V1, 0.3), SourceSpec("tmsv", H1, 0.026)),
-        bins=2,
+    sources = (SourceSpec("coherent", V1, 0.3), SourceSpec("tmsv", H1, 0.026))
+    state = prepare(sources, bins=3)
+    rng = np.random.default_rng(7)
+    layers = tuple(LayerParams(*rng.uniform(0, 2 * np.pi, 2)) for _ in range(2))
+    mean, cov = dense(sources, walk=WalkConfig(2, layers))
+    assert mean_photons(mean, cov).sum() == pytest.approx(
+        mean_photons(state.mean, state.cov).sum(), abs=1e-12
     )
-    n = state.n_modes
-    u = np.eye(n, dtype=complex)
-    u[:4, :4] = random_unitary(4, 7)
-    out = apply_passive(state, u)
-    assert mean_photons(out).sum() == pytest.approx(
-        mean_photons(state).sum(), abs=1e-12
-    )
-    out.validate()
-
-
-def test_passive_transform_rejects_nonunitary():
-    state = vacuum_state(1)
-    with pytest.raises(NonUnitary):
-        apply_passive(state, 0.9 * np.eye(4, dtype=complex))
-    with pytest.raises(DimensionMismatch):
-        apply_passive(state, np.eye(3, dtype=complex))
+    assert_physical(cov)
 
 
 def test_loss_scales_mean_and_photon_number():
-    state = prepare((SourceSpec("coherent", V1, 0.4),), bins=1)
-    out = apply_loss(state, 0.3)
-    assert mean_photons(out).sum() == pytest.approx(0.3 * 0.4, abs=1e-13)
-    out.validate()
+    mean, cov = dense((SourceSpec("coherent", V1, 0.4),), eta_walk=0.3)
+    assert mean_photons(mean, cov).sum() == pytest.approx(0.3 * 0.4, abs=1e-13)
+    assert_physical(cov)
 
 
 def test_loss_composes_multiplicatively():
-    state = prepare(
-        (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.1)),
-        bins=1,
-    )
-    twice = apply_loss(apply_loss(state, 0.8), 0.7)
-    once = apply_loss(state, 0.56)
-    assert np.allclose(twice.mean, once.mean, atol=1e-14)
-    assert np.allclose(twice.cov, once.cov, atol=1e-14)
+    sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.1))
+    mean, cov = dense(sources, 0.8, 0.8)
+    # a further pure loss of 0.7 on every mode, walk modes and idler alike
+    twice = np.sqrt(0.7) * mean, 0.7 * cov + 0.15 * np.eye(len(cov))
+    once = dense(sources, 0.56, 0.56)
+    assert np.allclose(twice[0], once[0], atol=1e-14)
+    assert np.allclose(twice[1], once[1], atol=1e-14)
 
 
 def test_full_loss_returns_vacuum():
-    state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
-    out = apply_loss(state, 0.0)
-    assert np.allclose(out.mean, 0.0, atol=1e-15)
-    assert np.allclose(out.cov, 0.5 * np.eye(out.cov.shape[0]), atol=1e-14)
+    mean, cov = dense((SourceSpec("tmsv", H1, 0.026),), 0.0, 0.0)
+    assert np.allclose(mean, 0.0, atol=1e-15)
+    assert np.allclose(cov, 0.5 * np.eye(cov.shape[0]), atol=1e-14)
 
 
 def test_loss_rejects_bad_transmission():
-    state = vacuum_state(1)
-    with pytest.raises(EtaOutOfRange):
-        apply_loss(state, -0.1)
-    with pytest.raises(EtaOutOfRange):
-        apply_loss(state, 1.5)
+    for eta in (-0.1, 1.5):
+        for name in ("eta_sys", "eta_idler"):
+            with pytest.raises(ConfigInvalid, match=name):
+                ExperimentSpec(walk=WalkConfig(1), **{name: eta})
 
 
 def test_selective_loss_touches_only_named_modes():
-    state = prepare(
-        (SourceSpec("coherent", V1, 0.2), SourceSpec("coherent", H1, 0.3)),
-        bins=1,
-    )
-    i, j = flat_index(V1, state.bins), flat_index(H1, state.bins)
-    out = apply_loss(state, 0.5, (i,))
-    photons = mean_photons(out)
-    assert photons[i] == pytest.approx(0.1, abs=1e-14)
-    assert photons[j] == pytest.approx(0.3, abs=1e-14)
-
-
-def test_validate_rejects_tampered_covariance():
-    # noise below the vacuum floor violates the uncertainty bound
-    state = vacuum_state(1)
-    bad = GaussianState(1, False, state.mean, 0.1 * np.eye(8))
-    with pytest.raises(UnphysicalState):
-        bad.validate()
+    sources = (SourceSpec("coherent", V1, 0.2), SourceSpec("tmsv", H1, 0.3))
+    photons = mean_photons(*dense(sources, eta_idler=0.5))
+    assert photons[flat_index(IDLER, 1)] == pytest.approx(0.15, abs=1e-14)
+    assert photons[flat_index(V1, 1)] == pytest.approx(0.2, abs=1e-14)
+    assert photons[flat_index(H1, 1)] == pytest.approx(0.3, abs=1e-14)
 
 
 def test_pair_source_registers_idler():

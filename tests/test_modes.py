@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from qwalk.detection import GateSpec, WalkInputs, build_layout, scan_patterns
+from qwalk.detection import GateSpec, WalkInputs, scan_patterns
 from qwalk.errors import IndexOutOfRange, ModeCollision
+from qwalk.experiments import _gate_point, _Stage
 from qwalk.gaussian import SourceSpec, prepare
 from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
+from qwalk.walk import WalkConfig
 
 
 def registry_labels(bins: int, idler: bool) -> list:
@@ -49,7 +51,7 @@ def test_gates_beyond_the_register_are_refused():
     with pytest.raises(IndexOutOfRange):
         scan_patterns(inputs, [(1, 3)], 0.97, ("APD3", "APD4"))
     with pytest.raises(IndexOutOfRange):
-        build_layout(prepare((source,), bins=2), (GateSpec(3),))
+        _gate_point(_Stage(WalkConfig(1), (source,), 1.0, 1.0), (GateSpec(3),))
 
 
 def test_colliding_sources_name_the_target():

@@ -10,7 +10,6 @@ from qwalk.walk import (
     WalkConfig,
     aggregate_transmission,
     coin_matrix,
-    sector_extend,
     step_unitary,
     walk_columns,
     walk_unitary,
@@ -210,18 +209,6 @@ def test_walk_columns_are_the_unitarys_columns(n_steps, spare, seed):
         picked = rng.choice(2 * capacity, size=min(3, 2 * capacity), replace=False)
         inputs = np.eye(2 * capacity)[:, picked]
         assert np.array_equal(walk_columns(config, inputs), u[:, picked])
-
-
-def test_sector_extend_block_structure():
-    config = WalkConfig.uniform(2)
-    u = walk_unitary(config)
-    big = sector_extend(u)
-    n = u.shape[0]
-    assert big.shape == (2 * n, 2 * n)
-    assert np.allclose(big[:n, :n], u)
-    assert np.allclose(big[n:, n:], u)
-    assert np.count_nonzero(big[:n, n:]) == 0
-    assert np.count_nonzero(big[n:, :n]) == 0
 
 
 def test_aggregate_transmission_is_layer_product():
