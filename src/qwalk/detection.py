@@ -36,7 +36,9 @@ together see every H output, so
     APD2 + APD3 = H total - APD4's routed share,
 
 and each union's sums are the H totals minus the routed shares of the
-gates outside it, or the shares of the gates inside it.
+gates outside it, or the shares of the gates inside it: a fixed {-1, 0, 1}
+row times (H total, gate 1's share, gate 2's share), so all of a scan's
+unions are scored as one stacked (unions x points) pass per block of points.
 
 `ClickCalculator` is the dense route: it factors each union's block of one
 full-register state routed at one gate point (`experiments._gate_point`).
@@ -76,6 +78,8 @@ APD_NAMES = ("APD1", "APD2", "APD3", "APD4")
 
 _NEGATIVE_CLAMP = 1e-12
 _CONDITION_LIMIT = 1e12
+# gate points per stacked pass, so the (unions x points) arrays stay small at any N
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -370,22 +374,13 @@ _REFUSALS = (
 
 
 def _failures(lowest, highest) -> list:
-    """The first point failing each check of _REFUSALS, None where none
-    fails; a value that no gate moves fails at the first point."""
-    return [
-        int(np.argmax(failing)) if np.any(failing) else None
-        for failing in (lowest <= 0.0, highest > _CONDITION_LIMIT * lowest)
-    ]
-
-
-def _union_sum(total, shares, bucket: bool, own) -> np.ndarray:
-    """A per-bin sum over a detector union from its H total and the gates'
-    routed shares: with the bucket, what the gates outside the union leave
-    on it; without, the shares of the gates inside it."""
-    out = total if bucket else 0.0
-    for share, inside in zip(shares, own):
-        if inside != bucket:
-            out = out - share if bucket else out + share
+    """The first failing (union, point) of each check of _REFUSALS on a
+    (unions x points) stack, None where none fails; a value that no gate
+    moves fails at the first point."""
+    out = []
+    for failing in (lowest <= 0.0, highest > _CONDITION_LIMIT * lowest):
+        failing = np.atleast_2d(failing)  # row-major: the first union, then its first point
+        out.append(divmod(int(np.argmax(failing)), failing.shape[1]) if failing.any() else None)
     return out
 
 
@@ -407,8 +402,8 @@ def scan_patterns(
 
     APD3 and APD4 collect `efficiency` of their bin's H outputs in both
     sectors, APD2 the H totals minus those shares, APD1 the idler.  So
-    each detector union's sums a, z, e are flat arrays over the gate
-    points, gathered from three per-bin sums.  Values and refusals match
+    the detector unions' sums a, z, e are (unions x points) stacks,
+    gathered from three per-bin sums.  Values and refusals match
     ClickCalculator on the layout of experiments._gate_point.
     """
     slots = np.asarray(slots, dtype=int).reshape(-1, 2)
@@ -428,16 +423,17 @@ def scan_patterns(
         np.sqrt(inputs.overlap) * u.conj() * beta,
         beta.real**2 + beta.imag**2,
     )
-    # per sum: (H total, gate 1's routed share, gate 2's) at every point
-    sums = [
-        (x.sum(), *(efficiency * np.concatenate(([0.0], x)))[slots.T])
-        for x in per_bin
-    ]
+    # per sum: its H total, and each bin's routed share, index 0 the dark slot
+    sums = [(x.sum(), efficiency * np.concatenate(([0.0], x))) for x in per_bin]
 
-    def union(subset):
-        own = ("APD3" in subset, "APD4" in subset)
-        a, z, e = (_union_sum(total, shares, "APD2" in subset, own) for total, *shares in sums)
-        return a, z, e, inputs.idler if "APD1" in subset else 0.0
+    def union(subsets, block):
+        # a {-1, 0, 1} row per union times (H total, gate 1's share, gate 2's): with
+        # the bucket, the total less the outside gates' shares; else the inside ones'
+        own = np.array([[d in s for d in ("APD2", "APD3", "APD4")] for s in subsets], dtype=float)
+        c0, c1, c2 = (own - own[:, :1] * (0.0, 1.0, 1.0)).T[:, :, None]
+        one, two = slots[block].T
+        a, z, e = (c0 * total + c1 * share[one] + c2 * share[two] for total, share in sums)
+        return a, z, e, np.array([[inputs.idler if "APD1" in s else 0.0] for s in subsets])
 
     # a bin is lit when either input reaches its H output; the bucket is judged
     # from these per-bin values, since total - shares can leave round-off
@@ -459,11 +455,14 @@ def click_probabilities(
     """P(every detector in `clicked` clicks), the others marginal, at each
     gate point of `slots`, conditioned on an APD1 click with `heralded`.
 
-    `union(subset)` gives the sums (a, z, e, h) of `_p0_excess` over what
-    the detectors in `subset` watch.  `sees(name)` is False at the points
-    where all of that detector's own sums a, e and h are exactly 0: a
-    detector that sees no light cannot click, so a clicked one there gives
-    exactly 0.  Refusals name the first failing gate point in scan order.
+    `union(subsets, block)` gives the sums (a, z, e, h) of `_p0_excess` over
+    what each subset's detectors watch at the points `slots[block]`, one row
+    per subset and one column per point (or one for a sum no gate moves);
+    each block of `_BLOCK` points is scored in one stacked pass.  `sees(name)`
+    is False at the points where all of that detector's own sums a, e and h
+    are exactly 0: a detector that sees no light cannot click, so a clicked
+    one there gives exactly 0.  Refusals name the first failing union, at
+    its first failing gate point in scan order.
     """
     clicked = tuple(clicked)
     rate = 1.0
@@ -481,20 +480,23 @@ def click_probabilities(
     lit = True
     for name in clicked:
         lit = lit & sees(name)
+    subsets = [s for r in range(1, len(clicked) + 1) for s in itertools.combinations(clicked, r)]
     found = [None, None]  # per check of _REFUSALS: the first failing (union, point)
     joint = np.full(len(slots), float(not clicked))
-    for r in range(1, len(clicked) + 1):  # the empty union's P0 - 1 is 0
-        for subset in itertools.combinations(clicked, r):
-            a, z, e, h = union(subset)
-            for i, p in enumerate(_failures(*_spectrum(inputs, a, h))):
-                if p is not None and found[i] is None:
-                    found[i] = (subset, p)
-            if not any(found):  # else refused below, once every union is checked
-                joint += (-1.0) ** r * _p0_excess(inputs, a, z, e, h)
+    for start in range(0, len(slots) if subsets else 0, _BLOCK):  # the empty union's P0 - 1 is 0
+        block = slice(start, start + _BLOCK)
+        a, z, e, h = union(subsets, block)
+        for i, first in enumerate(_failures(*_spectrum(inputs, a, h))):
+            if first is not None and (found[i] is None or first[0] < found[i][0]):
+                found[i] = (first[0], start + first[1])
+        if not any(found):  # else refused below, once every block is checked
+            for s, excess in zip(subsets, _p0_excess(inputs, a, z, e, h)):
+                joint[block] += (-1.0) ** len(s) * excess
     for (error, what), first in zip(_REFUSALS, found):
         if first:
-            subset, p = first
+            u, p = first
             raise error(
-                f"covariance block of detectors {subset} at {_gate_point_name(slots[p])} {what}"
+                f"covariance block of detectors {subsets[u]} at "
+                f"{_gate_point_name(slots[p])} {what}"
             )
     return _checked(np.where(lit, joint, 0.0), slots) / rate

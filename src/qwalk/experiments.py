@@ -141,11 +141,13 @@ class Distribution:
 
 
 def _normalize(raw) -> tuple:
-    raw = tuple(float(x) for x in raw)
-    total = sum(raw)
+    """The floats of `raw`, the same over their sequential sum, and whether that sum is <= 0."""
+    raw = np.asarray(raw, dtype=float)
+    values = tuple(raw.tolist())
+    total = sum(values)
     if total <= 0.0:
-        return tuple(0.0 for _ in raw), True
-    return tuple(x / total for x in raw), False
+        return values, (0.0,) * len(values), True
+    return values, tuple((raw / total).tolist()), False
 
 
 def _sources(spec: ExperimentSpec) -> tuple:
@@ -302,7 +304,7 @@ class _Scan:
     """One gate scan: its outcome labels, their gate slots, the clicks."""
 
     labels: Callable[[int], tuple]  # walk steps -> outcome labels
-    slots: Callable[[object], tuple]  # label -> (gate 1 bin, gate 2 bin), None = dark
+    slots: Callable[[tuple], np.ndarray]  # labels -> (gate 1 bin, gate 2 bin) each, 0 = dark
     clicked: tuple
 
     @property
@@ -310,7 +312,8 @@ class _Scan:
         return ClickPattern(tuple(True if n in self.clicked else None for n in APD_NAMES))
 
     def gates(self, label, efficiency: float) -> tuple:
-        return tuple(None if b is None else GateSpec(b, efficiency) for b in self.slots(label))
+        bins = self.slots((label,))[0].tolist()
+        return tuple(GateSpec(b, efficiency) if b else None for b in bins)
 
 
 def _bins(n_steps: int) -> tuple:
@@ -321,10 +324,16 @@ def _pairs(n_steps: int) -> tuple:
     return tuple(itertools.combinations(_bins(n_steps), 2))
 
 
+def _pair_slots(labels) -> np.ndarray:
+    """Gates 1 and 2 on each label's two bins."""
+    bins = itertools.chain.from_iterable(labels)
+    return np.fromiter(bins, dtype=int, count=2 * len(labels)).reshape(-1, 2)
+
+
 _SCANS = {
-    "one-fold": _Scan(_bins, lambda m: (None, m), ("APD4",)),
-    "two-fold": _Scan(_pairs, lambda pair: pair, ("APD3", "APD4")),
-    "three-fold": _Scan(_pairs, lambda pair: pair, ("APD2", "APD3", "APD4")),
+    "one-fold": _Scan(_bins, lambda m: np.multiply.outer(m, (0, 1)), ("APD4",)),  # (0, m)
+    "two-fold": _Scan(_pairs, _pair_slots, ("APD3", "APD4")),
+    "three-fold": _Scan(_pairs, _pair_slots, ("APD2", "APD3", "APD4")),
 }
 
 def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list:
@@ -341,11 +350,9 @@ def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list
 
 
 def _batched_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> np.ndarray:
-    gate_bins = (b or 0 for label in labels for b in scan.slots(label))
-    slots = np.fromiter(gate_bins, dtype=int, count=2 * len(labels))
     return scan_patterns(
         stage.inputs,
-        slots,
+        scan.slots(labels),
         spec.eta_kerr,
         scan.clicked,
         heralded=spec.heralded and not spec.ideal_herald,
@@ -356,9 +363,8 @@ def _run_scan(kind: str, spec: ExperimentSpec) -> Distribution:
     scan = _SCANS[kind]
     labels = scan.labels(spec.walk.n_steps)
     route = _dense_raw if spec.walk.bin_capacity <= _DENSE_MAX_BINS else _batched_raw
-    raw = route(scan, spec, _stage(spec), labels)
-    probs, undefined = _normalize(raw)
-    return Distribution(kind, labels, probs, tuple(map(float, raw)), NORMALIZED, undefined)
+    raw, probs, undefined = _normalize(route(scan, spec, _stage(spec), labels))
+    return Distribution(kind, labels, probs, raw, NORMALIZED, undefined)
 
 
 def run_experiment(spec: ExperimentSpec) -> Distribution:
@@ -392,12 +398,14 @@ def _hom_clicks(inputs: WalkInputs, overlaps, clicked=("APD1", "APD2", "APD4")) 
     arms = {d: flat_index(mode, len(inputs.signal) // 2) for d, mode in _HOM_ARMS.items()}
     root = np.sqrt(np.asarray(overlaps, dtype=float))
 
-    def union(subset):
-        modes = [arms[d] for d in subset if d in arms]
-        h = (inputs.idler or 0.0) if "APD1" in subset else 0.0
-        u, beta = inputs.signal[modes], inputs.coherent[modes]
-        z = root * np.sum(u.conj() * beta)
-        return np.sum(u.real**2 + u.imag**2), z, np.sum(beta.real**2 + beta.imag**2), h
+    u, beta = (x[list(arms.values())] for x in (inputs.signal, inputs.coherent))
+    per_arm = (u.real**2 + u.imag**2, u.conj() * beta, beta.real**2 + beta.imag**2)
+
+    def union(subsets, block):
+        own = np.array([[d in s for d in arms] for s in subsets], dtype=float)
+        a, z, e = (own @ x[:, None] for x in per_arm)
+        h = np.array([[(inputs.idler or 0.0) if "APD1" in s else 0.0] for s in subsets])
+        return a, z * root[block], e, h
 
     def sees(name):
         if name == "APD1":

@@ -142,18 +142,33 @@ def walk_columns(config: WalkConfig, inputs: np.ndarray) -> np.ndarray:
     """The walk applied to input amplitude columns over its 2B modes.
 
     Each step acts on the rows directly, not as a dense step product: the
-    coin mixes the H and V row blocks bin by bin, then the V block rolls
-    one bin later, cyclically as in `_shift_matrix`.  Columns never mix, so
-    each equals its column of `walk_unitary` bit for bit.  Crystal
-    transmissions are not included; see `aggregate_transmission`.
+    coin mixes the H and V row blocks bin by bin, then the V block moves
+    one bin later, cyclically as in `_shift_matrix`.  Only the light cone
+    is walked: after t steps, the bins past the last lit input bin plus t
+    are still dark.  The V block's origin moves one row back per step in a
+    longer buffer, so the delay moves no data; once the cone spans the
+    register, each step copies the last V bin round to t_1.  Columns never
+    mix, so each equals its column of `walk_unitary` bit for bit (zeros up
+    to sign).  Crystal transmissions are not included; see
+    `aggregate_transmission`.
     """
-    bins = config.bin_capacity
-    h, v = np.split(np.asarray(inputs, dtype=complex), [bins])
-    for layer in config.layers:
-        c = coin_matrix(layer.omega, layer.gamma)
-        h, v = c[0, 0] * h + c[0, 1] * v, c[1, 0] * h + c[1, 1] * v
-        v = np.concatenate((v[-1:], v[:-1]))
-    return np.concatenate((h, v))
+    bins, steps = config.bin_capacity, config.n_steps
+    columns = np.array(inputs, dtype=complex)
+    h = columns[:bins]
+    v = np.zeros((steps + bins, *columns.shape[1:]), dtype=complex)
+    v[steps:] = columns[bins:]
+    omega, gamma = np.array([(x.omega, x.gamma) for x in config.layers]).reshape(-1, 2).T
+    c, s, phase = np.cos(omega / 2), np.sin(omega / 2), np.exp(1j * gamma)
+    coins = np.array((c, phase * s, np.conj(phase) * s, -c)).T.tolist()  # coin_matrix, row-major
+    lit = np.flatnonzero(columns.reshape(2, bins, -1).any(axis=(0, 2)))
+    edge = lit[-1] + 1 if lit.size else 0
+    for t, (c00, c01, c10, c11) in enumerate(coins):
+        n, top = min(edge + t, bins), steps - t  # V's bin b is at row top + b
+        hn, vn = h[:n], v[top : top + n]
+        h[:n], v[top : top + n] = c00 * hn + c01 * vn, c10 * hn + c11 * vn
+        if n == bins:
+            v[top - 1] = v[top + bins - 1]
+    return np.concatenate((h, v[:bins]))
 
 
 def walk_unitary(config: WalkConfig) -> np.ndarray:

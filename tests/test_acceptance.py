@@ -14,18 +14,19 @@ import numpy as np
 import pytest
 
 from qwalk.cli import main
-from qwalk.detection import APD_NAMES, ClickPattern, scan_patterns
+from qwalk.detection import APD_NAMES, ClickPattern, GateSpec, scan_patterns
 from qwalk.experiments import (
     NORMALIZED,
     ExperimentSpec,
     _hom_clicks,
+    _sources,
     _stage,
     fit_overlap,
     run_experiment,
     step_evolution,
     verify_against_oracle,
 )
-from qwalk.fock import SourceSpec, ThresholdOracle
+from qwalk.fock import OracleSettings, SourceSpec, ThresholdOracle
 from qwalk.gaussian import classicality_eigenvalues, prepare
 from qwalk.modes import ModeIndex, Pol, flat_index
 from qwalk.walk import LayerParams, WalkConfig, walk_unitary
@@ -263,13 +264,28 @@ def test_07_click_pattern_space_is_complete():
 
     # the scans' gate layouts, gates on bin 2 (one-fold), bins 1 and 3
     # (two-fold) and bins 1 and 2 (three-fold), unheralded; then the HOM layout
+    gate_layouts = ((0, 2), (1, 3), (1, 2))
     layouts = [
         {d: scan_patterns(inputs, [slots], spec.eta_kerr, d)[0] for d in subsets}
-        for slots in ((0, 2), (1, 3), (1, 2))
+        for slots in gate_layouts
     ]
     layouts.append({d: _hom_clicks(inputs, (spec.overlap,), d)[0] for d in subsets})
     worst = max(abs(sum(full_patterns(marginal)) - 1.0) for marginal in layouts)
     assert worst < 1e-9
+
+    # the sum is 1 whatever the marginals are, so each gate layout's full
+    # patterns are also checked one by one, against the Fock oracle
+    oracle = ThresholdOracle(
+        _sources(spec), spec.walk, settings=OracleSettings(leak_target=1e-12)
+    )
+    worst_fock = 0.0
+    for slots, marginal in zip(gate_layouts, layouts):
+        routed = oracle.at(tuple(GateSpec(b, spec.eta_kerr) if b else None for b in slots))
+        for clicked, p in zip(marginal, full_patterns(marginal)):
+            fock = routed.pattern_prob(ClickPattern(tuple(d in clicked for d in APD_NAMES)))
+            assert p >= -1e-12, (slots, clicked, p)
+            worst_fock = max(worst_fock, abs(p - fock))
+    assert worst_fock < 1e-9, worst_fock
 
     worst_dist = 0.0
     checked = 0
@@ -297,7 +313,8 @@ def test_07_click_pattern_space_is_complete():
     assert worst_dist < 1e-9
     print(
         f"\ncompleteness: 16-pattern sums within {worst:.1e} of 1 for all "
-        f"four layouts; {checked} normalized distributions within "
+        f"four layouts, gate layouts' patterns within {worst_fock:.1e} of Fock; "
+        f"{checked} normalized distributions within "
         f"{worst_dist:.1e} of 1  PASS"
     )
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qwalk.detection import (
+    _BLOCK,
     ClickCalculator,
     ClickPattern,
     GateSpec,
     WalkInputs,
     _checked,
+    _p0_excess,
     scan_patterns,
 )
 from qwalk.errors import (
@@ -19,10 +21,10 @@ from qwalk.errors import (
     SingularMatrix,
     ZeroHeraldRate,
 )
-from qwalk.experiments import _gate_point, _Stage
+from qwalk.experiments import _SCANS, ExperimentSpec, _gate_point, _Stage, _stage
 from qwalk.gaussian import SourceSpec, prepare, symplectic_from_unitary
 from qwalk.modes import ModeIndex, Pol, flat_index
-from qwalk.walk import WalkConfig
+from qwalk.walk import LayerParams, WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
@@ -193,6 +195,70 @@ def test_single_photon_into_a_watched_mode_always_clicks():
     assert calc.single_photon(ClickPattern((True,)), injection) == pytest.approx(1.0, abs=1e-12)
 
 
+# -- batched scans: one stacked pass -------------------------------------------
+
+
+def per_union_scan(inputs, slots, efficiency, clicked, heralded):
+    """scan_patterns as one pass per detector union, each union's sums built
+    gate by gate, for a gate efficiency below 1 (so only gates can be dark)."""
+    bins = len(inputs.signal) // 2
+    u, beta = inputs.signal[:bins], inputs.coherent[:bins]
+    z = np.sqrt(inputs.overlap) * u.conj() * beta
+    per_bin = (u.real**2 + u.imag**2, z, beta.real**2 + beta.imag**2)
+    sums = [(x.sum(), *(efficiency * np.concatenate(([0.0], x)))[slots.T]) for x in per_bin]
+    clicked, rate = tuple(clicked), 1.0
+    if heralded:
+        clicked, rate = ("APD1",) + clicked, -float(_p0_excess(inputs, 0.0, 0j, 0.0, inputs.idler))
+    joint = np.zeros(len(slots))
+    for r in range(1, len(clicked) + 1):
+        for subset in itertools.combinations(clicked, r):
+            union = []
+            for total, *shares in sums:
+                out = total if "APD2" in subset else 0.0
+                for share, gate in zip(shares, ("APD3", "APD4")):
+                    if ("APD2" in subset) != (gate in subset):
+                        out = out - share if "APD2" in subset else out + share
+                union.append(out)
+            h = inputs.idler if "APD1" in subset else 0.0
+            joint += (-1.0) ** r * _p0_excess(inputs, *union, h)
+    dark = np.concatenate(([True], (per_bin[0] == 0.0) & (per_bin[2] == 0.0)))  # 0: no gate
+    for k, gate in enumerate(("APD3", "APD4")):
+        if gate in clicked:
+            joint[dark[slots[:, k]]] = 0.0
+    return np.clip(joint, 0.0, 1.0) / rate
+
+
+@pytest.mark.parametrize("n_steps", [25, 200], ids=["N25", "N200-blocks"])
+@pytest.mark.parametrize("kind", ["one-fold", "two-fold", "three-fold"])
+@pytest.mark.parametrize(
+    "herald",
+    [
+        dict(heralded=True),
+        dict(heralded=False),
+        dict(heralded=True, ideal_herald=True),
+        dict(heralded=True, pair_source="squashed"),
+        dict(heralded=False, pair_source="squashed"),
+    ],
+    ids=["heralded", "unheralded", "ideal-herald", "squashed", "squashed-unheralded"],
+)
+def test_stacked_scan_matches_the_per_union_loop(n_steps, kind, herald):
+    rng = np.random.default_rng(n_steps)
+    layers = tuple(
+        LayerParams(omega=rng.uniform(0.1, np.pi - 0.1), gamma=rng.uniform(0, 2 * np.pi))
+        for _ in range(n_steps)
+    )
+    spec = ExperimentSpec(
+        walk=WalkConfig(n_steps, layers), kind=kind, mu_alpha=0.24, mu_xi=0.026,
+        overlap=0.897461, eta_kerr=0.97, **herald,
+    )
+    inputs, scan = _stage(spec).inputs, _SCANS[kind]
+    slots = scan.slots(scan.labels(n_steps))
+    assert kind == "one-fold" or n_steps < 100 or len(slots) > 3 * _BLOCK  # pairs span blocks
+    heralded = spec.heralded and not spec.ideal_herald
+    args = (inputs, slots, spec.eta_kerr, scan.clicked, heralded)
+    assert np.array_equal(scan_patterns(*args), per_union_scan(*args))
+
+
 # -- batched scans: refusals --------------------------------------------------
 
 def pair_inputs(mu: float, idler=None, bins=(1,), capacity: int = 1) -> WalkInputs:
@@ -245,6 +311,16 @@ def test_scan_refusals_match_the_dense_route(mu, error, message):
         ),
         # the first failing point in scan order, not the lowest failing bin
         ((2, 4), [(0, 4), (0, 1), (0, 2), (0, 3)], ("APD4",), r"\('APD4',\) at .* bins 4 is"),
+        # the only failing union fails in a later block of points
+        ((3,), [(0, 1)] * _BLOCK + [(0, 3)], ("APD4",), r"\('APD4',\) at .* bins 3 is"),
+        # APD4 fails at the first point, but APD3, an earlier union, fails in
+        # a later block, and is named
+        (
+            (3,),
+            [(1, 3)] + [(1, 2)] * _BLOCK + [(3, 1)],
+            ("APD3", "APD4"),
+            r"\('APD3',\) at .* bins 3, 1 is",
+        ),
     ],
 )
 def test_scan_refusals_name_the_first_failing_gate_point(bins, slots, clicked, named):

@@ -719,7 +719,7 @@ def per_point_raw(spec):
     """Raw scan values from one closed-form term per (detector union, gate
     point), its sums taken over explicit per-bin routing weights."""
     scan, inputs = _SCANS[spec.kind], _stage(spec).inputs
-    slots = np.array([[b or 0 for b in scan.slots(x)] for x in scan.labels(spec.walk.n_steps)])
+    slots = scan.slots(scan.labels(spec.walk.n_steps))
     bins = spec.walk.bin_capacity
     routed = spec.eta_kerr * np.vstack((np.zeros(bins), np.eye(bins)))  # row 0: a dark slot
     apd3, apd4 = routed[slots[:, 0]], routed[slots[:, 1]]

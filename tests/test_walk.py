@@ -211,6 +211,45 @@ def test_walk_columns_are_the_unitarys_columns(n_steps, spare, seed):
         assert np.array_equal(walk_columns(config, inputs), u[:, picked])
 
 
+def per_layer_walk(config, inputs):
+    """walk_columns without the light cone: a fresh coin and every bin on
+    each layer, and the V block rolled cyclically."""
+    bins = config.bin_capacity
+    h, v = np.split(np.asarray(inputs, dtype=complex), [bins])
+    for layer in config.layers:
+        c = coin_matrix(layer.omega, layer.gamma)
+        h, v = c[0, 0] * h + c[0, 1] * v, c[1, 0] * h + c[1, 1] * v
+        v = np.concatenate((v[-1:], v[:-1]))
+    return np.concatenate((h, v))
+
+
+@given(
+    n_steps=st.integers(min_value=0, max_value=40),
+    spare=st.integers(min_value=0, max_value=3),
+    columns=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_light_cone_walk_matches_the_per_layer_loop(n_steps, spare, columns, seed):
+    # inputs on any bins, the last H and V bins among them, where the V
+    # block's cyclic wrap is reached; several columns, as the Fock oracle's
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        LayerParams(omega=rng.uniform(0, 2 * np.pi), gamma=rng.uniform(0, 2 * np.pi))
+        for _ in range(n_steps)
+    )
+    config = WalkConfig(n_steps, layers, n_steps + 1 + spare)
+    bins = config.bin_capacity
+    last = [bins - 1, 2 * bins - 1]
+    for rows in (rng.choice(2 * bins, size=min(2, 2 * bins), replace=False), last, [0, bins]):
+        inputs = np.zeros((2 * bins, columns), dtype=complex)
+        shape = (len(rows), columns)
+        inputs[rows] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(walk_columns(config, inputs), per_layer_walk(config, inputs))
+    unit = np.eye(2 * bins)[:, rng.choice(2 * bins, size=columns)]
+    assert np.array_equal(walk_columns(config, unit), per_layer_walk(config, unit))
+
+
 def test_aggregate_transmission_is_layer_product():
     layers = (
         LayerParams(transmission=0.9),
