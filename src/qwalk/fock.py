@@ -19,6 +19,9 @@ One query runs that recursion once, vectorised over every detector set
 its inclusion-exclusion needs, and builds one photon-number block at a
 time, each contracted with the input state as soon as it is made.  The
 recursion is tested against `perm_reduced`, and that against `permanent`.
+It runs over the coupled axes only: on an axis no Gram term couples to
+another (the idler, which bypasses the walk and APD1 alone watches) G is
+diagonal, and :exp((g - 1) a^dag a): is the weight g^n on occupation n.
 
 W_S^dag W_S is a sum of per-mode Gram terms w^dag w, so the gates never
 enter W: routing only decides which terms, at what weight, each detector
@@ -246,6 +249,19 @@ def _gamma_blocks(g: np.ndarray, geom: _BoxGeometry):
         yield f
 
 
+@lru_cache(maxsize=64)
+def _factored_box(shape: tuple, free: tuple, k_max: int):
+    """The mask of a box's tuples within k_max photons, and its layout with
+    the `free` axes split off; if all are free, the first stays coupled."""
+    free_axes = np.flatnonzero(free)[int(all(free)):]
+    coupled = np.setdiff1d(np.arange(len(shape)), free_axes)
+    kept = np.indices(shape).sum(axis=0).ravel() <= k_max
+    order = (0, *(1 + free_axes), *(1 + coupled))
+    slices = np.array(list(np.ndindex(*(shape[j] for j in free_axes))), dtype=int)
+    geom = _box_geometry(tuple(shape[j] - 1 for j in coupled), k_max)
+    return kept, order, free_axes, slices, np.ix_(coupled, coupled), geom
+
+
 @dataclass
 class _BranchSource:
     kind: str
@@ -260,6 +276,11 @@ class _Branch:
     `grams[label]` is w^dag w, with w the row of the transfer matrix for
     that mode restricted to the inputs' columns.  The walk, the loss and
     the inputs fix it; routing never enters a branch.
+
+    Axes no Gram term couples to another (the idler) are free: G is
+    diagonal there, so their occupations n join the members, each member's
+    contraction is weighed by prod_j G_jj^n_j, and the recursion runs on
+    the other axes, cached by their block of G.
     """
 
     def __init__(self, grams, sources, k_max):
@@ -270,14 +291,12 @@ class _Branch:
         if self.trivial:
             return
         caps, ensembles = zip(*(_ensemble(src, k_max) for src in sources))
-        caps = sum(caps, ())
-        box = math.prod(c + 1 for c in caps)
+        shape = tuple(c + 1 for c in sum(caps, ()))
+        box = math.prod(shape)
         if box > _BOX_LIMIT:
             raise ResourceBound(
                 f"occupation box of {box} tuples exceeds the oracle limit"
             )
-        self.geom = _box_geometry(caps, k_max)
-        self.eye = np.eye(len(caps))
         weights = [1.0]
         arrays = [np.ones((), dtype=complex)]
         for ens in ensembles:
@@ -288,31 +307,42 @@ class _Branch:
                 for _, a1 in ens
             ]
         psi = np.stack([a.ravel() for a in arrays])
-        self.weights = np.asarray(weights, float)
-        kept = self.geom.totals <= self.geom.k_max
+        nonzero = np.stack(list(grams.values())) != 0
+        free = nonzero.sum(axis=(0, 1)) == nonzero.diagonal(axis1=1, axis2=2).sum(axis=0)
+        layout = _factored_box(shape, tuple(free), k_max)
+        kept, order, self.free, slices, self.block, self.geom = layout
         psi = psi * kept[None, :]
         kept_norms = np.sum(np.abs(psi) ** 2, axis=1)
-        self.leak = max(0.0, 1.0 - float(self.weights @ kept_norms))
+        self.leak = max(0.0, 1.0 - float(np.asarray(weights) @ kept_norms))
+        psi = psi.reshape((-1,) + shape).transpose(order).reshape(len(weights) * len(slices), -1)
+        self.weights = np.repeat(weights, len(slices))
+        self.occupations = np.tile(slices, (len(weights), 1))
+        self.eye = np.eye(len(shape))
         phi = psi * self.geom.sqrt_fact[None, :]
         self.phi_blocks = [phi[:, cols] for cols in self.geom.block_cols]
 
-    def p0(self, grams) -> list:
+    def p0(self, grams) -> np.ndarray:
         """No-click probability for each Gram sum B^dag B of a detector set,
         None meaning no watched mode here (exactly 1); one recursion serves
-        every set not seen before, at this gate point or any other.  The
-        cache is keyed by G = I - B^dag B, in which Gram entries of -0.0
-        and 0.0 agree."""
+        every coupled block not seen before, at this gate point or any
+        other.  The cache is keyed by that block of G = I - B^dag B, in
+        which Gram entries of -0.0 and 0.0 agree."""
         gs = [None if gram is None else self.eye - gram for gram in grams]
-        keys = [None if g is None else g.tobytes() for g in gs]
-        todo = {k: g for k, g in zip(keys, gs) if k is not None and k not in self._cache}
+        keys = [None if g is None else g[self.block].tobytes() for g in gs]
+        todo = {k: g[self.block] for k, g in zip(keys, gs) if k is not None and k not in self._cache}
         if todo:
             total = np.zeros((len(todo), self.weights.size))
             g = np.stack(list(todo.values()))
             for phi, f in zip(self.phi_blocks, _gamma_blocks(g, self.geom)):
                 total += np.real(np.einsum("mi,bij,mj->bm", phi.conj(), f, phi))
-            for key, value in zip(todo, total @ self.weights):
-                self._cache[key] = float(value)
-        return [1.0 if k is None else self._cache[k] for k in keys]
+            self._cache.update(zip(todo, total))
+        lit = [i for i, key in enumerate(keys) if key is not None]
+        values = np.ones(len(keys))
+        if lit:
+            diag = np.real([gs[i].diagonal()[self.free] for i in lit])[:, None, :]
+            weights = self.weights * np.prod(diag ** self.occupations, axis=2)
+            values[lit] = np.sum(np.stack([self._cache[keys[i]] for i in lit]) * weights, axis=1)
+        return values
 
 
 def _coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:

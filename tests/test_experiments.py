@@ -483,9 +483,10 @@ def test_per_scan_oracle_matches_one_oracle_per_gate_point(params, plan, expecte
 
 
 def test_oracle_check_builds_one_oracle_per_scan_and_shares_sets(monkeypatch):
-    builds, recursed = [], []
+    builds, recursed, queried = [], [], []
     build = fock.ThresholdOracle.__init__
     recursion = fock._gamma_blocks
+    p0 = fock._Branch.p0
 
     def counted_build(self, *args, **kwargs):
         builds.append(self)
@@ -495,27 +496,47 @@ def test_oracle_check_builds_one_oracle_per_scan_and_shares_sets(monkeypatch):
         recursed.extend(m.tobytes() for m in g)
         return recursion(g, geom)
 
+    def counted_p0(self, grams):
+        queried.extend((self.eye - gram).tobytes() for gram in grams if gram is not None)
+        return p0(self, grams)
+
     monkeypatch.setattr(fock.ThresholdOracle, "__init__", counted_build)
     monkeypatch.setattr(fock, "_gamma_blocks", counted_recursion)
+    monkeypatch.setattr(fock._Branch, "p0", counted_p0)
     walk = WalkConfig.uniform(3, omega=0.6, gamma=0.4)
     spec = ExperimentSpec(walk=walk, kind="two-fold", mu_alpha=0.2, overlap=0.7, eta_kerr=0.9)
     assert verify_against_oracle(spec).comparisons == 6
     assert len(builds) == 1
-    # No detector set goes through the recursion twice in the scan: not the
-    # herald's, and not the single-gate sets eta G_m (APD3 at m1 or APD4 at
-    # m2), which several gate points share.  One oracle per gate point ran
-    # 6 x (7 + 3) = 60 sets; at most 21 + 10 are distinct.
-    counts = Counter(recursed)
-    assert set(counts.values()) == {1}
-    assert len(recursed) <= 31
     branches = builds[0].branches
     assert not any(branch.trivial for branch in branches)
-    herald = np.eye(3) - branches[0].grams[IDLER]
-    assert counts[herald.tobytes()] == 1
+    # sector 0 holds signal, idler and coherent light; only the idler is free
+    pair = branches[0]
+    assert pair.free.tolist() == [1] and pair.block[1].tolist() == [[0, 2]]
+
+    def g(gram):
+        return np.eye(len(gram)) - gram
+
+    def block(branch, gram):
+        return g(gram)[branch.block].tobytes()
+
+    # No coupled block goes through the recursion twice in the scan: not the
+    # herald's, and not the single-gate sets eta G_m (APD3 at m1 or APD4 at
+    # m2), which several gate points share.  One oracle per gate point ran
+    # 6 x (7 + 3) = 60 sets; at most 21 + 10 full G are distinct, and the 10
+    # with APD1 share their coupled block with their twin without it.
+    counts = Counter(recursed)
+    assert set(counts.values()) == {1}
+    assert len(recursed) <= 21
+    idler = pair.grams[IDLER]
+    assert counts[block(pair, idler)] == 1
     for b, branch in enumerate(branches):
         for m in range(1, 5):
-            gram = branch.grams[ModeIndex(Pol.H, m, b)]
-            assert counts[(np.eye(len(gram)) - 0.9 * gram).tobytes()] == 1
+            gram = 0.9 * branch.grams[ModeIndex(Pol.H, m, b)]
+            assert counts[block(branch, gram)] == 1
+    for m in range(1, 4):  # APD3 alone, and with the herald
+        gate = 0.9 * pair.grams[ModeIndex(Pol.H, m, 0)]
+        assert {g(gate).tobytes(), g(gate + idler).tobytes()} <= set(queried)
+        assert block(pair, gate + idler) == block(pair, gate)
 
 
 def test_distribution_is_plain_data():

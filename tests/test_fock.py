@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwalk.detection import ClickPattern, GateSpec
+import qwalk.fock as fock
+from qwalk.detection import APD_NAMES, ClickPattern, GateSpec
 from qwalk.errors import (
     CutoffTooSmall,
     DimensionMismatch,
@@ -26,6 +27,7 @@ from qwalk.fock import (
     perm_reduced,
     permanent,
 )
+from qwalk.experiments import ExperimentSpec, verify_against_oracle
 from qwalk.gaussian import SourceSpec
 from qwalk.modes import IDLER, ModeIndex, Pol
 from qwalk.walk import WalkConfig
@@ -131,6 +133,102 @@ def test_batched_branch_p0_matches_one_set_at_a_time():
     for gram, value in zip(grams, batched.p0(grams)):
         assert abs(single.p0([gram])[0] - value) <= 1e-14
         assert 0.0 < value <= 1.0
+
+
+def full_box_p0(grams, sources, k_max):
+    """P0 of each Gram sum, and the leak, by the recursion over the whole
+    occupation box of a branch's inputs, idler included: `_Branch` before
+    its free axes were factored out, kept as the reference."""
+    caps, ensembles = zip(*(_ensemble(src, k_max) for src in sources))
+    caps = sum(caps, ())
+    geom = _box_geometry(caps, k_max)
+    weights = [1.0]
+    arrays = [np.ones((), dtype=complex)]
+    for ens in ensembles:
+        weights = [w0 * w1 for w0 in weights for w1, _ in ens]
+        arrays = [np.multiply.outer(a0, a1) for a0 in arrays for _, a1 in ens]
+    psi = np.stack([a.ravel() for a in arrays]) * (geom.totals <= geom.k_max)[None, :]
+    leak = max(0.0, 1.0 - float(np.asarray(weights) @ np.sum(np.abs(psi) ** 2, axis=1)))
+    phi = psi * geom.sqrt_fact[None, :]
+    g = np.stack([np.eye(len(caps)) - gram for gram in grams])
+    total = np.zeros((len(g), len(weights)))
+    for cols, f in zip(geom.block_cols, _gamma_blocks(g, geom)):
+        block = phi[:, cols]
+        total += np.real(np.einsum("mi,bij,mj->bm", block.conj(), f, block))
+    return total @ np.asarray(weights), leak
+
+
+FACTORED_SOURCES = {
+    "tmsv": lambda overlap: (
+        SourceSpec("tmsv", H1, 0.026),
+        SourceSpec("coherent", V1, 0.2, overlap=overlap),
+    ),
+    "squashed": lambda overlap: (
+        SourceSpec("squashed", H1, 0.026),
+        SourceSpec("coherent", V1, 0.2, overlap=overlap),
+    ),
+    "fock1": lambda overlap: (
+        SourceSpec("fock1", H1, 1.0),
+        SourceSpec("coherent", V1, 0.2, overlap=overlap),
+    ),
+    "coherent": lambda overlap: (SourceSpec("coherent", V1, 0.3, overlap=overlap),),
+    # the two photons of `hom_oracle`, the V one in sector 1 at overlap 0
+    "hom": lambda overlap: (
+        SourceSpec("fock1", H1, 1.0),
+        SourceSpec("fock1", V1, 1.0, overlap=float(overlap > 0.0)),
+    ),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(FACTORED_SOURCES)),
+    eta_idler=st.sampled_from((0.5, 1.0)),
+    overlap=st.sampled_from((0.0, 0.7, 1.0)),
+    n_steps=st.integers(min_value=1, max_value=3),
+    gates=st.sampled_from(((None, None), (1, None), (None, 2), (1, 2), (2, 4), (3, 4))),
+    efficiency=st.floats(min_value=0.0, max_value=1.0),
+    sets=st.lists(st.sets(st.sampled_from(APD_NAMES)), min_size=1, max_size=4),
+)
+@settings(max_examples=50, deadline=None)
+def test_factored_branch_p0_matches_the_full_box(
+    kind, eta_idler, overlap, n_steps, gates, efficiency, sets
+):
+    # every draw also asks the herald's own set, where G_jj = 0 at eta_idler = 1
+    built = []
+    build = fock._Branch.__init__
+
+    def recorded(self, grams, sources, k_max):
+        built.append((self, sources, k_max))
+        build(self, grams, sources, k_max)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock._Branch, "__init__", recorded)
+        oracle = ThresholdOracle(
+            FACTORED_SOURCES[kind](overlap),
+            WalkConfig.uniform(n_steps, omega=0.6, gamma=0.4),
+            eta_sys=0.9,
+            eta_idler=eta_idler,
+        )
+    bins = n_steps + 1
+    routed = oracle.at(tuple(GateSpec(b, efficiency) if b and b <= bins else None for b in gates))
+    name_sets = [("APD1",)] + [tuple(s) for s in sets]
+    for b, (branch, sources, k_max) in enumerate(built):
+        if branch.trivial:
+            continue
+        grams = []
+        for names in name_sets:
+            terms = {}
+            for name in APD_NAMES:
+                if name in names:
+                    terms.update(routed._terms[name][b])
+            grams.append(sum(terms.values()) if terms else None)
+        # and the empty sum, whose P0 is the kept norm 1 - leak
+        zero = 0.0 * next(iter(branch.grams.values()))
+        lit = [gram for gram in grams if gram is not None] + [zero]
+        reference, leak = full_box_p0(lit, sources, k_max)
+        assert np.abs(np.subtract(branch.p0(lit), reference)).max() <= 1e-13
+        assert branch.leak == leak
+    assert oracle.truncation_leak == sum(branch.leak for branch, _, _ in built)
 
 
 def test_heralded_query_runs_one_recursion_per_branch(monkeypatch):
@@ -391,6 +489,81 @@ def test_oracle_pattern_space_sums_to_one():
     oracle = two_branch_oracle()
     total = sum(oracle.pattern_prob(p) for p in ClickPattern.full_patterns())
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+# A 1e-14 leak target needs a photon cap above the default 16 at the paper's
+# point.  Below a target of 1e-12 `_choose_k_max` compares tails at round-off,
+# so the tests below pin each branch's cutoff by value.
+PAPER_SCALE = OracleSettings(leak_target=1e-14, max_total_photons=20)
+
+
+@pytest.fixture
+def cutoffs(monkeypatch):
+    """The k_max of each branch built, in order."""
+    recorded = []
+    build = fock._Branch.__init__
+
+    def recording(self, grams, sources, k_max):
+        recorded.append(k_max)
+        build(self, grams, sources, k_max)
+
+    monkeypatch.setattr(fock._Branch, "__init__", recording)
+    return recorded
+
+
+@pytest.mark.parametrize(
+    "kind, heralded", [("two-fold", True), ("three-fold", True), ("three-fold", False)]
+)
+def test_oracle_agrees_to_1e_12_at_paper_scale(cutoffs, kind, heralded):
+    spec = ExperimentSpec(
+        walk=WalkConfig.uniform(23),
+        kind=kind,
+        heralded=heralded,
+        mu_alpha=0.24,
+        mu_xi=0.026,
+        overlap=0.897461,
+        eta_kerr=0.97,
+        eta_sys=0.9,
+        eta_idler=0.8,
+    )
+    report = verify_against_oracle(spec, PAPER_SCALE)
+    assert cutoffs == [18, 6]
+    assert report.comparisons == 276
+    assert report.max_abs_diff <= 1e-12
+
+
+def test_acceptance_grid_agrees_to_1e_12_at_a_1e_14_leak(cutoffs):
+    # the grid of test_02, whose own bound stays 1e-6 at the default leak
+    pinned = {  # (mu_alpha, overlap) -> k_max of the pair's and the other sector
+        (0.1, 0.0): [18, 9],
+        (0.1, 0.7): [18, 7],
+        (0.1, 1.0): [18, 0],
+        (0.3, 0.0): [18, 11],
+        (0.3, 0.7): [18, 8],
+        (0.3, 1.0): [18, 0],
+    }
+    grid = itertools.product(
+        (1, 2, 3),
+        (0.1, 0.3),
+        (0.0, 0.7, 1.0),
+        (0.97, 1.0),
+        ("one-fold", "two-fold", "three-fold"),
+        (True, False),
+    )
+    for n, mu_alpha, overlap, eta_kerr, kind, heralded in grid:
+        spec = ExperimentSpec(
+            walk=WalkConfig.uniform(n),
+            kind=kind,
+            mu_alpha=mu_alpha,
+            mu_xi=0.026,
+            overlap=overlap,
+            eta_kerr=eta_kerr,
+            heralded=heralded,
+        )
+        cutoffs.clear()
+        report = verify_against_oracle(spec, PAPER_SCALE)
+        assert cutoffs == pinned[mu_alpha, overlap]
+        assert report.max_abs_diff <= 1e-12, spec
 
 
 def poisson_pmf(mean, cap):
