@@ -544,11 +544,11 @@ def verify_against_oracle(
         dist = run_experiment(spec)
         scan = _SCANS[spec.kind]
         oracles = [oracle(spec)]
-        routed = [oracles[0].at(scan.gates(label, spec.eta_kerr)) for label in dist.labels]
+        routed = oracles[0].scan(scan.gates(label, spec.eta_kerr) for label in dist.labels)
         # the heralded photon itself needs no herald: exactly one went in
         if spec.heralded and not spec.ideal_herald:
-            fock = [r.heralded_prob(scan.pattern) for r in routed]
+            fock = routed.heralded_prob(scan.pattern)
         else:
-            fock = [r.pattern_prob(scan.pattern) for r in routed]
-    diffs = [abs(f - v) for f, v in zip(fock, dist.raw)]
-    return OracleReport(max(diffs), len(diffs), max(o.truncation_leak for o in oracles))
+            fock = routed.pattern_prob(scan.pattern)
+    diffs = np.abs(np.subtract(fock, dist.raw))
+    return OracleReport(float(diffs.max()), diffs.size, max(o.truncation_leak for o in oracles))

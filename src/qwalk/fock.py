@@ -15,19 +15,19 @@ P0(S) = <psi| :exp(-sum_{i in S} b_i^dag b_i): |psi>, whose Fock matrix
 elements are permanents of G = I - W_S^dag W_S with rows and columns
 repeated by occupation.  Those matrix elements are filled by an exact
 recursion over total photon number rather than one Ryser call per pair.
-One query runs that recursion once, vectorised over every detector set
-its inclusion-exclusion needs, and builds one photon-number block at a
-time, each contracted with the input state as soon as it is made.  The
-recursion is tested against `perm_reduced`, and that against `permanent`.
-It runs over the coupled axes only: on an axis no Gram term couples to
-another (the idler, which bypasses the walk and APD1 alone watches) G is
-diagonal, and :exp((g - 1) a^dag a): is the weight g^n on occupation n.
+One query of a scan runs that recursion once per branch, stacked over
+every detector set its inclusion-exclusion needs at every gate point,
+and builds one photon-number block at a time, each contracted with the
+input state as soon as it is made.  The recursion is tested against
+`perm_reduced`, and that against `permanent`.  It runs over the coupled
+axes only: on an axis no Gram term couples to another (the idler, which
+bypasses the walk and APD1 alone watches, or a branch's lone input) G
+is diagonal, and :exp((g - 1) a^dag a): is the weight g^n on occupation n.
 
 W_S^dag W_S is a sum of per-mode Gram terms w^dag w, so the gates never
 enter W: routing only decides which terms, at what weight, each detector
 sums.  One oracle is built per scan, from the walk, the loss and the
-inputs, and routed at each gate point at query time; its P0 cache serves
-every gate point of the scan.
+inputs, and routed at all of the scan's gate points at once.
 
 Loss never needs a channel here: every lossy element is a beam splitter
 into a fresh ancilla mode that no detector watches, and leaving a mode
@@ -57,7 +57,7 @@ from .errors import (
     ZeroHeraldRate,
 )
 from .gaussian import PAIR_KINDS, SourceSpec
-from .modes import IDLER, ModeIndex, Pol
+from .modes import IDLER, ModeIndex, Pol, flat_index
 from .walk import WalkConfig, aggregate_transmission, walk_columns
 
 __all__ = [
@@ -68,6 +68,8 @@ __all__ = [
 ]
 
 _BOX_LIMIT = 2_000_000
+# coupled blocks per recursion stack, and sets per weighing, so memory stays bounded
+_BLOCK = 128
 
 
 def permanent(a: np.ndarray) -> complex:
@@ -179,13 +181,12 @@ class _BoxGeometry:
     def __init__(self, caps: tuple, k_max: int):
         shape = tuple(c + 1 for c in caps)
         self.k_max = min(k_max, sum(caps))
-        self.tuples = np.indices(shape).reshape(len(caps), -1).T
+        self.tuples = np.indices(shape).reshape(len(caps), math.prod(shape)).T
         self.totals = self.tuples.sum(axis=1)
         strides = np.cumprod((1,) + shape[:0:-1])[::-1]
         self.block_cols = [
             np.flatnonzero(self.totals == K) for K in range(self.k_max + 1)
         ]
-        first_axis = np.argmax(self.tuples > 0, axis=1)
         self.row_first = [None]
         self.row_prev = [None]
         self.row_div = [None]
@@ -194,7 +195,7 @@ class _BoxGeometry:
             occ = self.tuples[cols].T
             shifted = np.searchsorted(prev_cols, cols - strides[:, None])
             gather = np.where(occ > 0, shifted, prev_cols.size)
-            fi = first_axis[cols]
+            fi = np.argmax(occ > 0, axis=0)
             rows = np.arange(cols.size)
             self.row_first.append(fi)
             self.row_prev.append(gather[fi, rows])
@@ -252,8 +253,9 @@ def _gamma_blocks(g: np.ndarray, geom: _BoxGeometry):
 @lru_cache(maxsize=64)
 def _factored_box(shape: tuple, free: tuple, k_max: int):
     """The mask of a box's tuples within k_max photons, and its layout with
-    the `free` axes split off; if all are free, the first stays coupled."""
-    free_axes = np.flatnonzero(free)[int(all(free)):]
+    the `free` axes split off; if all of several are free, the first stays
+    coupled, so that a pair's members stay few."""
+    free_axes = np.flatnonzero(free)[int(all(free) and len(shape) > 1):]
     coupled = np.setdiff1d(np.arange(len(shape)), free_axes)
     kept = np.indices(shape).sum(axis=0).ravel() <= k_max
     order = (0, *(1 + free_axes), *(1 + coupled))
@@ -270,17 +272,18 @@ class _BranchSource:
 
 
 class _Branch:
-    """One distinguishability sector: its register modes' Gram terms, its
-    input ensemble, and a P0 cache shared by every gate point of a scan.
+    """One distinguishability sector: its register's Gram terms, its input
+    ensemble, and a P0 cache shared by every query of a scan.
 
-    `grams[label]` is w^dag w, with w the row of the transfer matrix for
-    that mode restricted to the inputs' columns.  The walk, the loss and
-    the inputs fix it; routing never enters a branch.
+    `grams[c]` is w^dag w for register column c (`ThresholdOracle`'s
+    layout), with w that mode's row of the transfer matrix restricted to
+    the inputs' columns.  The walk, the loss and the inputs fix it;
+    routing never enters a branch.
 
-    Axes no Gram term couples to another (the idler) are free: G is
-    diagonal there, so their occupations n join the members, each member's
-    contraction is weighed by prod_j G_jj^n_j, and the recursion runs on
-    the other axes, cached by their block of G.
+    Axes no Gram term couples to another (the idler, or a lone input) are
+    free: G is diagonal there, so their occupations n join the members,
+    each member's contraction is weighed by prod_j G_jj^n_j, and the
+    recursion runs on the other axes, cached by their block of G.
     """
 
     def __init__(self, grams, sources, k_max):
@@ -307,7 +310,7 @@ class _Branch:
                 for _, a1 in ens
             ]
         psi = np.stack([a.ravel() for a in arrays])
-        nonzero = np.stack(list(grams.values())) != 0
+        nonzero = grams != 0
         free = nonzero.sum(axis=(0, 1)) == nonzero.diagonal(axis1=1, axis2=2).sum(axis=0)
         layout = _factored_box(shape, tuple(free), k_max)
         kept, order, self.free, slices, self.block, self.geom = layout
@@ -322,26 +325,30 @@ class _Branch:
         self.phi_blocks = [phi[:, cols] for cols in self.geom.block_cols]
 
     def p0(self, grams) -> np.ndarray:
-        """No-click probability for each Gram sum B^dag B of a detector set,
-        None meaning no watched mode here (exactly 1); one recursion serves
-        every coupled block not seen before, at this gate point or any
-        other.  The cache is keyed by that block of G = I - B^dag B, in
-        which Gram entries of -0.0 and 0.0 agree."""
-        gs = [None if gram is None else self.eye - gram for gram in grams]
-        keys = [None if g is None else g[self.block].tobytes() for g in gs]
-        todo = {k: g[self.block] for k, g in zip(keys, gs) if k is not None and k not in self._cache}
-        if todo:
-            total = np.zeros((len(todo), self.weights.size))
-            g = np.stack(list(todo.values()))
-            for phi, f in zip(self.phi_blocks, _gamma_blocks(g, self.geom)):
+        """No-click probability for each Gram sum B^dag B in the stack
+        `grams`.  The coupled blocks of G = I - B^dag B not met before go
+        through the recursion in stacks of at most `_BLOCK`; then each
+        set's cached member totals are weighed by its free diagonal,
+        `_BLOCK` sets at a time.  Gram entries of -0.0 and 0.0 give the
+        same G, so the same cache key."""
+        g = self.eye - grams
+        blocks = g[(slice(None),) + self.block]
+        keys = [blk.tobytes() for blk in blocks]
+        todo = {k: blk for k, blk in zip(keys, blocks) if k not in self._cache}
+        new = list(todo)
+        for start in range(0, len(new), _BLOCK):
+            chunk = new[start : start + _BLOCK]
+            total = np.zeros((len(chunk), self.weights.size))
+            stack = np.stack([todo[k] for k in chunk])
+            for phi, f in zip(self.phi_blocks, _gamma_blocks(stack, self.geom)):
                 total += np.real(np.einsum("mi,bij,mj->bm", phi.conj(), f, phi))
-            self._cache.update(zip(todo, total))
-        lit = [i for i, key in enumerate(keys) if key is not None]
-        values = np.ones(len(keys))
-        if lit:
-            diag = np.real([gs[i].diagonal()[self.free] for i in lit])[:, None, :]
-            weights = self.weights * np.prod(diag ** self.occupations, axis=2)
-            values[lit] = np.sum(np.stack([self._cache[keys[i]] for i in lit]) * weights, axis=1)
+            self._cache.update(zip(chunk, total))
+        diag = np.real(g[:, self.free, self.free])[:, None, :]
+        values = np.empty(len(keys))
+        for start in range(0, len(keys), _BLOCK):
+            part = slice(start, start + _BLOCK)
+            weights = self.weights * np.prod(diag[part] ** self.occupations, axis=2)
+            values[part] = np.sum(np.stack([self._cache[k] for k in keys[part]]) * weights, axis=1)
         return values
 
 
@@ -420,14 +427,16 @@ class ThresholdOracle:
     branch and probabilities multiply.
 
     The walk, the loss and the inputs do not depend on the gates, so one
-    oracle serves a whole scan and `at(gates)` routes it at each gate
-    point; the oracle as built has both gate slots dark.  Routing acts at
-    query time on the branches' per-mode Gram terms: a gate of efficiency
-    eta on bin m sends eta G_(H, m) to its detector and leaves
-    (1 - eta) G_(H, m) on the bin.  P0 values are cached by the Gram sum
-    of their detector set, so a set met at one gate point of the scan
-    (the herald's, or one that involves a single gate) is not recomputed
-    at another.
+    oracle serves a whole scan: `scan(points)` routes it at every gate
+    point and its queries return one value per point; `at(gates)` is the
+    one-point scan, whose queries return floats, and the oracle as built
+    has both gate slots dark.  Routing acts at query time on the
+    branches' Gram terms, one column per register mode and one routed
+    share per gate: a gate of efficiency eta on bin m sends eta G_(H, m)
+    to its detector and leaves (1 - eta) G_(H, m) on the bin.  A query
+    scores every detector set at every point in one stacked pass per
+    branch, and a coupled block of G met at several points (the herald's,
+    or one that involves a single gate) goes through the recursion once.
 
     `detector_labels` overrides the default APD plan; entries per
     detector are "idler", "gate1", "gate2" (the routed share), or
@@ -450,8 +459,7 @@ class ThresholdOracle:
         if not 0.0 <= eta_idler <= 1.0:
             raise EtaOutOfRange(f"eta_idler must lie in [0, 1], got {eta_idler}")
         self.settings = settings
-        self._bins = walk.bin_capacity
-        self._plan = detector_labels or _default_detector_labels(self._bins)
+        self._bins = bins = walk.bin_capacity
         branch_sources: list = [[], []]
         for s in sources:
             if s.kind == "fock1" and s.overlap not in (0.0, 1.0):
@@ -478,16 +486,22 @@ class ThresholdOracle:
         ]
         self.truncation_leak = sum(br.leak for br in self.branches)
         self._tolerance = max(1e-12, 8.0 * self.truncation_leak)
-        self._route(())
+        # columns: the dark slot's (no mode), (H, 1..B), (V, 1..B), the idler, then gate 1's
+        # and gate 2's routed shares; a 0/1 row per detector, per branch those it has a mode in
+        idler = [any(IDLER in src.labels for src in srcs) for srcs in branch_sources]
+        self._lit = np.array([[False] + [True] * 2 * bins + [has] for has in idler])
+        named = {"idler": 2 * bins + 1, "gate1": 2 * bins + 2, "gate2": 2 * bins + 3}
+        self._watch = np.zeros((len(APD_NAMES), 2 * bins + 4), dtype=bool)
+        plan = detector_labels or _default_detector_labels(bins)
+        for row, name in zip(self._watch, APD_NAMES):
+            for e in plan.get(name, ()):
+                row[named[e] if isinstance(e, str) else 1 + flat_index(ModeIndex(*e), bins)] = True
+        self._gates, self._one_point = (np.zeros((1, 2), dtype=int), np.zeros((1, 2))), True
 
     def _build_branch(self, b, srcs, walk, eta_walk, eta_idler):
         bins = self._bins
-        labels = [ModeIndex(Pol.H, m, b) for m in range(1, bins + 1)]
-        labels += [ModeIndex(Pol.V, m, b) for m in range(1, bins + 1)]
-        if any(IDLER in src.labels for src in srcs):
-            labels.append(IDLER)
-
-        positions = {label: i for i, label in enumerate(labels)}
+        labels = [ModeIndex(pol, m, b) for pol in (Pol.H, Pol.V) for m in range(1, bins + 1)]
+        positions = {label: 1 + i for i, label in enumerate(labels + [IDLER])}
         active = []
         etas = []
         for src in srcs:
@@ -499,126 +513,132 @@ class ThresholdOracle:
                 active.append(positions[label])
                 etas.append(eta_idler if label == IDLER else eta_walk)
 
-        # The inputs' walk columns (the idler bypasses the walk).  Each lossy
-        # input first meets a beam splitter into its own ancilla, which no
-        # detector watches: on the register that scales its column by sqrt(eta).
-        w = np.zeros((len(labels), len(active)), dtype=complex)
+        # The inputs' walk columns (the idler bypasses the walk), one row per register
+        # column.  Each lossy input first meets a beam splitter into its own ancilla,
+        # which no detector watches: on the register that scales its column by sqrt(eta).
+        w = np.zeros((2 * bins + 2, len(active)), dtype=complex)
         w[active, range(len(active))] = 1.0
-        w[: 2 * bins] = walk_columns(walk, w[: 2 * bins])
+        w[1:-1] = walk_columns(walk, w[1:-1])
         w *= np.sqrt(etas)
-        grams = dict(zip(labels, np.einsum("li,lj->lij", w.conj(), w)))
+        grams = np.einsum("li,lj->lij", w.conj(), w)
 
         k_max = _choose_k_max(srcs, self.settings) if srcs else 0
         return _Branch(grams, srcs, k_max)
 
     def at(self, gates) -> ThresholdOracle:
-        """This oracle routed at another gate point; it shares the branches
-        and their P0 cache."""
+        """This oracle routed at one gate point: the one-point scan, whose
+        queries return floats."""
+        return self._routed([gates], True)
+
+    def scan(self, points) -> ThresholdOracle:
+        """This oracle routed at every gate point in `points`, each a gate
+        list as `at` takes; its queries return one value per point."""
+        return self._routed(points, False)
+
+    def _routed(self, points, one_point: bool) -> ThresholdOracle:
+        """A shallow copy that shares the branches and their P0 cache."""
+        slots = [resolve_gate_slots(gates) for gates in points]
+        gates = np.array([[(s.bin, s.efficiency) if s else (0, 0) for s in p] for p in slots])
+        bins, eff = gates.reshape(-1, 2, 2).transpose(2, 0, 1)
+        if (bins > self._bins).any():
+            raise IndexOutOfRange(
+                f"gate bin {int(bins[bins > self._bins][0])} exceeds register capacity {self._bins}"
+            )
         routed = copy.copy(self)
-        routed._route(gates)
+        routed._gates, routed._one_point = (bins.astype(int), eff), one_point
         return routed
 
-    def _route(self, gates) -> None:
-        """Each detector's Gram terms per branch at this gate point, keyed by
-        the mode they come from, so a set's union counts each mode once."""
-        slots = resolve_gate_slots(gates)
-        for slot in slots:
-            if slot is not None and slot.bin > self._bins:
-                raise IndexOutOfRange(
-                    f"gate bin {slot.bin} exceeds register capacity {self._bins}"
-                )
-        left = {slot.bin: 1.0 - slot.efficiency for slot in slots if slot is not None}
-        self._terms = {}
-        for name in APD_NAMES:
-            per_branch = []
-            for b, branch in enumerate(self.branches):
-                terms = {}
-                for entry in self._plan.get(name, ()):
-                    if entry == "idler":
-                        if IDLER in branch.grams:
-                            terms[IDLER] = branch.grams[IDLER]
-                    elif entry in ("gate1", "gate2"):
-                        slot = slots[entry == "gate2"]
-                        if slot is not None:
-                            gram = branch.grams[ModeIndex(Pol.H, slot.bin, b)]
-                            terms[entry] = slot.efficiency * gram
-                    else:
-                        pol, m = entry
-                        label = ModeIndex(Pol(pol), m, b)
-                        if label not in branch.grams:
-                            raise IndexOutOfRange(f"detector mode {label!r} not in register")
-                        share = left.get(m, 1.0) if label.pol == Pol.H else 1.0
-                        terms[label] = share * branch.grams[label]
-                per_branch.append(terms)
-            self._terms[name] = per_branch
+    def _returned(self, values: np.ndarray):
+        return float(values[0]) if self._one_point else values
 
     # -- probability machinery ------------------------------------------------
 
+    def _seen(self, watch, lit) -> np.ndarray:
+        """(points x sets): whether a set (row of `watch`) has a mode, in the
+        register columns `lit` or a lit gate slot's routed column."""
+        gated = (self._gates[0] > 0)[:, None, :] & watch[:, -2:]
+        return gated.any(axis=2) | (watch[:, :-2] & lit).any(axis=1)
+
     def _p0(self, name_sets) -> np.ndarray:
-        values = np.ones(len(name_sets))
-        for b, branch in enumerate(self.branches):
-            if branch.trivial:
+        """P0 of each detector set (rows) at each gate point (columns).
+
+        A set watches the OR of its detectors' columns, so a mode on two
+        counts once, each at its share: eta on a routed column, 1 - eta on
+        the gated bin's own H column, 1 elsewhere.  One contraction per
+        branch gives every (point, set) Gram sum, and one `_Branch.p0` call
+        scores those with a mode there; the others are exactly 1."""
+        bins, eff = self._gates
+        member = np.array([[name in names for name in APD_NAMES] for names in name_sets])
+        watch = (member[:, :, None] & self._watch).any(axis=1)
+        share = np.ones((len(bins), watch.shape[1]))
+        share[np.arange(len(bins))[:, None], bins] = 1.0 - eff
+        share[:, -2:] = eff
+        coef = watch * share[:, None, :]
+        # a routed share lands on its gate's H column; a dark slot's on column 0
+        coef = coef[..., :-2] + coef[..., -2:] @ (bins[:, :, None] == np.arange(coef.shape[2] - 2))
+        values = np.ones(coef.shape[:2])
+        for branch, lit in zip(self.branches, self._lit):
+            present = self._seen(watch, lit)
+            if branch.trivial or not present.any():
                 continue
-            grams = []
-            for names in name_sets:
-                terms = {}
-                for name in APD_NAMES:
-                    if name in names:
-                        terms.update(self._terms[name][b])
-                grams.append(sum(terms.values()) if terms else None)
-            values *= branch.p0(grams)
-        return values
+            q = branch.grams.shape[1]
+            grams = coef[present] @ branch.grams.reshape(len(branch.grams), -1)
+            values[present] *= branch.p0(grams.reshape(-1, q, q))
+        return values.T
 
     def _split(self, pattern: ClickPattern):
         if len(pattern.clicks) != len(APD_NAMES):
             raise IndexOutOfRange(
                 f"pattern has {len(pattern.clicks)} entries for {len(APD_NAMES)} detectors"
             )
-        clicked, silent = [], []
-        for name, outcome in zip(APD_NAMES, pattern.clicks):
-            if outcome is True:
-                clicked.append(name)
-            elif outcome is False:
-                silent.append(name)
+        clicked = [name for name, outcome in zip(APD_NAMES, pattern.clicks) if outcome is True]
+        silent = [name for name, outcome in zip(APD_NAMES, pattern.clicks) if outcome is False]
         return clicked, silent
 
-    def _covered(self, name: str) -> bool:
-        return any(self._terms[name])
+    def _covered(self, names) -> np.ndarray:
+        """Whether every detector in `names` has a mode in some branch, at
+        each gate point."""
+        watch = self._watch[[APD_NAMES.index(name) for name in names]]
+        return self._seen(watch, self._lit.any(axis=0)).all(axis=1)
 
-    def pattern_prob(self, pattern: ClickPattern) -> float:
-        return self._inclusion_exclusion(pattern, ())
+    def pattern_prob(self, pattern: ClickPattern):
+        return self._returned(self._inclusion_exclusion(pattern, ())[0])
 
-    def _inclusion_exclusion(self, pattern: ClickPattern, also) -> float:
-        """P(pattern) from one batch of no-click evaluations; the name sets
-        in `also` join that batch, so later queries for them hit the cache."""
+    def _inclusion_exclusion(self, pattern: ClickPattern, also) -> tuple:
+        """P(pattern) at each gate point, and the P0 rows of the name sets
+        in `also`, from one stacked P0 pass.  A point where a clicked
+        detector has no mode gives exactly 0."""
         clicked, silent = self._split(pattern)
-        if any(not self._covered(name) for name in clicked):
-            return 0.0
-        subsets = [
-            s for r in range(len(clicked) + 1) for s in itertools.combinations(clicked, r)
-        ]
+        subsets = [s for r in range(len(clicked) + 1) for s in itertools.combinations(clicked, r)]
         p0 = self._p0([tuple(silent) + s for s in subsets] + list(also))
         total = 0.0
         for subset, value in zip(subsets, p0):
-            total += (-1) ** len(subset) * float(value)
-        if not -self._tolerance <= total <= 1.0 + self._tolerance:
-            raise NumericalInstability(f"oracle inclusion-exclusion produced {total!r}")
-        return min(max(total, 0.0), 1.0)
+            total = total + (-1) ** len(subset) * value
+        total = np.where(self._covered(clicked), total, 0.0)
+        inside = (-self._tolerance <= total) & (total <= 1.0 + self._tolerance)
+        if not inside.all():  # the first refused point, as its one-point query says
+            first = float(total[np.argmin(inside)])
+            raise NumericalInstability(f"oracle inclusion-exclusion produced {first!r}")
+        return np.clip(total, 0.0, 1.0), p0[len(subsets) :]
 
-    def herald_rate(self) -> float:
-        if not self._covered("APD1"):
+    def _rate(self, herald: np.ndarray) -> np.ndarray:
+        """The herald rate at each gate point from APD1's P0 there."""
+        if not self._covered(["APD1"]).all():
             raise ZeroHeraldRate("no idler mode is present to herald on")
-        rate = 1.0 - float(self._p0([("APD1",)])[0])
-        if rate <= 0.0:
+        rate = 1.0 - herald
+        if (rate <= 0.0).any():
             raise ZeroHeraldRate("herald detector can never click")
         return rate
 
-    def heralded_prob(self, pattern: ClickPattern) -> float:
+    def herald_rate(self):
+        return self._returned(self._rate(self._p0([("APD1",)])[0]))
+
+    def heralded_prob(self, pattern: ClickPattern):
         position = APD_NAMES.index("APD1")
         if pattern.clicks[position] is not None:
             raise ValueError("heralded patterns must leave APD1 unconstrained")
-        joint = self._inclusion_exclusion(pattern.with_click(position), [("APD1",)])
-        return joint / self.herald_rate()
+        joint, (herald,) = self._inclusion_exclusion(pattern.with_click(position), [("APD1",)])
+        return self._returned(joint / self._rate(herald))
 
 
 def _default_detector_labels(bins: int) -> dict:

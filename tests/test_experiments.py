@@ -493,11 +493,11 @@ def test_oracle_check_builds_one_oracle_per_scan_and_shares_sets(monkeypatch):
         build(self, *args, **kwargs)
 
     def counted_recursion(g, geom):
-        recursed.extend(m.tobytes() for m in g)
+        recursed.append((geom, [m.tobytes() for m in g]))
         return recursion(g, geom)
 
     def counted_p0(self, grams):
-        queried.extend((self.eye - gram).tobytes() for gram in grams if gram is not None)
+        queried.append((self, grams))
         return p0(self, grams)
 
     monkeypatch.setattr(fock.ThresholdOracle, "__init__", counted_build)
@@ -512,6 +512,7 @@ def test_oracle_check_builds_one_oracle_per_scan_and_shares_sets(monkeypatch):
     # sector 0 holds signal, idler and coherent light; only the idler is free
     pair = branches[0]
     assert pair.free.tolist() == [1] and pair.block[1].tolist() == [[0, 2]]
+    assert pair.geom is not branches[1].geom
 
     def g(gram):
         return np.eye(len(gram)) - gram
@@ -519,23 +520,28 @@ def test_oracle_check_builds_one_oracle_per_scan_and_shares_sets(monkeypatch):
     def block(branch, gram):
         return g(gram)[branch.block].tobytes()
 
-    # No coupled block goes through the recursion twice in the scan: not the
-    # herald's, and not the single-gate sets eta G_m (APD3 at m1 or APD4 at
-    # m2), which several gate points share.  One oracle per gate point ran
-    # 6 x (7 + 3) = 60 sets; at most 21 + 10 full G are distinct, and the 10
-    # with APD1 share their coupled block with their twin without it.
-    counts = Counter(recursed)
-    assert set(counts.values()) == {1}
-    assert len(recursed) <= 21
-    idler = pair.grams[IDLER]
+    # Each branch runs one recursion pass for the whole scan, and every coupled
+    # block its queries met goes through it exactly once: the herald's, and the
+    # single-gate sets eta G_m (APD3 at m1 or APD4 at m2) that several gate
+    # points share.  One oracle per gate point ran 6 x (7 + 3) = 60 sets; at
+    # most 21 + 10 full G are distinct, and the 10 with APD1 share their coupled
+    # block with their twin without it.
+    for branch in branches:
+        passes = [keys for geom, keys in recursed if geom is branch.geom]
+        asked = {block(branch, gram) for b, grams in queried if b is branch for gram in grams}
+        assert len(passes) == 1
+        assert sorted(passes[0]) == sorted(asked)
+        assert len(asked) <= 21
+    counts = Counter(key for _, keys in recursed for key in keys)
+    idler = pair.grams[-1]
     assert counts[block(pair, idler)] == 1
     for b, branch in enumerate(branches):
-        for m in range(1, 5):
-            gram = 0.9 * branch.grams[ModeIndex(Pol.H, m, b)]
-            assert counts[block(branch, gram)] == 1
+        for m in range(1, 5):  # register column m holds (H, m)
+            assert counts[block(branch, 0.9 * branch.grams[m])] == 1
+    queried_g = {g(gram).tobytes() for b, grams in queried if b is pair for gram in grams}
     for m in range(1, 4):  # APD3 alone, and with the herald
-        gate = 0.9 * pair.grams[ModeIndex(Pol.H, m, 0)]
-        assert {g(gate).tobytes(), g(gate + idler).tobytes()} <= set(queried)
+        gate = 0.9 * pair.grams[m]
+        assert {g(gate).tobytes(), g(gate + idler).tobytes()} <= queried_g
         assert block(pair, gate + idler) == block(pair, gate)
 
 

@@ -13,6 +13,7 @@ from qwalk.errors import (
     DimensionMismatch,
     NumericalInstability,
     ResourceBound,
+    ZeroHeraldRate,
 )
 from qwalk.fock import (
     OracleSettings,
@@ -27,7 +28,7 @@ from qwalk.fock import (
     perm_reduced,
     permanent,
 )
-from qwalk.experiments import ExperimentSpec, verify_against_oracle
+from qwalk.experiments import _SCANS, ExperimentSpec, _sources, verify_against_oracle
 from qwalk.gaussian import SourceSpec
 from qwalk.modes import IDLER, ModeIndex, Pol
 from qwalk.walk import WalkConfig
@@ -127,9 +128,9 @@ def two_branch_oracle():
 
 def test_batched_branch_p0_matches_one_set_at_a_time():
     batched, single = two_branch_oracle().branches[0], two_branch_oracle().branches[0]
-    g = list(batched.grams.values())
+    g = list(batched.grams[1:])  # (H, 1..3), (V, 1..3), the idler
     sets = [g[:1], [g[1], g[3]], [g[2], g[4], g[-1]], g[:4]]
-    grams = [sum(s) for s in sets] + [None]
+    grams = [sum(s) for s in sets]
     for gram, value in zip(grams, batched.p0(grams)):
         assert abs(single.p0([gram])[0] - value) <= 1e-14
         assert 0.0 < value <= 1.0
@@ -212,19 +213,21 @@ def test_factored_branch_p0_matches_the_full_box(
     bins = n_steps + 1
     routed = oracle.at(tuple(GateSpec(b, efficiency) if b and b <= bins else None for b in gates))
     name_sets = [("APD1",)] + [tuple(s) for s in sets]
-    for b, (branch, sources, k_max) in enumerate(built):
+    asked = {}  # the Gram sums each branch is asked for
+    p0 = fock._Branch.p0
+
+    def recorded_p0(self, grams):
+        asked[id(self)] = grams
+        return p0(self, grams)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock._Branch, "p0", recorded_p0)
+        routed._p0(name_sets)
+    for branch, sources, k_max in built:
         if branch.trivial:
             continue
-        grams = []
-        for names in name_sets:
-            terms = {}
-            for name in APD_NAMES:
-                if name in names:
-                    terms.update(routed._terms[name][b])
-            grams.append(sum(terms.values()) if terms else None)
         # and the empty sum, whose P0 is the kept norm 1 - leak
-        zero = 0.0 * next(iter(branch.grams.values()))
-        lit = [gram for gram in grams if gram is not None] + [zero]
+        lit = list(asked.get(id(branch), [])) + [0.0 * branch.grams[0]]
         reference, leak = full_box_p0(lit, sources, k_max)
         assert np.abs(np.subtract(branch.p0(lit), reference)).max() <= 1e-13
         assert branch.leak == leak
@@ -272,7 +275,7 @@ def test_absent_detectors_give_one_and_zero_rows_are_recursed(monkeypatch):
         settings=OracleSettings(leak_target=1e-3),
     )
     assert oracle.truncation_leak > 1e-5
-    assert oracle._p0([("APD3",), ()]).tolist() == [1.0, 1.0]
+    assert oracle._p0([("APD3",), ()]).ravel().tolist() == [1.0, 1.0]
     assert calls == []
     (zero_row,) = oracle._p0([("APD4",)])
     assert calls == [1]
@@ -317,6 +320,95 @@ def test_oracle_refuses_totals_outside_the_unit_interval(monkeypatch, outside, s
     assert oracle._tolerance == 1e-12
     with pytest.raises(NumericalInstability, match=f"oracle inclusion-exclusion produced {shown}$"):
         oracle.pattern_prob(ClickPattern.of(apd2=True))
+
+
+def p0_by_gate_bin(rows):
+    """A stand-in for ThresholdOracle._p0: at a gate point, the P0 of every
+    detector set (one value) or of each in turn (a tuple) is rows[b], with
+    b gate 1's bin there."""
+
+    def _p0(self, name_sets):
+        return np.array([np.broadcast_to(rows[b], len(name_sets)) for b in self._gates[0][:, 0]]).T
+
+    return _p0
+
+
+GATE_1_POINTS = [(GateSpec(m),) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "outside, shown",
+    [(-2e-12, "-2e-12"), (1.0 + 2e-12, "1.000000000002")],
+    ids=["-2e-12", "1.000000000002"],
+)
+def test_a_point_refused_mid_scan_raises_as_its_one_point_query(monkeypatch, outside, shown):
+    # the setup of the test above, with the bad total at the middle one of three points
+    monkeypatch.setattr(
+        ThresholdOracle, "_p0", p0_by_gate_bin({1: (0.5, 0.0), 2: (outside, 0.0), 3: (0.25, 0.0)})
+    )
+    oracle = ThresholdOracle((SourceSpec("fock1", H1, 1.0),), WalkConfig.uniform(2))
+    pattern = ClickPattern.of(apd3=True)
+    assert [oracle.at(GATE_1_POINTS[m]).pattern_prob(pattern) for m in (0, 2)] == [0.5, 0.25]
+    for routed in (oracle.at(GATE_1_POINTS[1]), oracle.scan(GATE_1_POINTS)):
+        with pytest.raises(NumericalInstability, match=f"^oracle inclusion-exclusion produced {shown}$"):
+            routed.pattern_prob(pattern)
+
+
+def test_a_zero_herald_rate_mid_scan_raises_as_its_one_point_query(monkeypatch):
+    pattern = ClickPattern.of(apd3=True)
+    # APD1 on gate 1's routed share: the middle point leaves it dark
+    plan = {"APD1": ("gate1",), "APD3": ("gate2",)}
+    oracle = ThresholdOracle((SourceSpec("coherent", H1, 0.3),), WalkConfig.uniform(2), detector_labels=plan)
+    points = [(GateSpec(1), GateSpec(2)), (None, GateSpec(3)), (GateSpec(3), GateSpec(1))]
+    assert oracle.at(points[0]).heralded_prob(pattern) > 0.0
+    for routed in (oracle.at(points[1]), oracle.scan(points)):
+        for query in (routed.herald_rate, lambda: routed.heralded_prob(pattern)):
+            with pytest.raises(ZeroHeraldRate, match="^no idler mode is present to herald on$"):
+                query()
+    # a herald detector that can never click at the middle point
+    monkeypatch.setattr(ThresholdOracle, "_p0", p0_by_gate_bin({1: 0.9, 2: 1.0, 3: 0.9}))
+    oracle = ThresholdOracle((SourceSpec("tmsv", H1, 0.026),), WalkConfig.uniform(2))
+    assert oracle.at(GATE_1_POINTS[0]).herald_rate() == pytest.approx(0.1)
+    for routed in (oracle.at(GATE_1_POINTS[1]), oracle.scan(GATE_1_POINTS)):
+        for query in (routed.herald_rate, lambda: routed.heralded_prob(pattern)):
+            with pytest.raises(ZeroHeraldRate, match="^herald detector can never click$"):
+                query()
+
+
+def test_a_scan_split_at_the_recursion_block_boundary_is_bit_identical(monkeypatch):
+    spec = ExperimentSpec(
+        walk=WalkConfig.uniform(3, omega=0.6, gamma=0.4),
+        kind="three-fold",
+        pair_source="squashed",
+        mu_alpha=0.2,
+        mu_xi=0.026,
+        overlap=0.7,
+        eta_kerr=0.9,
+        eta_sys=0.9,
+        eta_idler=0.8,
+    )
+    scan = _SCANS[spec.kind]
+    points = [scan.gates(label, spec.eta_kerr) for label in scan.labels(spec.walk.n_steps)]
+    passes = []
+    recursion = fock._gamma_blocks
+
+    def counted(g, geom):
+        passes.append(len(g))
+        return recursion(g, geom)
+
+    def scored(block):
+        monkeypatch.setattr(fock, "_BLOCK", block)
+        passes.clear()
+        oracle = ThresholdOracle(_sources(spec), spec.walk, eta_sys=0.9, eta_idler=0.8)
+        return oracle.scan(points).heralded_prob(scan.pattern), list(passes)
+
+    monkeypatch.setattr(fock, "_gamma_blocks", counted)
+    whole, one = scored(fock._BLOCK)
+    split, many = scored(3)
+    # one pass per branch; split, the same coupled blocks in passes of at most 3
+    assert len(one) == 2 and len(many) > 4
+    assert max(many) == 3 and sum(many) == sum(one)
+    assert split.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("inside, clamped", [(-5e-13, 0.0), (1.0 + 5e-13, 1.0)])
@@ -473,14 +565,14 @@ def test_truncation_leak_shrinks_with_cutoff():
     assert leaks[0] > leaks[1] > leaks[2]
 
 
-def test_oracle_cutoff_follows_the_leak_target():
+def test_oracle_cutoff_follows_the_leak_target(cutoffs):
     # zero-step walk: the coherent light never leaves its input mode
     oracle = ThresholdOracle(
         (SourceSpec("coherent", H1, 0.1),),
         WalkConfig.uniform(0),
         settings=OracleSettings(leak_target=1e-13),
     )
-    assert oracle.branches[0].geom.k_max == 8
+    assert cutoffs == [8, 0]
     value = oracle.pattern_prob(ClickPattern.of(apd2=True))
     assert value == pytest.approx(1.0 - math.exp(-0.1), abs=1e-9)
 
@@ -529,6 +621,42 @@ def test_oracle_agrees_to_1e_12_at_paper_scale(cutoffs, kind, heralded):
     report = verify_against_oracle(spec, PAPER_SCALE)
     assert cutoffs == [18, 6]
     assert report.comparisons == 276
+    assert report.max_abs_diff <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["one-fold", "two-fold", "three-fold"])
+@pytest.mark.parametrize(
+    "herald, pair_source",
+    [
+        ("heralded", "tmsv"),
+        ("heralded", "squashed"),
+        ("unheralded", "tmsv"),
+        ("unheralded", "squashed"),
+        ("ideal", "tmsv"),
+    ],
+)
+def test_oracle_agrees_to_1e_12_at_n_11(cutoffs, kind, herald, pair_source):
+    # A heralded value is a joint probability over the herald rate, ~0.02 here
+    # (mu_xi 0.026 at eta_idler 0.8), so its round-off of about 1e-15 / rate
+    # stays well under the bound.
+    spec = ExperimentSpec(
+        walk=WalkConfig.uniform(11),
+        kind=kind,
+        heralded=herald != "unheralded",
+        ideal_herald=herald == "ideal",
+        pair_source=pair_source,
+        mu_alpha=0.24,
+        mu_xi=0.026,
+        overlap=0.897461,
+        eta_kerr=0.97,
+        eta_sys=0.9,
+        eta_idler=0.8,
+    )
+    report = verify_against_oracle(spec, PAPER_SCALE)
+    # k_max of the sector holding the pair (or the heralded photon) and of the other
+    pinned = {"tmsv": [18, 6], "squashed": [12, 6], "ideal": [11, 6]}
+    assert cutoffs == pinned["ideal" if herald == "ideal" else pair_source]
+    assert report.comparisons == (12 if kind == "one-fold" else 66)
     assert report.max_abs_diff <= 1e-12
 
 
