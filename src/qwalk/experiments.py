@@ -539,7 +539,7 @@ def verify_against_oracle(
         dist = hom_scan(spec, (0.0, spec.overlap))
         plan = {"APD1": ("idler",), **{d: ((m.pol, m.bin),) for d, m in _HOM_ARMS.items()}}
         oracles = [oracle(replace(spec, overlap=o), plan) for o in dist.labels]
-        fock = [o.pattern_prob(_HOM_PATTERN) for o in oracles]
+        fock = [o.pattern_prob(_HOM_PATTERN)[0] for o in oracles]
     else:
         dist = run_experiment(spec)
         scan = _SCANS[spec.kind]

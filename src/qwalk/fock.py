@@ -428,15 +428,15 @@ class ThresholdOracle:
 
     The walk, the loss and the inputs do not depend on the gates, so one
     oracle serves a whole scan: `scan(points)` routes it at every gate
-    point and its queries return one value per point; `at(gates)` is the
-    one-point scan, whose queries return floats, and the oracle as built
-    has both gate slots dark.  Routing acts at query time on the
-    branches' Gram terms, one column per register mode and one routed
-    share per gate: a gate of efficiency eta on bin m sends eta G_(H, m)
-    to its detector and leaves (1 - eta) G_(H, m) on the bin.  A query
-    scores every detector set at every point in one stacked pass per
-    branch, and a coupled block of G met at several points (the herald's,
-    or one that involves a single gate) goes through the recursion once.
+    point, `at(gates)` at one, and the oracle as built at one point with
+    both gate slots dark.  Every query returns an array of one value per
+    gate point.  Routing acts at query time on the branches' Gram terms,
+    one column per register mode and one routed share per gate: a gate
+    of efficiency eta on bin m sends eta G_(H, m) to its detector and
+    leaves (1 - eta) G_(H, m) on the bin.  A query scores every detector
+    set at every point in one stacked pass per branch, and a coupled
+    block of G met at several points (the herald's, or one that involves
+    a single gate) goes through the recursion once.
 
     `detector_labels` overrides the default APD plan; entries per
     detector are "idler", "gate1", "gate2" (the routed share), or
@@ -496,7 +496,7 @@ class ThresholdOracle:
         for row, name in zip(self._watch, APD_NAMES):
             for e in plan.get(name, ()):
                 row[named[e] if isinstance(e, str) else 1 + flat_index(ModeIndex(*e), bins)] = True
-        self._gates, self._one_point = (np.zeros((1, 2), dtype=int), np.zeros((1, 2))), True
+        self._gates = (np.zeros((1, 2), dtype=int), np.zeros((1, 2)))
 
     def _build_branch(self, b, srcs, walk, eta_walk, eta_idler):
         bins = self._bins
@@ -526,17 +526,12 @@ class ThresholdOracle:
         return _Branch(grams, srcs, k_max)
 
     def at(self, gates) -> ThresholdOracle:
-        """This oracle routed at one gate point: the one-point scan, whose
-        queries return floats."""
-        return self._routed([gates], True)
+        """This oracle routed at one gate point: `scan([gates])`."""
+        return self.scan([gates])
 
     def scan(self, points) -> ThresholdOracle:
         """This oracle routed at every gate point in `points`, each a gate
-        list as `at` takes; its queries return one value per point."""
-        return self._routed(points, False)
-
-    def _routed(self, points, one_point: bool) -> ThresholdOracle:
-        """A shallow copy that shares the branches and their P0 cache."""
+        list: a shallow copy that shares the branches and their P0 cache."""
         slots = [resolve_gate_slots(gates) for gates in points]
         gates = np.array([[(s.bin, s.efficiency) if s else (0, 0) for s in p] for p in slots])
         bins, eff = gates.reshape(-1, 2, 2).transpose(2, 0, 1)
@@ -545,11 +540,8 @@ class ThresholdOracle:
                 f"gate bin {int(bins[bins > self._bins][0])} exceeds register capacity {self._bins}"
             )
         routed = copy.copy(self)
-        routed._gates, routed._one_point = (bins.astype(int), eff), one_point
+        routed._gates = (bins.astype(int), eff)
         return routed
-
-    def _returned(self, values: np.ndarray):
-        return float(values[0]) if self._one_point else values
 
     # -- probability machinery ------------------------------------------------
 
@@ -602,7 +594,7 @@ class ThresholdOracle:
         return self._seen(watch, self._lit.any(axis=0)).all(axis=1)
 
     def pattern_prob(self, pattern: ClickPattern):
-        return self._returned(self._inclusion_exclusion(pattern, ())[0])
+        return self._inclusion_exclusion(pattern, ())[0]
 
     def _inclusion_exclusion(self, pattern: ClickPattern, also) -> tuple:
         """P(pattern) at each gate point, and the P0 rows of the name sets
@@ -631,14 +623,14 @@ class ThresholdOracle:
         return rate
 
     def herald_rate(self):
-        return self._returned(self._rate(self._p0([("APD1",)])[0]))
+        return self._rate(self._p0([("APD1",)])[0])
 
     def heralded_prob(self, pattern: ClickPattern):
         position = APD_NAMES.index("APD1")
         if pattern.clicks[position] is not None:
             raise ValueError("heralded patterns must leave APD1 unconstrained")
         joint, (herald,) = self._inclusion_exclusion(pattern.with_click(position), [("APD1",)])
-        return self._returned(joint / self._rate(herald))
+        return joint / self._rate(herald)
 
 
 def _default_detector_labels(bins: int) -> dict:

@@ -174,7 +174,7 @@ def test_04_hom_null_and_visibility_fit(fitted_overlap):
             "APD4": ((Pol.H, 1),),
         },
     )
-    null = oracle.pattern_prob(ClickPattern.of(apd2=True, apd4=True))
+    (null,) = oracle.pattern_prob(ClickPattern.of(apd2=True, apd4=True))
     assert null < 1e-12
 
     overlap, visibility = fitted_overlap
@@ -282,7 +282,7 @@ def test_07_click_pattern_space_is_complete():
     for slots, marginal in zip(gate_layouts, layouts):
         routed = oracle.at(tuple(GateSpec(b, spec.eta_kerr) if b else None for b in slots))
         for clicked, p in zip(marginal, full_patterns(marginal)):
-            fock = routed.pattern_prob(ClickPattern(tuple(d in clicked for d in APD_NAMES)))
+            (fock,) = routed.pattern_prob(ClickPattern(tuple(d in clicked for d in APD_NAMES)))
             assert p >= -1e-12, (slots, clicked, p)
             worst_fock = max(worst_fock, abs(p - fock))
     assert worst_fock < 1e-9, worst_fock

@@ -144,6 +144,29 @@ def test_oracle_flag_pass_and_mismatch_exit_code(tmp_path, capsys):
     assert "oracle check" not in capsys.readouterr().err
 
 
+def test_oracle_settings_reach_the_oracle(tmp_path, capsys, monkeypatch):
+    import qwalk.fock as fock
+
+    asked = []
+    choose = fock._choose_k_max
+
+    def recording(sources, settings):
+        asked.append(settings)
+        return choose(sources, settings)
+
+    monkeypatch.setattr(fock, "_choose_k_max", recording)
+    config = write_config(
+        tmp_path,
+        TWO_FOLD_YAML
+        + "  eta_sys: 0.9\n  eta_idler: 0.8\n"
+        + "oracle_check:\n  enabled: true\n  tolerance: 1.0e-12\n"
+        + "  leak_target: 1.0e-14\n  max_total_photons: 20\n",
+    )
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+    assert "oracle check" in capsys.readouterr().err
+    assert asked and set(asked) == {fock.OracleSettings(leak_target=1e-14, max_total_photons=20)}
+
+
 def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
     payload = json.loads(capsys.readouterr().err.strip())

@@ -476,9 +476,9 @@ def test_per_scan_oracle_matches_one_oracle_per_gate_point(params, plan, expecte
         fresh = ThresholdOracle(_sources(spec), walk, **kwargs).at(gates)
         for oracle in (per_scan.at(gates), fresh):
             if spec.heralded and not spec.ideal_herald:
-                got = oracle.heralded_prob(scan.pattern)
+                (got,) = oracle.heralded_prob(scan.pattern)
             else:
-                got = oracle.pattern_prob(scan.pattern)
+                (got,) = oracle.pattern_prob(scan.pattern)
             assert abs(got - value) <= 1e-13
 
 
@@ -520,19 +520,22 @@ def test_oracle_check_builds_one_oracle_per_scan_and_shares_sets(monkeypatch):
     def block(branch, gram):
         return g(gram)[branch.block].tobytes()
 
-    # Each branch runs one recursion pass for the whole scan, and every coupled
-    # block its queries met goes through it exactly once: the herald's, and the
-    # single-gate sets eta G_m (APD3 at m1 or APD4 at m2) that several gate
-    # points share.  One oracle per gate point ran 6 x (7 + 3) = 60 sets; at
-    # most 21 + 10 full G are distinct, and the 10 with APD1 share their coupled
-    # block with their twin without it.
+    # Each branch runs one recursion pass for the whole scan, and no coupled
+    # block goes through the recursion twice in the scan: not the herald's,
+    # and not the single-gate sets eta G_m (APD3 at m1 or APD4 at m2), which
+    # several gate points share.  One oracle per gate point ran 6 x (7 + 3) =
+    # 60 sets; at most 21 + 10 full G are distinct, and the 10 with APD1 share
+    # their coupled block with their twin without it.  Sector 1's lone input
+    # is a free axis, so all of its sets share one empty coupled block: the
+    # two branches recurse 8 blocks in all.
     for branch in branches:
         passes = [keys for geom, keys in recursed if geom is branch.geom]
         asked = {block(branch, gram) for b, grams in queried if b is branch for gram in grams}
         assert len(passes) == 1
         assert sorted(passes[0]) == sorted(asked)
-        assert len(asked) <= 21
     counts = Counter(key for _, keys in recursed for key in keys)
+    assert set(counts.values()) == {1}
+    assert sum(len(keys) for _, keys in recursed) <= 8
     idler = pair.grams[-1]
     assert counts[block(pair, idler)] == 1
     for b, branch in enumerate(branches):

@@ -280,15 +280,15 @@ def test_absent_detectors_give_one_and_zero_rows_are_recursed(monkeypatch):
     (zero_row,) = oracle._p0([("APD4",)])
     assert calls == [1]
     assert zero_row == pytest.approx(1.0 - oracle.truncation_leak, abs=1e-15)
-    assert oracle.pattern_prob(ClickPattern.of(apd3=True)) == 0.0
+    assert oracle.pattern_prob(ClickPattern.of(apd3=True)).tolist() == [0.0]
     # a dark slot leaves its detector uncovered
     dark = ThresholdOracle((SourceSpec("coherent", H1, 0.1),), WalkConfig.uniform(1))
     for gates in ((None, GateSpec(2)), (GateSpec(1), None)):
         routed = dark.at(gates)
         dark_name = "apd3" if gates[0] is None else "apd4"
-        assert routed.pattern_prob(ClickPattern.of(**{dark_name: True})) == 0.0
+        assert routed.pattern_prob(ClickPattern.of(**{dark_name: True})).tolist() == [0.0]
         lit_name = "apd4" if gates[0] is None else "apd3"
-        assert routed.pattern_prob(ClickPattern.of(**{lit_name: True})) > 0.0
+        assert routed.pattern_prob(ClickPattern.of(**{lit_name: True}))[0] > 0.0
 
 
 def test_a_mode_on_two_detectors_counts_once_in_their_union():
@@ -348,7 +348,7 @@ def test_a_point_refused_mid_scan_raises_as_its_one_point_query(monkeypatch, out
     )
     oracle = ThresholdOracle((SourceSpec("fock1", H1, 1.0),), WalkConfig.uniform(2))
     pattern = ClickPattern.of(apd3=True)
-    assert [oracle.at(GATE_1_POINTS[m]).pattern_prob(pattern) for m in (0, 2)] == [0.5, 0.25]
+    assert [oracle.at(GATE_1_POINTS[m]).pattern_prob(pattern)[0] for m in (0, 2)] == [0.5, 0.25]
     for routed in (oracle.at(GATE_1_POINTS[1]), oracle.scan(GATE_1_POINTS)):
         with pytest.raises(NumericalInstability, match=f"^oracle inclusion-exclusion produced {shown}$"):
             routed.pattern_prob(pattern)
@@ -360,7 +360,7 @@ def test_a_zero_herald_rate_mid_scan_raises_as_its_one_point_query(monkeypatch):
     plan = {"APD1": ("gate1",), "APD3": ("gate2",)}
     oracle = ThresholdOracle((SourceSpec("coherent", H1, 0.3),), WalkConfig.uniform(2), detector_labels=plan)
     points = [(GateSpec(1), GateSpec(2)), (None, GateSpec(3)), (GateSpec(3), GateSpec(1))]
-    assert oracle.at(points[0]).heralded_prob(pattern) > 0.0
+    assert oracle.at(points[0]).heralded_prob(pattern)[0] > 0.0
     for routed in (oracle.at(points[1]), oracle.scan(points)):
         for query in (routed.herald_rate, lambda: routed.heralded_prob(pattern)):
             with pytest.raises(ZeroHeraldRate, match="^no idler mode is present to herald on$"):
@@ -368,7 +368,7 @@ def test_a_zero_herald_rate_mid_scan_raises_as_its_one_point_query(monkeypatch):
     # a herald detector that can never click at the middle point
     monkeypatch.setattr(ThresholdOracle, "_p0", p0_by_gate_bin({1: 0.9, 2: 1.0, 3: 0.9}))
     oracle = ThresholdOracle((SourceSpec("tmsv", H1, 0.026),), WalkConfig.uniform(2))
-    assert oracle.at(GATE_1_POINTS[0]).herald_rate() == pytest.approx(0.1)
+    assert oracle.at(GATE_1_POINTS[0]).herald_rate()[0] == pytest.approx(0.1)
     for routed in (oracle.at(GATE_1_POINTS[1]), oracle.scan(GATE_1_POINTS)):
         for query in (routed.herald_rate, lambda: routed.heralded_prob(pattern)):
             with pytest.raises(ZeroHeraldRate, match="^herald detector can never click$"):
@@ -414,7 +414,7 @@ def test_a_scan_split_at_the_recursion_block_boundary_is_bit_identical(monkeypat
 @pytest.mark.parametrize("inside, clamped", [(-5e-13, 0.0), (1.0 + 5e-13, 1.0)])
 def test_oracle_clamps_round_off_within_tolerance(monkeypatch, inside, clamped):
     oracle = lone_photon_oracle(monkeypatch, inside)
-    assert oracle.pattern_prob(ClickPattern.of(apd2=True)) == clamped
+    assert oracle.pattern_prob(ClickPattern.of(apd2=True)).tolist() == [clamped]
 
 
 def hom_oracle():
@@ -428,16 +428,16 @@ def hom_oracle():
 
 def test_two_photons_bunch_at_a_balanced_splitter():
     oracle = hom_oracle()
-    assert oracle.pattern_prob(ClickPattern.of(apd2=True, apd4=False)) == pytest.approx(
+    assert oracle.pattern_prob(ClickPattern.of(apd2=True, apd4=False))[0] == pytest.approx(
         0.5, abs=1e-12
     )
-    assert oracle.pattern_prob(ClickPattern.of(apd2=False, apd4=True)) == pytest.approx(
+    assert oracle.pattern_prob(ClickPattern.of(apd2=False, apd4=True))[0] == pytest.approx(
         0.5, abs=1e-12
     )
 
 
 def test_hom_null_for_indistinguishable_photons():
-    assert hom_oracle().pattern_prob(ClickPattern.of(apd2=True, apd4=True)) < 1e-14
+    assert hom_oracle().pattern_prob(ClickPattern.of(apd2=True, apd4=True))[0] < 1e-14
 
 
 def test_coherent_decomposition_matches_poisson():
@@ -471,7 +471,7 @@ def test_pair_source_at_zero_gain_is_two_mode_vacuum():
     beside = ThresholdOracle((SourceSpec("tmsv", H1, 0.0), coherent), walk).at(gates)
     assert beside.truncation_leak == alone.truncation_leak
     for pattern in ClickPattern.full_patterns():
-        assert beside.pattern_prob(pattern) == alone.pattern_prob(pattern)
+        assert beside.pattern_prob(pattern).tobytes() == alone.pattern_prob(pattern).tobytes()
 
 
 def test_squashed_decomposition_reproduces_pair_moments():
@@ -516,7 +516,7 @@ def test_oracle_matches_gaussian_route_spot_check():
     pattern = ClickPattern.of(apd1=True, apd3=True, apd4=True)
     gaussian_value = calc.pattern(pattern)
     oracle = ThresholdOracle(sources, walk).at(gates)
-    assert oracle.pattern_prob(pattern) == pytest.approx(
+    assert oracle.pattern_prob(pattern)[0] == pytest.approx(
         gaussian_value, abs=5e-9
     )
     assert oracle.truncation_leak < 1e-9
@@ -528,9 +528,9 @@ def test_oracle_single_photon_survival_under_loss():
     walk = WalkConfig.uniform(0, transmission=1.0)
     oracle = ThresholdOracle(sources, walk, eta_sys=0.5)
     silent = ClickPattern.of(apd2=False)
-    assert oracle.pattern_prob(silent) == pytest.approx(0.5, abs=1e-12)
+    assert oracle.pattern_prob(silent)[0] == pytest.approx(0.5, abs=1e-12)
     click = ClickPattern.of(apd2=True)
-    assert oracle.pattern_prob(click) == pytest.approx(0.5, abs=1e-12)
+    assert oracle.pattern_prob(click)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fock1_overlap_must_be_sharp():
@@ -546,7 +546,7 @@ def test_squashed_pair_heralds_fewer_signal_clicks_than_tmsv():
             (SourceSpec(kind, H1, 0.026),),
             WalkConfig.uniform(1, transmission=1.0),
         )
-        values[kind] = oracle.heralded_prob(ClickPattern.of(apd2=True))
+        (values[kind],) = oracle.heralded_prob(ClickPattern.of(apd2=True))
     assert values["squashed"] < values["tmsv"]
 
 
@@ -573,13 +573,13 @@ def test_oracle_cutoff_follows_the_leak_target(cutoffs):
         settings=OracleSettings(leak_target=1e-13),
     )
     assert cutoffs == [8, 0]
-    value = oracle.pattern_prob(ClickPattern.of(apd2=True))
+    (value,) = oracle.pattern_prob(ClickPattern.of(apd2=True))
     assert value == pytest.approx(1.0 - math.exp(-0.1), abs=1e-9)
 
 
 def test_oracle_pattern_space_sums_to_one():
     oracle = two_branch_oracle()
-    total = sum(oracle.pattern_prob(p) for p in ClickPattern.full_patterns())
+    total = sum(oracle.pattern_prob(p)[0] for p in ClickPattern.full_patterns())
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
