@@ -46,6 +46,10 @@ _ORACLE_KEYS = ("enabled", "tolerance") + tuple(f.name for f in _ORACLE_FIELDS)
 _DEFAULT_HOM_OVERLAPS = tuple(round(0.05 * i, 2) for i in range(21))
 _STEP_N_MAX_LIMIT = 11
 
+# libyaml's parser where PyYAML was built with it; both loaders share the
+# safe constructor and resolver, so they give the same mappings
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _require_mapping(value, where: str) -> dict:
     if value is None:
@@ -259,7 +263,7 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                data = yaml.safe_load(handle)
+                data = yaml.load(handle, Loader=_LOADER)
         except OSError as exc:
             raise IoError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -7,7 +7,6 @@ simulator failures in one place without swallowing genuine bugs.
 __all__ = [
     "QwalkError",
     "ModeCollision",
-    "DimensionMismatch",
     "EtaOutOfRange",
     "IndexOutOfRange",
     "SingularMatrix",
@@ -30,10 +29,6 @@ class QwalkError(Exception):
 
 class ModeCollision(QwalkError):
     """Two sources target the same optical mode."""
-
-
-class DimensionMismatch(QwalkError):
-    """An operator or vector does not match the state's mode count."""
 
 
 class EtaOutOfRange(QwalkError):

@@ -18,8 +18,8 @@ recursion over total photon number rather than one Ryser call per pair.
 One query of a scan runs that recursion once per branch, stacked over
 every detector set its inclusion-exclusion needs at every gate point,
 and builds one photon-number block at a time, each contracted with the
-input state as soon as it is made.  The recursion is tested against
-`perm_reduced`, and that against `permanent`.  It runs over the coupled
+input state as soon as it is made.  The tests check the recursion
+against Ryser's formula element by element.  It runs over the coupled
 axes only: on an axis no Gram term couples to another (the idler, which
 bypasses the walk and APD1 alone watches, or a branch's lone input) G
 is diagonal, and :exp((g - 1) a^dag a): is the weight g^n on occupation n.
@@ -48,7 +48,6 @@ from .detection import APD_NAMES, ClickPattern, resolve_gate_slots
 from .errors import (
     ConfigInvalid,
     CutoffTooSmall,
-    DimensionMismatch,
     EtaOutOfRange,
     IndexOutOfRange,
     ModeCollision,
@@ -61,8 +60,6 @@ from .modes import IDLER, ModeIndex, Pol, flat_index
 from .walk import WalkConfig, aggregate_transmission, walk_columns
 
 __all__ = [
-    "permanent",
-    "perm_reduced",
     "OracleSettings",
     "ThresholdOracle",
 ]
@@ -70,68 +67,6 @@ __all__ = [
 _BOX_LIMIT = 2_000_000
 # coupled blocks per recursion stack, and sets per weighing, so memory stays bounded
 _BLOCK = 128
-
-
-def permanent(a: np.ndarray) -> complex:
-    """Permanent of a square matrix by Ryser's formula, vectorized.
-
-    Cost is O(2^n n); fine up to n around 14.
-    """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatch(f"permanent needs a square matrix, got {a.shape}")
-    if n == 0:
-        return complex(1.0)
-    if n > 16:
-        raise ResourceBound(f"refusing Ryser on a {n}x{n} matrix")
-    masks = np.arange(1, 2**n, dtype=np.int64)
-    subsets = ((masks[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1).astype(
-        float
-    )
-    row_sums = subsets @ a.T
-    signs = np.where((n - subsets.sum(axis=1).astype(int)) % 2 == 0, 1.0, -1.0)
-    return complex(signs @ np.prod(row_sums, axis=1))
-
-
-def perm_reduced(g: np.ndarray, row_mults, col_mults) -> complex:
-    """Permanent of `g` with row i repeated row_mults[i] times and
-    column j repeated col_mults[j] times.
-
-    Uses the multiplicity form of Ryser's sum: instead of subsets of the
-    expanded columns, iterate over how many copies of each distinct
-    column are taken.  Equal row and column totals are required.
-    """
-    g = np.asarray(g, dtype=complex)
-    r = np.asarray(row_mults, dtype=int)
-    c = np.asarray(col_mults, dtype=int)
-    if g.shape != (r.size, c.size):
-        raise DimensionMismatch(
-            f"matrix {g.shape} does not match multiplicities {r.size}x{c.size}"
-        )
-    if (r < 0).any() or (c < 0).any():
-        raise ValueError("multiplicities must be non-negative")
-    total = int(r.sum())
-    if total != int(c.sum()):
-        raise DimensionMismatch(
-            f"row total {total} differs from column total {int(c.sum())}"
-        )
-    if total == 0:
-        return complex(1.0)
-    keep_r = r > 0
-    keep_c = c > 0
-    g = g[np.ix_(keep_r, keep_c)]
-    r = r[keep_r]
-    c = c[keep_c]
-    grid = np.indices(tuple(int(x) + 1 for x in c)).reshape(len(c), -1)
-    weights = np.ones(grid.shape[1])
-    for j, cj in enumerate(c):
-        table = np.array([math.comb(int(cj), s) for s in range(int(cj) + 1)], float)
-        weights *= table[grid[j]]
-    sums = g @ grid
-    prods = np.prod(sums ** r[:, None], axis=0)
-    signs = np.where((total - grid.sum(axis=0)) % 2 == 0, 1.0, -1.0)
-    return complex((signs * weights) @ prods)
 
 
 # --------------------------------------------------------------------------
@@ -480,9 +415,24 @@ class ThresholdOracle:
                     )
 
         eta_walk = aggregate_transmission(walk) * eta_sys
+        inputs = [self._inputs(b, srcs, eta_walk, eta_idler) for b, srcs in enumerate(branch_sources)]
+        # The inputs' walk columns (the idler bypasses the walk), one row per register
+        # column, both sectors' in one walk: columns never mix.  Each lossy input first
+        # meets a beam splitter into its own ancilla, which no detector watches: on the
+        # register that scales its column by sqrt(eta).
+        active, etas = (sum(part, []) for part in zip(*inputs))
+        w = np.zeros((2 * bins + 2, len(active)), dtype=complex)
+        w[active, range(len(active))] = 1.0
+        w[1:-1] = walk_columns(walk, w[1:-1])
+        w *= np.sqrt(etas)
+        ends = np.cumsum([len(positions) for positions, _ in inputs])[:-1]
         self.branches = [
-            self._build_branch(b, branch_sources[b], walk, eta_walk, eta_idler)
-            for b in (0, 1)
+            _Branch(
+                np.einsum("li,lj->lij", part.conj(), part),
+                srcs,
+                _choose_k_max(srcs, settings) if srcs else 0,
+            )
+            for part, srcs in zip(np.split(w, ends, axis=1), branch_sources)
         ]
         self.truncation_leak = sum(br.leak for br in self.branches)
         self._tolerance = max(1e-12, 8.0 * self.truncation_leak)
@@ -498,7 +448,9 @@ class ThresholdOracle:
                 row[named[e] if isinstance(e, str) else 1 + flat_index(ModeIndex(*e), bins)] = True
         self._gates = (np.zeros((1, 2), dtype=int), np.zeros((1, 2)))
 
-    def _build_branch(self, b, srcs, walk, eta_walk, eta_idler):
+    def _inputs(self, b, srcs, eta_walk, eta_idler) -> tuple:
+        """Branch b's input modes as `w` rows (see `__init__`), and each
+        one's transmission."""
         bins = self._bins
         labels = [ModeIndex(pol, m, b) for pol in (Pol.H, Pol.V) for m in range(1, bins + 1)]
         positions = {label: 1 + i for i, label in enumerate(labels + [IDLER])}
@@ -512,18 +464,7 @@ class ThresholdOracle:
                     raise ModeCollision(f"two sources target mode {label!r}")
                 active.append(positions[label])
                 etas.append(eta_idler if label == IDLER else eta_walk)
-
-        # The inputs' walk columns (the idler bypasses the walk), one row per register
-        # column.  Each lossy input first meets a beam splitter into its own ancilla,
-        # which no detector watches: on the register that scales its column by sqrt(eta).
-        w = np.zeros((2 * bins + 2, len(active)), dtype=complex)
-        w[active, range(len(active))] = 1.0
-        w[1:-1] = walk_columns(walk, w[1:-1])
-        w *= np.sqrt(etas)
-        grams = np.einsum("li,lj->lij", w.conj(), w)
-
-        k_max = _choose_k_max(srcs, self.settings) if srcs else 0
-        return _Branch(grams, srcs, k_max)
+        return active, etas
 
     def at(self, gates) -> ThresholdOracle:
         """This oracle routed at one gate point: `scan([gates])`."""

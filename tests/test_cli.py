@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
+import qwalk.cli as cli
 from qwalk.cli import main
 from qwalk.experiments import ExperimentSpec, run_experiment
 from qwalk.io import read_distribution, render_distribution
@@ -427,6 +429,68 @@ def test_step_evolution_artifact(tmp_path):
     assert any(line.startswith("step,bin,") for line in header)
     with pytest.raises(Exception):
         read_distribution(str(out))
+
+
+def test_step_evolution_oracle_checks_the_prefixes_it_writes(tmp_path, capsys):
+    # the check once covered the full N = 3 walk (6 patterns) while the
+    # artifact held only step 1
+    config = write_config(
+        tmp_path,
+        "experiment:\n"
+        "  kind: step-evolution\n"
+        "  walk:\n"
+        "    n_steps: 3\n"
+        "  step:\n"
+        "    inner_kind: two-fold\n"
+        "    n_max: 1\n",
+    )
+    out = tmp_path / "steps.json"
+    assert main(["simulate", "--config", config, "--oracle", "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row[:3] for row in rows] == [[1, 1, 2]]
+    assert f"over {len(rows)} patterns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "loader",
+    [
+        yaml.SafeLoader,
+        pytest.param(
+            getattr(yaml, "CSafeLoader", None),
+            marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml"),
+        ),
+    ],
+)
+def test_malformed_yaml_exits_two(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr("qwalk.config._LOADER", loader)
+    bad = write_config(tmp_path, "experiment: [unclosed\n")
+    assert main(["simulate", "--config", bad]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigInvalid"
+    assert "is not valid YAML" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "first", [["--oracle"], ["--unheralded"], ["--format", "json"]], ids=["oracle", "unheralded", "json"]
+)
+def test_a_second_call_behaves_as_in_a_fresh_process(tmp_path, capsys, first):
+    # the parser is built once per process; each call still starts clean
+    assert cli._build_parser() is cli._build_parser()
+    config = write_config(tmp_path, TWO_FOLD_YAML)
+    assert main(["simulate", "--config", config, *first, "--out", str(tmp_path / "first.out")]) == 0
+    capsys.readouterr()
+    second = tmp_path / "second.csv"
+    assert main(["simulate", "--config", config, "--out", str(second)]) == 0
+    printed = capsys.readouterr()
+    fresh = tmp_path / "fresh.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwalk.cli", "simulate", "--config", config, "--out", str(fresh)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert (printed.out, printed.err) == (proc.stdout.replace(str(fresh), str(second)), proc.stderr)
+    assert second.read_bytes() == fresh.read_bytes()
 
 
 def test_console_entry_point(tmp_path):

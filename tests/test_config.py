@@ -1,9 +1,16 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
 from qwalk.config import RunConfig
 from qwalk.errors import ConfigInvalid, IoError
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+LOADERS = [yaml.SafeLoader, pytest.param(getattr(yaml, "CSafeLoader", None), marks=LIBYAML)]
 
 MINIMAL = {"experiment": {"walk": {"n_steps": 2}}}
 
@@ -216,6 +223,84 @@ def test_yaml_bare_scientific_notation_is_caught(tmp_path):
     )
     with pytest.raises(ConfigInvalid, match="1.0e-6"):
         RunConfig.from_file(str(path))
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_yaml_bare_scientific_notation_is_a_string_under_either_loader(tmp_path, monkeypatch, loader):
+    assert yaml.load("mu_alpha: 1e-6\n", Loader=loader) == {"mu_alpha": "1e-6"}
+    monkeypatch.setattr("qwalk.config._LOADER", loader)
+    path = tmp_path / "run.yaml"
+    path.write_text("experiment:\n  walk:\n    n_steps: 1\n  mu_alpha: 1e-6\n")
+    with pytest.raises(ConfigInvalid, match="1.0e-6"):
+        RunConfig.from_file(str(path))
+
+
+def read_both(text) -> tuple:
+    """The mapping each loader reads from `text`, as reprs: NaN compares
+    unequal to itself, its repr does not."""
+    return tuple(repr(yaml.load(text, Loader=loader)) for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+
+
+def inline_yaml(path: Path) -> list:
+    """Every YAML mapping a test file spells out: its string constants, and
+    sums and `.replace` calls of them and of names bound to them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {}
+
+    def text(node):
+        if isinstance(node, ast.Constant):
+            return node.value if isinstance(node.value, str) else None
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            left, right = text(node.left), text(node.right)
+            return None if left is None or right is None else left + right
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "replace":
+            parts = [text(n) for n in (node.func.value, *node.args)]
+            return None if None in parts else parts[0].replace(*parts[1:])
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            value = text(node.value)
+            if value is not None:
+                names[node.targets[0].id] = value
+    mappings = []
+    for candidate in {text(node) for node in ast.walk(tree)} - {None}:
+        try:
+            if isinstance(yaml.load(candidate, Loader=yaml.SafeLoader), dict):
+                mappings.append(candidate)
+        except yaml.YAMLError:
+            pass
+    return sorted(mappings)
+
+
+@LIBYAML
+def test_both_loaders_read_every_known_config_alike(monkeypatch):
+    # the shipped configs, the tests' inline configs, and the benchmark's
+    # 600 stored sweep-small configs, dumped as the benchmark writes them
+    shipped = sorted((ROOT / "configs").glob("*.yaml"))
+    assert len(shipped) == 5
+    for path in shipped:
+        c_read, py_read = read_both(path.read_text(encoding="utf-8"))
+        assert c_read == py_read, path.name
+
+    inline = {name: inline_yaml(ROOT / "tests" / name) for name in ("test_cli.py", "test_acceptance.py")}
+    whole = {name: sum(t.startswith("experiment:") for t in texts) for name, texts in inline.items()}
+    assert whole["test_cli.py"] >= 15 and whole["test_acceptance.py"] >= 2
+    for texts in inline.values():
+        for text in texts:
+            c_read, py_read = read_both(text)
+            assert c_read == py_read, text
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    variants = [v for slot in workloads.load_refs()["sweep-small"] for v in slot]
+    assert len(variants) == 600
+    for variant in variants:
+        c_read, py_read = read_both(yaml.safe_dump(variant["config"], sort_keys=True))
+        assert c_read == py_read == repr(variant["config"])
 
 
 def test_step_limit_applies_to_step_kind_only():

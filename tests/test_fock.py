@@ -10,7 +10,6 @@ import qwalk.fock as fock
 from qwalk.detection import APD_NAMES, ClickPattern, GateSpec
 from qwalk.errors import (
     CutoffTooSmall,
-    DimensionMismatch,
     NumericalInstability,
     ResourceBound,
     ZeroHeraldRate,
@@ -25,13 +24,11 @@ from qwalk.fock import (
     _ensemble,
     _gamma_blocks,
     _photon_pmf,
-    perm_reduced,
-    permanent,
 )
 from qwalk.experiments import _SCANS, ExperimentSpec, _sources, verify_against_oracle
 from qwalk.gaussian import SourceSpec
 from qwalk.modes import IDLER, ModeIndex, Pol
-from qwalk.walk import WalkConfig
+from qwalk.walk import LayerParams, WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
@@ -45,6 +42,62 @@ def branch_source(kind, mu):
 def ensemble(kind, mu, k_max):
     """Caps and members of one source, as a branch of the oracle holds it."""
     return _ensemble(branch_source(kind, mu), k_max)
+
+
+def permanent(a: np.ndarray) -> complex:
+    """Permanent of a square matrix by Ryser's formula, vectorized.
+
+    Cost is O(2^n n); fine up to n around 14.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError(f"permanent needs a square matrix, got {a.shape}")
+    if n == 0:
+        return complex(1.0)
+    if n > 16:
+        raise ResourceBound(f"refusing Ryser on a {n}x{n} matrix")
+    masks = np.arange(1, 2**n, dtype=np.int64)
+    subsets = ((masks[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1).astype(float)
+    row_sums = subsets @ a.T
+    signs = np.where((n - subsets.sum(axis=1).astype(int)) % 2 == 0, 1.0, -1.0)
+    return complex(signs @ np.prod(row_sums, axis=1))
+
+
+def perm_reduced(g: np.ndarray, row_mults, col_mults) -> complex:
+    """Permanent of `g` with row i repeated row_mults[i] times and
+    column j repeated col_mults[j] times.
+
+    Uses the multiplicity form of Ryser's sum: instead of subsets of the
+    expanded columns, iterate over how many copies of each distinct
+    column are taken.  Equal row and column totals are required.
+    """
+    g = np.asarray(g, dtype=complex)
+    r = np.asarray(row_mults, dtype=int)
+    c = np.asarray(col_mults, dtype=int)
+    if g.shape != (r.size, c.size):
+        raise ValueError(f"matrix {g.shape} does not match multiplicities {r.size}x{c.size}")
+    if (r < 0).any() or (c < 0).any():
+        raise ValueError("multiplicities must be non-negative")
+    total = int(r.sum())
+    if total != int(c.sum()):
+        raise ValueError(f"row total {total} differs from column total {int(c.sum())}")
+    if total == 0:
+        return complex(1.0)
+    keep_r = r > 0
+    keep_c = c > 0
+    g = g[np.ix_(keep_r, keep_c)]
+    r = r[keep_r]
+    c = c[keep_c]
+    grid = np.indices(tuple(int(x) + 1 for x in c)).reshape(len(c), -1)
+    weights = np.ones(grid.shape[1])
+    for j, cj in enumerate(c):
+        table = np.array([math.comb(int(cj), s) for s in range(int(cj) + 1)], float)
+        weights *= table[grid[j]]
+    sums = g @ grid
+    prods = np.prod(sums ** r[:, None], axis=0)
+    signs = np.where((total - grid.sum(axis=0)) % 2 == 0, 1.0, -1.0)
+    return complex((signs * weights) @ prods)
 
 
 def permanent_brute(a):
@@ -87,7 +140,7 @@ def test_perm_reduced_matches_expanded_permanent(seed):
 
 
 def test_perm_reduced_requires_equal_totals():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="row total"):
         perm_reduced(np.eye(2, dtype=complex), (1, 0), (1, 1))
 
 
@@ -134,6 +187,45 @@ def test_batched_branch_p0_matches_one_set_at_a_time():
     for gram, value in zip(grams, batched.p0(grams)):
         assert abs(single.p0([gram])[0] - value) <= 1e-14
         assert 0.0 < value <= 1.0
+
+
+ONE_WALK_CASES = {
+    # the coherent light's column at (V, t_1) feeds both sectors
+    "split-coherent": (
+        (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.2, overlap=0.7)),
+        (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.2, overlap=1.0)),
+        (SourceSpec("coherent", V1, 0.2, overlap=0.0),),
+    ),
+    # the sectors light different bins, so the joint light cone is wider
+    # than either sector's own
+    "distinct-bins": (
+        (SourceSpec("tmsv", ModeIndex(Pol.H, 3, 0), 0.026), SourceSpec("fock1", H1, overlap=0.0)),
+        (SourceSpec("tmsv", ModeIndex(Pol.H, 3, 0), 0.026),),
+        (SourceSpec("fock1", H1, overlap=0.0),),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_WALK_CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_one_walk_gives_each_branch_the_grams_of_its_own_walk(monkeypatch, case, seed):
+    # both sectors' input columns go through one walk; each branch's Gram
+    # terms equal those of an oracle whose other branch is empty, which
+    # walks that branch's columns alone
+    rng = np.random.default_rng(seed)
+    layers = tuple(
+        LayerParams(omega=float(rng.uniform(0.0, np.pi)), gamma=float(rng.uniform(0.0, 2 * np.pi)))
+        for _ in range(3)
+    )
+    walk = WalkConfig(3, layers, 6)
+    walks = []
+    walk_columns = fock.walk_columns
+    monkeypatch.setattr(fock, "walk_columns", lambda *args: walks.append(args) or walk_columns(*args))
+    joint, *alone = (ThresholdOracle(sources, walk, eta_sys=0.9, eta_idler=0.8) for sources in ONE_WALK_CASES[case])
+    assert len(walks) == 3
+    for b, reference in enumerate(alone):
+        assert not reference.branches[1 - b].grams.size
+        assert np.array_equal(joint.branches[b].grams, reference.branches[b].grams)
 
 
 def full_box_p0(grams, sources, k_max):
