@@ -264,7 +264,7 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = yaml.load(handle, Loader=_LOADER)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"config {path} is not valid YAML: {exc}") from exc

@@ -30,8 +30,10 @@ a = sum_j w_j |u_j|^2 (its Gram block is a I_2), the coherent photons
 e = sum_j w_j |beta_j|^2, their overlap
 z = sqrt(overlap) sum_j w_j conj(u_j) beta_j, and the idler's
 transmission h when APD1 is in the union; P0 is a closed form in these
-four numbers (`_p0_excess`).  The bucket and both routing ports
-together see every H output, so
+four numbers (`_p0_excess`) whose pair term 1 + delta is >= 1 for any
+mu >= 0, so no block is factored or refused for its conditioning; only
+the inclusion-exclusion total is checked (`_checked`).  The bucket and
+both routing ports together see every H output, so
 
     APD2 + APD3 = H total - APD4's routed share,
 
@@ -61,7 +63,6 @@ from .errors import (
     SingularMatrix,
     ZeroHeraldRate,
 )
-from .gaussian import PAIR_KINDS
 
 __all__ = [
     "GateSpec",
@@ -332,32 +333,14 @@ def _p0_excess(inputs: WalkInputs, a, z, e, h) -> np.ndarray:
     return np.expm1(-e + kappa * z2 - np.log1p(delta))
 
 
-def _spectrum(inputs: WalkInputs, a, h) -> tuple:
-    """Lowest and highest eigenvalue of cov + I/2 on a union, vacuum's = 1.
-
-    Only a pair moves them from 1: its signal and idler shares give the
-    block mu [[a, sqrt(a h) c], [sqrt(a h) c, h]] with c^2 = mu (mu + 1)
-    (TMSV) or mu^2 (squashed) over the identity.
-    """
-    mu = inputs.mu
-    if inputs.source not in PAIR_KINDS:
-        return 1.0, 1.0
-    c2 = mu * (mu + 1.0) if inputs.source == "tmsv" else mu * mu
-    mid = 1.0 + 0.5 * mu * (a + h)
-    spread = np.sqrt((0.5 * mu * (a - h)) ** 2 + a * h * c2)
-    return np.minimum(mid - spread, 1.0), np.maximum(mid + spread, 1.0)
-
-
 def _gate_point_name(slots) -> str:
     bins = ", ".join(str(int(b)) for b in slots if b)
     return "the gate point with " + (f"gates on bins {bins}" if bins else "both gates dark")
 
 
 def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Clamp inclusion-exclusion round-off into [0, 1]; refuse anything larger."""
-    bad = np.flatnonzero(
-        (values < -_NEGATIVE_CLAMP) | (values > 1.0 + _NEGATIVE_CLAMP)
-    )
+    """Clamp inclusion-exclusion round-off into [0, 1]; refuse anything further out, or NaN."""
+    bad = np.flatnonzero(~((values >= -_NEGATIVE_CLAMP) & (values <= 1.0 + _NEGATIVE_CLAMP)))
     if bad.size:
         p = bad[0]
         raise NumericalInstability(
@@ -365,23 +348,6 @@ def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
             f"{_gate_point_name(slots[p])}"
         )
     return np.clip(values, 0.0, 1.0)
-
-
-_REFUSALS = (
-    (SingularMatrix, "is not positive definite"),
-    (NumericalInstability, "is too ill-conditioned"),
-)
-
-
-def _failures(lowest, highest) -> list:
-    """The first failing (union, point) of each check of _REFUSALS on a
-    (unions x points) stack, None where none fails; a value that no gate
-    moves fails at the first point."""
-    out = []
-    for failing in (lowest <= 0.0, highest > _CONDITION_LIMIT * lowest):
-        failing = np.atleast_2d(failing)  # row-major: the first union, then its first point
-        out.append(divmod(int(np.argmax(failing)), failing.shape[1]) if failing.any() else None)
-    return out
 
 
 def scan_patterns(
@@ -403,8 +369,9 @@ def scan_patterns(
     APD3 and APD4 collect `efficiency` of their bin's H outputs in both
     sectors, APD2 the H totals minus those shares, APD1 the idler.  So
     the detector unions' sums a, z, e are (unions x points) stacks,
-    gathered from three per-bin sums.  Values and refusals match
-    ClickCalculator on the layout of experiments._gate_point.
+    gathered from three per-bin sums.  Values match ClickCalculator on the
+    layout of experiments._gate_point; unlike it, no covariance block is
+    refused, only a total outside [0, 1] (see `click_probabilities`).
     """
     slots = np.asarray(slots, dtype=int).reshape(-1, 2)
     if not len(slots):
@@ -461,17 +428,14 @@ def click_probabilities(
     each block of `_BLOCK` points is scored in one stacked pass.  `sees(name)`
     is False at the points where all of that detector's own sums a, e and h
     are exactly 0: a detector that sees no light cannot click, so a clicked
-    one there gives exactly 0.  Refusals name the first failing union, at
-    its first failing gate point in scan order.
+    one there gives exactly 0.  A total outside [0, 1] beyond round-off, or
+    NaN, is refused at its first gate point in scan order.
     """
     clicked = tuple(clicked)
     rate = 1.0
     if heralded:
         if inputs.idler is None:
             raise ZeroHeraldRate("no idler mode is present to herald on")
-        for (error, what), p in zip(_REFUSALS, _failures(*_spectrum(inputs, 0.0, inputs.idler))):
-            if p is not None:
-                raise error(f"covariance block of herald detector APD1 {what}")
         rate = -float(_p0_excess(inputs, 0.0, 0j, 0.0, inputs.idler))
         if rate <= 0.0:
             raise ZeroHeraldRate("herald detector can never click")
@@ -481,22 +445,9 @@ def click_probabilities(
     for name in clicked:
         lit = lit & sees(name)
     subsets = [s for r in range(1, len(clicked) + 1) for s in itertools.combinations(clicked, r)]
-    found = [None, None]  # per check of _REFUSALS: the first failing (union, point)
     joint = np.full(len(slots), float(not clicked))
     for start in range(0, len(slots) if subsets else 0, _BLOCK):  # the empty union's P0 - 1 is 0
         block = slice(start, start + _BLOCK)
-        a, z, e, h = union(subsets, block)
-        for i, first in enumerate(_failures(*_spectrum(inputs, a, h))):
-            if first is not None and (found[i] is None or first[0] < found[i][0]):
-                found[i] = (first[0], start + first[1])
-        if not any(found):  # else refused below, once every block is checked
-            for s, excess in zip(subsets, _p0_excess(inputs, a, z, e, h)):
-                joint[block] += (-1.0) ** len(s) * excess
-    for (error, what), first in zip(_REFUSALS, found):
-        if first:
-            u, p = first
-            raise error(
-                f"covariance block of detectors {subsets[u]} at "
-                f"{_gate_point_name(slots[p])} {what}"
-            )
+        for s, excess in zip(subsets, _p0_excess(inputs, *union(subsets, block))):
+            joint[block] += (-1.0) ** len(s) * excess
     return _checked(np.where(lit, joint, 0.0), slots) / rate

@@ -221,14 +221,14 @@ class _Branch:
     recursion runs on the other axes, cached by their block of G.
     """
 
-    def __init__(self, grams, sources, k_max):
+    def __init__(self, grams, ensembles, k_max):
         self.grams = grams
         self._cache: dict = {}
         self.leak = 0.0
-        self.trivial = not sources
+        self.trivial = not ensembles
         if self.trivial:
             return
-        caps, ensembles = zip(*(_ensemble(src, k_max) for src in sources))
+        caps, ensembles = zip(*ensembles)
         shape = tuple(c + 1 for c in sum(caps, ()))
         box = math.prod(shape)
         if box > _BOX_LIMIT:
@@ -239,11 +239,7 @@ class _Branch:
         arrays = [np.ones((), dtype=complex)]
         for ens in ensembles:
             weights = [w0 * w1 for w0 in weights for w1, _ in ens]
-            arrays = [
-                np.multiply.outer(a0, a1)
-                for a0 in arrays
-                for _, a1 in ens
-            ]
+            arrays = [np.multiply.outer(a0, a1) for a0 in arrays for _, a1 in ens]
         psi = np.stack([a.ravel() for a in arrays])
         nonzero = grams != 0
         free = nonzero.sum(axis=(0, 1)) == nonzero.diagonal(axis1=1, axis2=2).sum(axis=0)
@@ -307,8 +303,6 @@ def _ensemble(src: _BranchSource, k_max: int) -> tuple:
     left as missing weight, not renormalized away.
     """
     mu = src.mean_photon
-    if src.kind in PAIR_KINDS and k_max < 2:
-        raise CutoffTooSmall("pair sources need a total-photon cutoff of at least 2")
     if src.kind == "fock1":
         return (1,), [(1.0, np.array([0.0, 1.0], dtype=complex))]
     if src.kind == "coherent":
@@ -328,25 +322,34 @@ def _ensemble(src: _BranchSource, k_max: int) -> tuple:
     return (k_max, k_max), list(zip(weights, amps))
 
 
-def _photon_pmf(src: _BranchSource, cap: int) -> np.ndarray:
-    """P(the source emits k photons in all), k = 0..cap, from its ensemble."""
-    _, members = _ensemble(src, cap)
-    density = sum(w * np.abs(amps) ** 2 for w, amps in members)
-    totals = np.indices(density.shape).sum(axis=0)
-    return np.bincount(totals.ravel(), density.ravel(), minlength=cap + 1)[: cap + 1]
+def _cut(src: _BranchSource, ensemble: tuple, k_max: int) -> tuple:
+    """`_ensemble(src, k_max)`, cut from that source's ensemble at a larger cap."""
+    if src.kind in PAIR_KINDS and k_max < 2:
+        raise CutoffTooSmall("pair sources need a total-photon cutoff of at least 2")
+    caps = tuple(min(c, k_max // 2 if src.kind == "tmsv" else k_max) for c in ensemble[0])
+    box = tuple(slice(c + 1) for c in caps)
+    if src.kind != "squashed":
+        return caps, [(w, amps[box]) for w, amps in ensemble[1]]
+    n = np.arange(k_max + 1)  # the only box that holds totals beyond k_max
+    return caps, [(w, np.where(n[:, None] + n > k_max, 0.0, amps[box])) for w, amps in ensemble[1]]
 
 
-def _choose_k_max(sources, settings) -> int:
+def _choose_k_max(sources, settings) -> tuple:
+    """k_max, and the ensembles cut to it from one build each at the cap."""
     cap = settings.max_total_photons
+    built = [_ensemble(src, cap) for src in sources]
     pmf = np.zeros(cap + 1)
     pmf[0] = 1.0
-    for src in sources:
-        pmf = np.convolve(pmf, _photon_pmf(src, cap))[: cap + 1]
+    for _, members in built:
+        density = sum(w * np.abs(amps) ** 2 for w, amps in members)
+        totals = np.indices(density.shape).sum(axis=0).ravel()
+        counts = np.bincount(totals, density.ravel(), minlength=cap + 1)
+        pmf = np.convolve(pmf, counts[: cap + 1])[: cap + 1]
     tails = 1.0 - np.cumsum(pmf)
     share = settings.leak_target / 4.0
     for k in range(cap + 1):
         if tails[k] <= share:
-            return k
+            return k, [_cut(src, ens, k) for src, ens in zip(sources, built)]
     raise CutoffTooSmall(
         f"cannot reach truncation leak {settings.leak_target:.1e} within "
         f"{cap} photons (best {tails[cap]:.2e})"
@@ -426,14 +429,11 @@ class ThresholdOracle:
         w[1:-1] = walk_columns(walk, w[1:-1])
         w *= np.sqrt(etas)
         ends = np.cumsum([len(positions) for positions, _ in inputs])[:-1]
-        self.branches = [
-            _Branch(
-                np.einsum("li,lj->lij", part.conj(), part),
-                srcs,
-                _choose_k_max(srcs, settings) if srcs else 0,
-            )
-            for part, srcs in zip(np.split(w, ends, axis=1), branch_sources)
-        ]
+        self.branches = []
+        for part, srcs in zip(np.split(w, ends, axis=1), branch_sources):
+            k_max, ensembles = _choose_k_max(srcs, settings)
+            grams = np.einsum("li,lj->lij", part.conj(), part)
+            self.branches.append(_Branch(grams, ensembles, k_max))
         self.truncation_leak = sum(br.leak for br in self.branches)
         self._tolerance = max(1e-12, 8.0 * self.truncation_leak)
         # columns: the dark slot's (no mode), (H, 1..B), (V, 1..B), the idler, then gate 1's

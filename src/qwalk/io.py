@@ -147,7 +147,7 @@ def read_distribution(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
     stripped = text.lstrip()

@@ -7,6 +7,7 @@ physics is checked against the dense route and the Fock oracle elsewhere.
 """
 
 import itertools
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -97,6 +98,17 @@ def test_paper_point_scans_match_50_digit_closed_form(seed, kind, heralded):
     errors = relative_errors(paper_spec(seed, kind, heralded))
     assert len(errors) > 100
     assert errors.max() <= 5e-8
+
+
+@pytest.mark.parametrize("mu_xi", (1e12, 1e13))
+@pytest.mark.parametrize("heralded", (True, False))
+def test_bright_pair_scans_match_50_digit_closed_form(mu_xi, heralded):
+    # the pair's 1 + delta grows with mu_xi but stays >= 1, so the closed form
+    # keeps full precision however ill-conditioned cov + I/2 becomes
+    spec = replace(paper_spec(1, "three-fold", heralded, n_steps=11), mu_xi=mu_xi)
+    errors = relative_errors(spec)
+    assert len(errors) > 50
+    assert errors.max() <= 1e-9
 
 
 def test_gates_on_the_bin_without_h_light_give_exactly_zero():

@@ -471,6 +471,38 @@ def test_malformed_yaml_exits_two(tmp_path, capsys, monkeypatch, loader):
 
 
 @pytest.mark.parametrize(
+    "loader",
+    [
+        yaml.SafeLoader,
+        pytest.param(
+            getattr(yaml, "CSafeLoader", None),
+            marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml"),
+        ),
+    ],
+)
+def test_a_non_utf8_config_exits_two(tmp_path, capsys, monkeypatch, loader):
+    # once a UnicodeDecodeError that ended the run with a traceback and exit 1
+    monkeypatch.setattr("qwalk.config._LOADER", loader)
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(TWO_FOLD_YAML.encode().replace(b"two-fold", b"two-fold\xff"))
+    assert main(["simulate", "--config", str(bad)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "IoError"
+    assert "cannot read config" in payload["message"]
+
+
+def test_compare_refuses_a_non_utf8_artifact(tmp_path, capsys):
+    good = simulated(tmp_path, TWO_FOLD_YAML, "csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(good.read_bytes().replace(b"two-fold", b"two-fold\xff"))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "IoError"
+    assert "cannot read" in payload["message"]
+
+
+@pytest.mark.parametrize(
     "first", [["--oracle"], ["--unheralded"], ["--format", "json"]], ids=["oracle", "unheralded", "json"]
 )
 def test_a_second_call_behaves_as_in_a_fresh_process(tmp_path, capsys, first):

@@ -21,9 +21,9 @@ from qwalk.fock import (
     _GRID_ORDER,
     _BranchSource,
     _choose_k_max,
+    _cut,
     _ensemble,
     _gamma_blocks,
-    _photon_pmf,
 )
 from qwalk.experiments import _SCANS, ExperimentSpec, _sources, verify_against_oracle
 from qwalk.gaussian import SourceSpec
@@ -228,11 +228,11 @@ def test_one_walk_gives_each_branch_the_grams_of_its_own_walk(monkeypatch, case,
         assert np.array_equal(joint.branches[b].grams, reference.branches[b].grams)
 
 
-def full_box_p0(grams, sources, k_max):
+def full_box_p0(grams, ensembles, k_max):
     """P0 of each Gram sum, and the leak, by the recursion over the whole
     occupation box of a branch's inputs, idler included: `_Branch` before
     its free axes were factored out, kept as the reference."""
-    caps, ensembles = zip(*(_ensemble(src, k_max) for src in sources))
+    caps, ensembles = zip(*ensembles)
     caps = sum(caps, ())
     geom = _box_geometry(caps, k_max)
     weights = [1.0]
@@ -290,9 +290,9 @@ def test_factored_branch_p0_matches_the_full_box(
     built = []
     build = fock._Branch.__init__
 
-    def recorded(self, grams, sources, k_max):
-        built.append((self, sources, k_max))
-        build(self, grams, sources, k_max)
+    def recorded(self, grams, ensembles, k_max):
+        built.append((self, ensembles, k_max))
+        build(self, grams, ensembles, k_max)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock._Branch, "__init__", recorded)
@@ -315,12 +315,12 @@ def test_factored_branch_p0_matches_the_full_box(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock._Branch, "p0", recorded_p0)
         routed._p0(name_sets)
-    for branch, sources, k_max in built:
+    for branch, ensembles, k_max in built:
         if branch.trivial:
             continue
         # and the empty sum, whose P0 is the kept norm 1 - leak
         lit = list(asked.get(id(branch), [])) + [0.0 * branch.grams[0]]
-        reference, leak = full_box_p0(lit, sources, k_max)
+        reference, leak = full_box_p0(lit, ensembles, k_max)
         assert np.abs(np.subtract(branch.p0(lit), reference)).max() <= 1e-13
         assert branch.leak == leak
     assert oracle.truncation_leak == sum(branch.leak for branch, _, _ in built)
@@ -687,9 +687,9 @@ def cutoffs(monkeypatch):
     recorded = []
     build = fock._Branch.__init__
 
-    def recording(self, grams, sources, k_max):
+    def recording(self, grams, ensembles, k_max):
         recorded.append(k_max)
-        build(self, grams, sources, k_max)
+        build(self, grams, ensembles, k_max)
 
     monkeypatch.setattr(fock._Branch, "__init__", recording)
     return recorded
@@ -816,10 +816,30 @@ def closed_form_pmf(kind, mu, cap):
 @pytest.mark.parametrize("kind", ["coherent", "tmsv", "squashed", "fock1"])
 @pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.026, 0.1, 0.24, 0.5, 1.0, 2.0])
 def test_photon_pmf_from_the_ensemble_matches_the_closed_form(kind, mu):
+    # the distribution `_choose_k_max` reads off each ensemble at the cap
     for cap in (2, 9, 16):
-        got = _photon_pmf(branch_source(kind, mu), cap)
+        _, members = ensemble(kind, mu, cap)
+        density = sum(w * np.abs(amps) ** 2 for w, amps in members)
+        totals = np.indices(density.shape).sum(axis=0).ravel()
+        got = np.bincount(totals, density.ravel(), minlength=cap + 1)[: cap + 1]
         assert got.shape == (cap + 1,)
         assert np.abs(got - closed_form_pmf(kind, mu, cap)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["coherent", "tmsv", "squashed", "fock1"])
+def test_ensembles_cut_from_the_cap_equal_those_built_at_k_max(kind):
+    # `_choose_k_max` builds each ensemble once, at the cap, and cuts it
+    for mu, cap in itertools.product((1e-4, 0.026, 0.24, 1.3, 3.0), (16, 20, 30)):
+        src = branch_source(kind, mu)
+        at_cap = _ensemble(src, cap)
+        for k_max in range(2, cap + 1):
+            caps, members = _cut(src, at_cap, k_max)
+            want_caps, want = _ensemble(src, k_max)
+            assert caps == want_caps and len(members) == len(want)
+            for (w, amps), (want_w, want_amps) in zip(members, want):
+                assert w == want_w
+                assert amps.shape == want_amps.shape and amps.dtype == want_amps.dtype
+                assert amps.tobytes() == want_amps.tobytes()
 
 
 def reference_k_max(sources, target, cap):
@@ -851,5 +871,8 @@ def test_k_max_matches_the_closed_form_reference(signal):
         if expected is None:
             with pytest.raises(CutoffTooSmall, match="cannot reach truncation leak"):
                 _choose_k_max(branch, settings)
+        elif expected < 2 and signal in ("tmsv", "squashed"):
+            with pytest.raises(CutoffTooSmall, match="at least 2"):
+                _choose_k_max(branch, settings)
         else:
-            assert _choose_k_max(branch, settings) == expected
+            assert _choose_k_max(branch, settings)[0] == expected
