@@ -106,13 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = RunConfig.from_file(args.config).with_overrides(
-        heralded=args.heralded,
-        pair_source="squashed" if args.classical else None,
-        out_path=args.out,
-        out_format=args.fmt,
-        oracle=args.oracle,
-    )
+    classical = "squashed" if args.classical else None
+    flags = {
+        "experiment": {"heralded": args.heralded, "pair_source": classical},
+        "output": {"path": args.out, "format": args.fmt},
+        "oracle_check": {"enabled": args.oracle},
+    }
+    cfg = RunConfig.from_file(args.config, flags)
     spec = cfg.spec
     checked = (spec,)
     if cfg.kind == "step-evolution":
@@ -159,9 +159,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = RunConfig.from_file(args.config)
-    if args.out is not None:
-        cfg = cfg.with_overrides(out_path=args.out)
+    cfg = RunConfig.from_file(args.config, {"output": {"path": args.out}})
     overlap, visibility = fit_overlap(cfg.spec, target=cfg.fit_target)
     payload = {
         "schema": "qwalk-overlap-fit-v1",

@@ -260,7 +260,9 @@ class RunConfig:
         )
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, flags=None) -> "RunConfig":
+        """The config in the YAML file at `path`, parsed once, with the command
+        line's `flags` ({section: {key: value}}, None if not given) set in first."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = yaml.load(handle, Loader=_LOADER)
@@ -268,6 +270,12 @@ class RunConfig:
             raise IoError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"config {path} is not valid YAML: {exc}") from exc
+        if isinstance(data, dict):  # a non-mapping file or section is from_dict's to refuse
+            for section, values in (flags or {}).items():
+                current = {} if data.get(section) is None else data[section]
+                given = {key: value for key, value in values.items() if value is not None}
+                if isinstance(current, dict):
+                    data[section] = {**current, **given}
         return cls.from_dict(data)
 
     @property
@@ -277,27 +285,3 @@ class RunConfig:
     def echo(self) -> str:
         """Canonical JSON form of the resolved config."""
         return json.dumps(self.resolved, sort_keys=True)
-
-    def with_overrides(
-        self,
-        heralded: bool | None = None,
-        pair_source: str | None = None,
-        out_path: str | None = None,
-        out_format: str | None = None,
-        oracle: bool | None = None,
-    ) -> "RunConfig":
-        """New config with command-line overrides folded in."""
-        data = json.loads(json.dumps(self.resolved))
-        data["output"]["path"] = self.out_path
-        if heralded is not None:
-            data["experiment"]["heralded"] = heralded
-        if pair_source is not None:
-            data["experiment"]["pair_source"] = pair_source
-        if out_path is not None:
-            data["output"]["path"] = out_path
-        if out_format is not None:
-            data["output"]["format"] = out_format
-        if oracle is not None:
-            data["oracle_check"]["enabled"] = oracle
-        return RunConfig.from_dict(data)
-

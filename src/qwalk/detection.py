@@ -42,6 +42,10 @@ gates outside it, or the shares of the gates inside it: a fixed {-1, 0, 1}
 row times (H total, gate 1's share, gate 2's share), so all of a scan's
 unions are scored as one stacked (unions x points) pass per block of points.
 
+Every route takes gate points as one (points x 2) array of (gate 1 bin,
+gate 2 bin) rows, 0 for a dark gate, and one efficiency for both gates;
+`check_gate_points` alone knows the rules.
+
 `ClickCalculator` is the dense route: it factors each union's block of one
 full-register state routed at one gate point (`experiments._gate_point`).
 Only scans on registers of up to 7 time bins still use it, since the
@@ -65,9 +69,8 @@ from .errors import (
 )
 
 __all__ = [
-    "GateSpec",
     "ClickPattern",
-    "resolve_gate_slots",
+    "check_gate_points",
     "ClickCalculator",
     "WalkInputs",
     "scan_patterns",
@@ -81,22 +84,6 @@ _NEGATIVE_CLAMP = 1e-12
 _CONDITION_LIMIT = 1e12
 # gate points per stacked pass, so the (unions x points) arrays stay small at any N
 _BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    """One programmable gate: which bin it picks and how efficiently."""
-
-    bin: int
-    efficiency: float = 0.97
-
-    def __post_init__(self):
-        if self.bin < 1:
-            raise IndexOutOfRange(f"gate bin must be >= 1, got {self.bin}")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise EtaOutOfRange(
-                f"gate efficiency must lie in [0, 1], got {self.efficiency}"
-            )
 
 
 @dataclass(frozen=True)
@@ -121,15 +108,28 @@ class ClickPattern:
         return ClickPattern(tuple(clicks))
 
 
-def resolve_gate_slots(gates) -> list:
-    """Normalize a gate list to its two slots, None for a dark one."""
-    gates = tuple(gates)
-    if len(gates) > 2:
-        raise IndexOutOfRange("at most two gates are supported")
-    slots = list(gates) + [None] * (2 - len(gates))
-    if slots[0] is not None and slots[1] is not None and slots[0].bin == slots[1].bin:
-        raise DuplicateGateBin(f"both gates target bin {slots[0].bin}")
-    return slots
+def check_gate_points(slots, bins: int, efficiency: float) -> np.ndarray:
+    """`slots` as a (points x 2) int array of gate points, or a typed refusal.
+
+    Each row holds gate 1's and gate 2's bin, 1..`bins` or 0 for a dark
+    gate; both gates route `efficiency` of their bin.  Refused: any other
+    shape, or a bin that is no whole number in 0..`bins` (IndexOutOfRange);
+    two lit gates on one bin (DuplicateGateBin); an efficiency outside
+    [0, 1], NaN included (EtaOutOfRange).
+    """
+    points = np.asarray(slots)
+    if points.ndim != 2 or points.shape[1] != 2 or points.dtype.kind not in "iuf":
+        raise IndexOutOfRange(f"gate points must be rows of two bins, got shape {points.shape}")
+    whole = points.dtype.kind in "iu" or (np.floor(points) == points).all()  # no fraction or NaN
+    if not whole or len(points) and not 0 <= points.min() <= points.max() <= bins:
+        raise IndexOutOfRange(f"gate bins must be whole numbers in 1..{bins}, 0 for a dark gate")
+    points = points.astype(int)
+    twice = (points[:, 0] == points[:, 1]) & (points[:, 0] > 0)
+    if twice.any():
+        raise DuplicateGateBin(f"both gates target bin {points[twice.argmax(), 0]}")
+    if not 0.0 <= efficiency <= 1.0:
+        raise EtaOutOfRange(f"gate efficiency must lie in [0, 1], got {efficiency}")
+    return points
 
 
 class ClickCalculator:
@@ -359,8 +359,8 @@ def scan_patterns(
 ) -> np.ndarray:
     """Click-pattern probabilities at every gate point of a scan at once.
 
-    `slots` lists one (gate 1 bin, gate 2 bin) pair per point, 0 for a
-    dark slot; both gates route with `efficiency`.  `clicked` names the
+    `slots` is the (points x 2) bin array of `check_gate_points`, 0 for a
+    dark gate; both gates route with `efficiency`.  `clicked` names the
     detectors that must click, the others are marginal.  With `heralded`
     the values are conditioned on an APD1 click.  With an ideal-herald
     photon as the signal, the values are those of
@@ -373,16 +373,8 @@ def scan_patterns(
     layout of experiments._gate_point; unlike it, no covariance block is
     refused, only a total outside [0, 1] (see `click_probabilities`).
     """
-    slots = np.asarray(slots, dtype=int).reshape(-1, 2)
-    if not len(slots):
-        return np.zeros(0)
     bins = len(inputs.signal) // 2
-    if slots.min() < 0 or slots.max() > bins:
-        raise IndexOutOfRange(f"gate bins must lie in 1..{bins}")
-    if np.any((slots[:, 0] == slots[:, 1]) & (slots[:, 0] > 0)):
-        raise DuplicateGateBin("both gates target the same bin")
-    if not 0.0 <= efficiency <= 1.0:
-        raise EtaOutOfRange(f"gate efficiency must lie in [0, 1], got {efficiency}")
+    slots = check_gate_points(slots, bins, efficiency)
     # the H outputs of bins 1..B; a routed share's index 0 is the dark slot
     u, beta = inputs.signal[:bins], inputs.coherent[:bins]
     per_bin = (

@@ -40,10 +40,9 @@ from .detection import (
     APD_NAMES,
     ClickCalculator,
     ClickPattern,
-    GateSpec,
     WalkInputs,
+    check_gate_points,
     click_probabilities,
-    resolve_gate_slots,
     scan_patterns,
 )
 from .errors import ConfigInvalid
@@ -265,23 +264,26 @@ def _passive(u: np.ndarray, cov: np.ndarray, means) -> tuple:
     return 0.5 * (cov + cov.T), [s @ x for x in means]
 
 
-def _gate_point(stage: _Stage, gates) -> tuple:
-    """The dense route at one gate point: a ClickCalculator, and the
+def _gate_point(stage: _Stage, slots, efficiency: float) -> tuple:
+    """The dense route at the gate point `slots`, one (gate 1 bin, gate 2
+    bin) row of detection.check_gate_points: a ClickCalculator, and the
     ideal-herald photon's injection map (None without that photon).
 
-    Each gate adds one vacuum routing mode per sector and couples it to
-    its bin's (H, t_m) mode by a beam splitter of reflectivity eta_K.
+    Each lit gate adds one vacuum routing mode per sector and couples it
+    to its bin's (H, t_m) mode by a beam splitter of reflectivity
+    `efficiency`.
     """
     bins = stage.walk.bin_capacity
+    (point,) = check_gate_points([slots], bins, efficiency).tolist()
     mean, cov, probes = stage.dense
     means = [mean, *probes]
     routing = ([], [])
-    for k, gate in enumerate(resolve_gate_slots(gates)):
-        if gate is None:
+    r, t = np.sqrt(efficiency), np.sqrt(1.0 - efficiency)
+    for k, b in enumerate(point):
+        if not b:
             continue
-        r, t = np.sqrt(gate.efficiency), np.sqrt(1.0 - gate.efficiency)
         for sector in (0, 1):
-            tap = flat_index(ModeIndex(Pol.H, gate.bin, sector), bins)
+            tap = flat_index(ModeIndex(Pol.H, b, sector), bins)
             new = len(cov) // 2
             grown = 0.5 * np.eye(len(cov) + 2)
             grown[:-2, :-2] = cov
@@ -311,10 +313,6 @@ class _Scan:
     def pattern(self) -> ClickPattern:
         return ClickPattern(tuple(True if n in self.clicked else None for n in APD_NAMES))
 
-    def gates(self, label, efficiency: float) -> tuple:
-        bins = self.slots((label,))[0].tolist()
-        return tuple(GateSpec(b, efficiency) if b else None for b in bins)
-
 
 def _bins(n_steps: int) -> tuple:
     return tuple(range(1, n_steps + 2))
@@ -338,8 +336,8 @@ _SCANS = {
 
 def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list:
     raw = []
-    for label in labels:
-        calc, injection = _gate_point(stage, scan.gates(label, spec.eta_kerr))
+    for slots in scan.slots(labels):
+        calc, injection = _gate_point(stage, slots, spec.eta_kerr)
         if spec.ideal_herald:
             raw.append(calc.single_photon(scan.pattern, injection))
         elif spec.heralded:
@@ -544,7 +542,7 @@ def verify_against_oracle(
         dist = run_experiment(spec)
         scan = _SCANS[spec.kind]
         oracles = [oracle(spec)]
-        routed = oracles[0].scan(scan.gates(label, spec.eta_kerr) for label in dist.labels)
+        routed = oracles[0].scan(scan.slots(dist.labels), spec.eta_kerr)
         # the heralded photon itself needs no herald: exactly one went in
         if spec.heralded and not spec.ideal_herald:
             fock = routed.heralded_prob(scan.pattern)

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import APD_NAMES, ClickPattern, resolve_gate_slots
+from .detection import APD_NAMES, ClickPattern, check_gate_points
 from .errors import (
     ConfigInvalid,
     CutoffTooSmall,
@@ -365,13 +365,14 @@ class ThresholdOracle:
     branch and probabilities multiply.
 
     The walk, the loss and the inputs do not depend on the gates, so one
-    oracle serves a whole scan: `scan(points)` routes it at every gate
-    point, `at(gates)` at one, and the oracle as built at one point with
-    both gate slots dark.  Every query returns an array of one value per
-    gate point.  Routing acts at query time on the branches' Gram terms,
-    one column per register mode and one routed share per gate: a gate
-    of efficiency eta on bin m sends eta G_(H, m) to its detector and
-    leaves (1 - eta) G_(H, m) on the bin.  A query scores every detector
+    oracle serves a whole scan: `scan(slots, efficiency)` routes it at
+    every row of a (points x 2) bin array (detection.check_gate_points),
+    and the oracle as built sits at one point with both gates dark.
+    Every query returns an array of one value per gate point.  Routing
+    acts at query time on the branches' Gram terms, one column per
+    register mode and one routed share per gate: a gate of efficiency
+    eta on bin m sends eta G_(H, m) to its detector and leaves
+    (1 - eta) G_(H, m) on the bin.  A query scores every detector
     set at every point in one stacked pass per branch, and a coupled
     block of G met at several points (the herald's, or one that involves
     a single gate) goes through the recursion once.
@@ -396,7 +397,6 @@ class ThresholdOracle:
             raise EtaOutOfRange(f"eta_sys must lie in [0, 1], got {eta_sys}")
         if not 0.0 <= eta_idler <= 1.0:
             raise EtaOutOfRange(f"eta_idler must lie in [0, 1], got {eta_idler}")
-        self.settings = settings
         self._bins = bins = walk.bin_capacity
         branch_sources: list = [[], []]
         for s in sources:
@@ -446,7 +446,7 @@ class ThresholdOracle:
         for row, name in zip(self._watch, APD_NAMES):
             for e in plan.get(name, ()):
                 row[named[e] if isinstance(e, str) else 1 + flat_index(ModeIndex(*e), bins)] = True
-        self._gates = (np.zeros((1, 2), dtype=int), np.zeros((1, 2)))
+        self._gates = (np.zeros((1, 2), dtype=int), 0.0)
 
     def _inputs(self, b, srcs, eta_walk, eta_idler) -> tuple:
         """Branch b's input modes as `w` rows (see `__init__`), and each
@@ -466,22 +466,13 @@ class ThresholdOracle:
                 etas.append(eta_idler if label == IDLER else eta_walk)
         return active, etas
 
-    def at(self, gates) -> ThresholdOracle:
-        """This oracle routed at one gate point: `scan([gates])`."""
-        return self.scan([gates])
-
-    def scan(self, points) -> ThresholdOracle:
-        """This oracle routed at every gate point in `points`, each a gate
-        list: a shallow copy that shares the branches and their P0 cache."""
-        slots = [resolve_gate_slots(gates) for gates in points]
-        gates = np.array([[(s.bin, s.efficiency) if s else (0, 0) for s in p] for p in slots])
-        bins, eff = gates.reshape(-1, 2, 2).transpose(2, 0, 1)
-        if (bins > self._bins).any():
-            raise IndexOutOfRange(
-                f"gate bin {int(bins[bins > self._bins][0])} exceeds register capacity {self._bins}"
-            )
+    def scan(self, slots, efficiency: float) -> ThresholdOracle:
+        """This oracle routed at every gate point of the (points x 2) bin
+        array `slots`, both gates with `efficiency`: a shallow copy that
+        shares the branches and their P0 cache."""
+        slots = check_gate_points(slots, self._bins, efficiency)
         routed = copy.copy(self)
-        routed._gates = (bins.astype(int), eff)
+        routed._gates = (slots, efficiency)
         return routed
 
     # -- probability machinery ------------------------------------------------

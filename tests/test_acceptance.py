@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qwalk.cli import main
-from qwalk.detection import APD_NAMES, ClickPattern, GateSpec, scan_patterns
+from qwalk.detection import APD_NAMES, ClickPattern, scan_patterns
 from qwalk.experiments import (
     NORMALIZED,
     ExperimentSpec,
@@ -280,7 +280,7 @@ def test_07_click_pattern_space_is_complete():
     )
     worst_fock = 0.0
     for slots, marginal in zip(gate_layouts, layouts):
-        routed = oracle.at(tuple(GateSpec(b, spec.eta_kerr) if b else None for b in slots))
+        routed = oracle.scan([slots], spec.eta_kerr)
         for clicked, p in zip(marginal, full_patterns(marginal)):
             (fock,) = routed.pattern_prob(ClickPattern(tuple(d in clicked for d in APD_NAMES)))
             assert p >= -1e-12, (slots, clicked, p)

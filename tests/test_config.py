@@ -160,10 +160,22 @@ def test_output_format_restricted():
         RunConfig.from_dict(bad)
 
 
-def test_with_overrides():
-    cfg = RunConfig.from_dict(MINIMAL)
-    out = cfg.with_overrides(
-        heralded=False, pair_source="squashed", out_format="json", oracle=True
+def written(tmp_path, data) -> str:
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+def test_with_overrides(tmp_path):
+    path = written(tmp_path, MINIMAL)
+    cfg = RunConfig.from_file(path)
+    out = RunConfig.from_file(
+        path,
+        {
+            "experiment": {"heralded": False, "pair_source": "squashed"},
+            "output": {"format": "json"},
+            "oracle_check": {"enabled": True},
+        },
     )
     assert out.spec.heralded is False
     assert out.spec.pair_source == "squashed"
@@ -173,17 +185,31 @@ def test_with_overrides():
     assert cfg.spec.heralded is True
 
 
-def test_echo_hides_the_artifact_path():
-    cfg = RunConfig.from_dict(
-        {
-            "experiment": {"walk": {"n_steps": 1}},
-            "output": {"path": "somewhere.csv"},
-        }
-    )
+def test_echo_hides_the_artifact_path(tmp_path):
+    data = {"experiment": {"walk": {"n_steps": 1}}, "output": {"path": "somewhere.csv"}}
+    cfg = RunConfig.from_dict(data)
     assert cfg.out_path == "somewhere.csv"
     assert json.loads(cfg.echo())["output"]["path"] is None
-    # and overrides still see the configured path
-    assert cfg.with_overrides().out_path == "somewhere.csv"
+    # and a flag left unset still sees the configured path
+    unset = RunConfig.from_file(written(tmp_path, data), {"output": {"path": None}})
+    assert unset.out_path == "somewhere.csv"
+
+
+def test_flags_are_set_in_the_mapping_before_its_one_parse(tmp_path):
+    # valid only with the flag: heralded: false alone refuses ideal_herald
+    experiment = {"walk": {"n_steps": 1}, "heralded": False, "ideal_herald": True}
+    path = written(tmp_path, {"experiment": experiment})
+    with pytest.raises(ConfigInvalid, match="ideal_herald"):
+        RunConfig.from_file(path)
+    cfg = RunConfig.from_file(path, {"experiment": {"heralded": True}})
+    assert cfg.spec.heralded is True and cfg.spec.ideal_herald is True
+    # a flag fills a missing or empty section; one that is not a mapping is still refused
+    flags = {"output": {"path": "x.csv"}}
+    for data in (MINIMAL, {**MINIMAL, "output": None}, {**MINIMAL, "output": {}}):
+        assert RunConfig.from_file(written(tmp_path, data), flags).out_path == "x.csv"
+    for output in ("", []):
+        with pytest.raises(ConfigInvalid, match="output must be a mapping"):
+            RunConfig.from_file(written(tmp_path, {**MINIMAL, "output": output}), flags)
 
 
 def test_load_config_from_yaml(tmp_path):

@@ -9,7 +9,6 @@ from qwalk.detection import (
     _BLOCK,
     ClickCalculator,
     ClickPattern,
-    GateSpec,
     WalkInputs,
     _checked,
     _p0_excess,
@@ -23,6 +22,7 @@ from qwalk.errors import (
     ZeroHeraldRate,
 )
 from qwalk.experiments import _SCANS, ExperimentSpec, _gate_point, _Stage, _stage
+from qwalk.fock import ThresholdOracle
 from qwalk.gaussian import SourceSpec, prepare, symplectic_from_unitary
 from qwalk.modes import ModeIndex, Pol, flat_index
 from qwalk.walk import LayerParams, WalkConfig
@@ -31,11 +31,11 @@ H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
 
 
-def routed(sources, gates=(), bins=1):
+def routed(sources, slots=(0, 0), bins=1, efficiency=0.97):
     """The dense route's ClickCalculator at one gate point behind a walk of
     no steps, so the sources reach the gates as they are."""
     stage = _Stage(WalkConfig(0, (), bins), tuple(sources), 1.0, 1.0)
-    return _gate_point(stage, gates)[0]
+    return _gate_point(stage, slots, efficiency)[0]
 
 
 def mean_photons(calc):
@@ -77,14 +77,14 @@ def test_herald_needs_an_idler():
 
 def test_pattern_space_is_complete():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7))
-    calc = routed(sources, (GateSpec(1), GateSpec(2)), bins=2)
+    calc = routed(sources, (1, 2), bins=2)
     total = sum(calc.pattern(p) for p in ClickPattern.full_patterns())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_marginal_equals_sum_over_outcomes():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7))
-    calc = routed(sources, (GateSpec(1), GateSpec(2)), bins=2)
+    calc = routed(sources, (1, 2), bins=2)
     for position in range(4):
         base = ClickPattern.of(apd3=True)
         if position == 2:
@@ -103,7 +103,7 @@ def test_marginal_equals_sum_over_outcomes():
 
 def test_heralded_is_joint_over_herald_rate():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.1))
-    calc = routed(sources, (None, GateSpec(1)), bins=2)
+    calc = routed(sources, (0, 1), bins=2)
     want = ClickPattern.of(apd4=True)
     joint = calc.pattern(want.with_click(0))
     assert calc.heralded(want) == pytest.approx(
@@ -119,7 +119,7 @@ def test_heralded_rejects_patterns_that_pin_the_idler():
 
 def test_gate_splits_photon_flux():
     # eta_K of the tapped light routes out, the rest stays on the walk mode
-    calc = routed((SourceSpec("coherent", H1, 0.5),), (GateSpec(1, efficiency=0.97),))
+    calc = routed((SourceSpec("coherent", H1, 0.5),), (1, 0), efficiency=0.97)
     photons = mean_photons(calc)
     assert sum(photons[i] for i in calc.detectors["APD3"]) == pytest.approx(
         0.97 * 0.5, abs=1e-13
@@ -129,11 +129,11 @@ def test_gate_splits_photon_flux():
 
 def test_duplicate_gate_bins_rejected():
     with pytest.raises(DuplicateGateBin):
-        routed((SourceSpec("coherent", H1, 0.1),), (GateSpec(2), GateSpec(2)), bins=2)
+        routed((SourceSpec("coherent", H1, 0.1),), (2, 2), bins=2)
 
 
 def test_disabled_gate_is_skipped():
-    calc = routed((SourceSpec("coherent", H1, 0.1),), (None, GateSpec(1)), bins=2)
+    calc = routed((SourceSpec("coherent", H1, 0.1),), (0, 1), bins=2)
     assert calc.detectors["APD3"] == frozenset()
     assert len(calc.detectors["APD4"]) == 2
 
@@ -159,8 +159,8 @@ def test_probability_depends_on_mode_set_not_order():
 
 def test_swapping_gate_bins_swaps_the_routing_detectors():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3))
-    calc12 = routed(sources, (GateSpec(1), GateSpec(2)), bins=2)
-    calc21 = routed(sources, (GateSpec(2), GateSpec(1)), bins=2)
+    calc12 = routed(sources, (1, 2), bins=2)
+    calc21 = routed(sources, (2, 1), bins=2)
     coincidence = ClickPattern.of(apd3=True, apd4=True)
     assert calc12.pattern(coincidence) == pytest.approx(
         calc21.pattern(coincidence), rel=1e-12
@@ -299,7 +299,7 @@ def dense_one_fold(mu: float) -> float:
     cov = 0.5 * np.eye(8)
     cov[:2, :2] += mu * np.eye(2)
     stage.dense = np.zeros(8), cov, ()
-    calc, _ = _gate_point(stage, (None, GateSpec(1, 1.0)))
+    calc, _ = _gate_point(stage, (0, 1), 1.0)
     return calc.pattern(ClickPattern.of(apd4=True))
 
 
@@ -356,3 +356,23 @@ def test_scan_rejects_bad_gate_slots():
         scan_patterns(state, [(1, 1)], 1.0, ("APD4",))
     with pytest.raises(EtaOutOfRange):
         scan_patterns(state, [(0, 1)], 1.5, ("APD4",))
+    # the oracle takes the same gate points and refusals, here on 2-bin registers
+    state = pair_inputs(0.1, capacity=2)
+    oracle = ThresholdOracle((SourceSpec("coherent", H1, 0.1),), WalkConfig.uniform(1))
+    cases = [
+        ([(1.5, 2.9)], 1.0, IndexOutOfRange),  # not whole numbers: no truncation to (1, 2)
+        ([(np.nan, 1)], 1.0, IndexOutOfRange),
+        ([(1, 2, 3)], 1.0, IndexOutOfRange),  # three gates
+        ([1, 2, 0, 1], 1.0, IndexOutOfRange),  # a flat list, not two gate points
+        ([(0, -1)], 1.0, IndexOutOfRange),
+        ([(0, 3)], 1.0, IndexOutOfRange),  # bin B + 1
+        ([(1, 2), (2, 2)], 1.0, DuplicateGateBin),
+        ([(0, 1)], -0.1, EtaOutOfRange),
+        ([(0, 1)], 1.1, EtaOutOfRange),
+        ([(0, 1)], np.nan, EtaOutOfRange),
+    ]
+    for slots, efficiency, error in cases:
+        with pytest.raises(error):
+            scan_patterns(state, slots, efficiency, ("APD4",))
+        with pytest.raises(error):
+            oracle.scan(slots, efficiency)

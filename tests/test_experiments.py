@@ -471,10 +471,9 @@ def test_per_scan_oracle_matches_one_oracle_per_gate_point(params, plan, expecte
     per_scan = ThresholdOracle(_sources(spec), walk, **kwargs)
     labels = scan.labels(walk.n_steps)
     assert len(labels) == len(expected)
-    for label, value in zip(labels, expected):
-        gates = scan.gates(label, spec.eta_kerr)
-        fresh = ThresholdOracle(_sources(spec), walk, **kwargs).at(gates)
-        for oracle in (per_scan.at(gates), fresh):
+    for slots, value in zip(scan.slots(labels), expected):
+        fresh = ThresholdOracle(_sources(spec), walk, **kwargs).scan([slots], spec.eta_kerr)
+        for oracle in (per_scan.scan([slots], spec.eta_kerr), fresh):
             if spec.heralded and not spec.ideal_herald:
                 (got,) = oracle.heralded_prob(scan.pattern)
             else:

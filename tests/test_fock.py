@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwalk.fock as fock
-from qwalk.detection import APD_NAMES, ClickPattern, GateSpec
+from qwalk.detection import APD_NAMES, ClickPattern
 from qwalk.errors import (
     CutoffTooSmall,
     NumericalInstability,
@@ -176,7 +176,7 @@ def two_branch_oracle():
             SourceSpec("coherent", V1, 0.2, overlap=0.7),
         ),
         WalkConfig.uniform(2),
-    ).at((GateSpec(1), GateSpec(3)))
+    ).scan([(1, 3)], 0.97)
 
 
 def test_batched_branch_p0_matches_one_set_at_a_time():
@@ -303,7 +303,7 @@ def test_factored_branch_p0_matches_the_full_box(
             eta_idler=eta_idler,
         )
     bins = n_steps + 1
-    routed = oracle.at(tuple(GateSpec(b, efficiency) if b and b <= bins else None for b in gates))
+    routed = oracle.scan([[b if b and b <= bins else 0 for b in gates]], efficiency)
     name_sets = [("APD1",)] + [tuple(s) for s in sets]
     asked = {}  # the Gram sums each branch is asked for
     p0 = fock._Branch.p0
@@ -375,11 +375,11 @@ def test_absent_detectors_give_one_and_zero_rows_are_recursed(monkeypatch):
     assert oracle.pattern_prob(ClickPattern.of(apd3=True)).tolist() == [0.0]
     # a dark slot leaves its detector uncovered
     dark = ThresholdOracle((SourceSpec("coherent", H1, 0.1),), WalkConfig.uniform(1))
-    for gates in ((None, GateSpec(2)), (GateSpec(1), None)):
-        routed = dark.at(gates)
-        dark_name = "apd3" if gates[0] is None else "apd4"
+    for slots in ((0, 2), (1, 0)):
+        routed = dark.scan([slots], 0.97)
+        dark_name = "apd3" if slots[0] == 0 else "apd4"
         assert routed.pattern_prob(ClickPattern.of(**{dark_name: True})).tolist() == [0.0]
-        lit_name = "apd4" if gates[0] is None else "apd3"
+        lit_name = "apd4" if slots[0] == 0 else "apd3"
         assert routed.pattern_prob(ClickPattern.of(**{lit_name: True}))[0] > 0.0
 
 
@@ -425,7 +425,7 @@ def p0_by_gate_bin(rows):
     return _p0
 
 
-GATE_1_POINTS = [(GateSpec(m),) for m in (1, 2, 3)]
+GATE_1_POINTS = [(m, 0) for m in (1, 2, 3)]
 
 
 @pytest.mark.parametrize(
@@ -440,8 +440,8 @@ def test_a_point_refused_mid_scan_raises_as_its_one_point_query(monkeypatch, out
     )
     oracle = ThresholdOracle((SourceSpec("fock1", H1, 1.0),), WalkConfig.uniform(2))
     pattern = ClickPattern.of(apd3=True)
-    assert [oracle.at(GATE_1_POINTS[m]).pattern_prob(pattern)[0] for m in (0, 2)] == [0.5, 0.25]
-    for routed in (oracle.at(GATE_1_POINTS[1]), oracle.scan(GATE_1_POINTS)):
+    assert [oracle.scan([GATE_1_POINTS[m]], 0.97).pattern_prob(pattern)[0] for m in (0, 2)] == [0.5, 0.25]
+    for routed in (oracle.scan([GATE_1_POINTS[1]], 0.97), oracle.scan(GATE_1_POINTS, 0.97)):
         with pytest.raises(NumericalInstability, match=f"^oracle inclusion-exclusion produced {shown}$"):
             routed.pattern_prob(pattern)
 
@@ -451,17 +451,17 @@ def test_a_zero_herald_rate_mid_scan_raises_as_its_one_point_query(monkeypatch):
     # APD1 on gate 1's routed share: the middle point leaves it dark
     plan = {"APD1": ("gate1",), "APD3": ("gate2",)}
     oracle = ThresholdOracle((SourceSpec("coherent", H1, 0.3),), WalkConfig.uniform(2), detector_labels=plan)
-    points = [(GateSpec(1), GateSpec(2)), (None, GateSpec(3)), (GateSpec(3), GateSpec(1))]
-    assert oracle.at(points[0]).heralded_prob(pattern)[0] > 0.0
-    for routed in (oracle.at(points[1]), oracle.scan(points)):
+    points = [(1, 2), (0, 3), (3, 1)]
+    assert oracle.scan([points[0]], 0.97).heralded_prob(pattern)[0] > 0.0
+    for routed in (oracle.scan([points[1]], 0.97), oracle.scan(points, 0.97)):
         for query in (routed.herald_rate, lambda: routed.heralded_prob(pattern)):
             with pytest.raises(ZeroHeraldRate, match="^no idler mode is present to herald on$"):
                 query()
     # a herald detector that can never click at the middle point
     monkeypatch.setattr(ThresholdOracle, "_p0", p0_by_gate_bin({1: 0.9, 2: 1.0, 3: 0.9}))
     oracle = ThresholdOracle((SourceSpec("tmsv", H1, 0.026),), WalkConfig.uniform(2))
-    assert oracle.at(GATE_1_POINTS[0]).herald_rate()[0] == pytest.approx(0.1)
-    for routed in (oracle.at(GATE_1_POINTS[1]), oracle.scan(GATE_1_POINTS)):
+    assert oracle.scan([GATE_1_POINTS[0]], 0.97).herald_rate()[0] == pytest.approx(0.1)
+    for routed in (oracle.scan([GATE_1_POINTS[1]], 0.97), oracle.scan(GATE_1_POINTS, 0.97)):
         for query in (routed.herald_rate, lambda: routed.heralded_prob(pattern)):
             with pytest.raises(ZeroHeraldRate, match="^herald detector can never click$"):
                 query()
@@ -480,7 +480,7 @@ def test_a_scan_split_at_the_recursion_block_boundary_is_bit_identical(monkeypat
         eta_idler=0.8,
     )
     scan = _SCANS[spec.kind]
-    points = [scan.gates(label, spec.eta_kerr) for label in scan.labels(spec.walk.n_steps)]
+    points = scan.slots(scan.labels(spec.walk.n_steps))
     passes = []
     recursion = fock._gamma_blocks
 
@@ -492,7 +492,7 @@ def test_a_scan_split_at_the_recursion_block_boundary_is_bit_identical(monkeypat
         monkeypatch.setattr(fock, "_BLOCK", block)
         passes.clear()
         oracle = ThresholdOracle(_sources(spec), spec.walk, eta_sys=0.9, eta_idler=0.8)
-        return oracle.scan(points).heralded_prob(scan.pattern), list(passes)
+        return oracle.scan(points, spec.eta_kerr).heralded_prob(scan.pattern), list(passes)
 
     monkeypatch.setattr(fock, "_gamma_blocks", counted)
     whole, one = scored(fock._BLOCK)
@@ -557,10 +557,10 @@ def test_pair_source_at_zero_gain_is_two_mode_vacuum():
     # a zero-gain pair adds no mode and no amplitude: the oracle beside it
     # is the coherent light's own, to the bit
     walk = WalkConfig.uniform(2)
-    gates = (GateSpec(1), GateSpec(3))
+    slots = [(1, 3)]
     coherent = SourceSpec("coherent", V1, 0.2, overlap=0.7)
-    alone = ThresholdOracle((coherent,), walk).at(gates)
-    beside = ThresholdOracle((SourceSpec("tmsv", H1, 0.0), coherent), walk).at(gates)
+    alone = ThresholdOracle((coherent,), walk).scan(slots, 0.97)
+    beside = ThresholdOracle((SourceSpec("tmsv", H1, 0.0), coherent), walk).scan(slots, 0.97)
     assert beside.truncation_leak == alone.truncation_leak
     for pattern in ClickPattern.full_patterns():
         assert beside.pattern_prob(pattern).tobytes() == alone.pattern_prob(pattern).tobytes()
@@ -597,17 +597,17 @@ def test_oracle_matches_gaussian_route_spot_check():
         SourceSpec("coherent", V1, 0.2, overlap=0.6),
     )
     walk = WalkConfig.uniform(2)
-    gates = (GateSpec(1), GateSpec(2))
+    slots = (1, 2)
     import qwalk.experiments as exp
 
     spec = exp.ExperimentSpec(
         walk=walk, kind="two-fold", mu_alpha=0.2, mu_xi=0.026, overlap=0.6
     )
     stage = exp._stage(spec)
-    calc, _ = exp._gate_point(stage, gates)
+    calc, _ = exp._gate_point(stage, slots, 0.97)
     pattern = ClickPattern.of(apd1=True, apd3=True, apd4=True)
     gaussian_value = calc.pattern(pattern)
-    oracle = ThresholdOracle(sources, walk).at(gates)
+    oracle = ThresholdOracle(sources, walk).scan([slots], 0.97)
     assert oracle.pattern_prob(pattern)[0] == pytest.approx(
         gaussian_value, abs=5e-9
     )

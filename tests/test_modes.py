@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from qwalk.detection import GateSpec, WalkInputs, scan_patterns
+from qwalk.detection import WalkInputs, scan_patterns
 from qwalk.errors import IndexOutOfRange, ModeCollision
 from qwalk.experiments import _gate_point, _Stage
+from qwalk.fock import ThresholdOracle
 from qwalk.gaussian import SourceSpec, prepare
 from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
 from qwalk.walk import WalkConfig
@@ -51,7 +52,9 @@ def test_gates_beyond_the_register_are_refused():
     with pytest.raises(IndexOutOfRange):
         scan_patterns(inputs, [(1, 3)], 0.97, ("APD3", "APD4"))
     with pytest.raises(IndexOutOfRange):
-        _gate_point(_Stage(WalkConfig(1), (source,), 1.0, 1.0), (GateSpec(3),))
+        _gate_point(_Stage(WalkConfig(1), (source,), 1.0, 1.0), (3, 0), 0.97)
+    with pytest.raises(IndexOutOfRange):
+        ThresholdOracle((source,), WalkConfig(1)).scan([(1, 3)], 0.97)
 
 
 def test_colliding_sources_name_the_target():
