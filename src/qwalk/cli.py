@@ -16,13 +16,7 @@ from dataclasses import replace
 
 from .config import RunConfig
 from .errors import ConfigInvalid, IoError, OracleMismatch, QwalkError
-from .experiments import (
-    fit_overlap,
-    hom_scan,
-    run_experiment,
-    step_evolution,
-    verify_against_oracle,
-)
+from .experiments import _oracle_report, fit_overlap, hom_scan, run_experiment, step_evolution
 from .io import read_distribution, render_distribution, write_text
 from .metrics import bhattacharyya
 
@@ -114,21 +108,20 @@ def _cmd_simulate(args) -> int:
     }
     cfg = RunConfig.from_file(args.config, flags)
     spec = cfg.spec
-    checked = (spec,)
     if cfg.kind == "step-evolution":
         result = step_evolution(
             spec, n_max=cfg.step_n_max, inner_kind=cfg.step_inner_kind
         )
-        # every prefix the artifact holds, and nothing else
-        checked = [replace(spec, kind=d.kind, walk=spec.walk.truncated(d.step)) for d in result]
-    elif cfg.kind == "hom":
-        result = hom_scan(spec, cfg.hom_overlaps)
+        # the oracle checks every prefix the artifact holds, and nothing else
+        checked = [(replace(spec, kind=d.kind, walk=spec.walk.truncated(d.step)), d) for d in result]
     else:
-        result = run_experiment(spec)
+        result = hom_scan(spec, cfg.hom_overlaps) if cfg.kind == "hom" else run_experiment(spec)
+        checked = [(spec, result)]
     text = render_distribution(result, cfg.resolved, cfg.out_format)
 
     if cfg.oracle_enabled:
-        reports = [verify_against_oracle(s, settings=cfg.oracle_settings) for s in checked]
+        # the very distributions rendered, so every written row is checked once
+        reports = [_oracle_report(s, d, cfg.oracle_settings) for s, d in checked]
         worst = max(r.max_abs_diff for r in reports)
         print(
             f"oracle check: max |Gaussian - Fock| = {worst:.3e} "

@@ -32,19 +32,20 @@ z = sqrt(overlap) sum_j w_j conj(u_j) beta_j, and the idler's
 transmission h when APD1 is in the union; P0 is a closed form in these
 four numbers (`_p0_excess`) whose pair term 1 + delta is >= 1 for any
 mu >= 0, so no block is factored or refused for its conditioning; only
-the inclusion-exclusion total is checked (`_checked`).  The bucket and
-both routing ports together see every H output, so
-
-    APD2 + APD3 = H total - APD4's routed share,
-
-and each union's sums are the H totals minus the routed shares of the
-gates outside it, or the shares of the gates inside it: a fixed {-1, 0, 1}
-row times (H total, gate 1's share, gate 2's share), so all of a scan's
+the inclusion-exclusion total is checked (`_checked`).  No two detectors
+watch a common mode, so each is one small-integer row over a per-query
+basis, and a union's sums are its row, the sum of its detectors' rows,
+times the basis.  In a scan the basis is (H total, gate 1's routed share,
+gate 2's routed share): APD3 is (0, 1, 0), APD4 (0, 0, 1), and the bucket
+APD2, every H output that no gate routes, (1, -1, -1).  So all of a scan's
 unions are scored as one stacked (unions x points) pass per block of points.
 
-Every route takes gate points as one (points x 2) array of (gate 1 bin,
-gate 2 bin) rows, 0 for a dark gate, and one efficiency for both gates;
-`check_gate_points` alone knows the rules.
+Every route takes a query as the tuple of names of the detectors that must
+click (the dense route and the Fock oracle also take those that must stay
+silent; the others are marginal), and gate points as one (points x 2)
+array of (gate 1 bin, gate 2 bin) rows, 0 for a dark gate, with one
+efficiency for both gates; `check_detectors` and `check_gate_points` alone
+know the rules.
 
 `ClickCalculator` is the dense route: it factors each union's block of one
 full-register state routed at one gate point (`experiments._gate_point`).
@@ -54,6 +55,7 @@ stored references in perfbench/ carry its round-off.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -69,7 +71,7 @@ from .errors import (
 )
 
 __all__ = [
-    "ClickPattern",
+    "check_detectors",
     "check_gate_points",
     "ClickCalculator",
     "WalkInputs",
@@ -86,26 +88,19 @@ _CONDITION_LIMIT = 1e12
 _BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class ClickPattern:
-    """Per-detector outcome: True = click, False = silent, None = ignore."""
-
-    clicks: tuple
-
-    @classmethod
-    def of(cls, apd1=None, apd2=None, apd3=None, apd4=None) -> "ClickPattern":
-        return cls((apd1, apd2, apd3, apd4))
-
-    @classmethod
-    def full_patterns(cls, n_detectors: int = 4):
-        """All fully-specified patterns, lexicographic in (False, True)."""
-        for bits in itertools.product((False, True), repeat=n_detectors):
-            yield cls(bits)
-
-    def with_click(self, position: int) -> "ClickPattern":
-        clicks = list(self.clicks)
-        clicks[position] = True
-        return ClickPattern(tuple(clicks))
+def check_detectors(plan, clicked, silent=(), heralded=False) -> tuple:
+    """`clicked` and `silent` as tuples of names of `plan`, each in plan order; refused
+    (IndexOutOfRange): a bare string, a name outside `plan`, a name given twice (in one
+    list or in both), and with `heralded` APD1 in either list, which the herald fixes."""
+    if isinstance(clicked, str) or isinstance(silent, str):
+        raise IndexOutOfRange(f"a query is a tuple of detector names, got {clicked!r}, {silent!r}")
+    clicked, silent = tuple(clicked), tuple(silent)
+    for name in clicked + silent:
+        if name not in plan:
+            raise IndexOutOfRange(f"unknown detector {name!r}; the plan has {', '.join(plan)}")
+        if (clicked + silent).count(name) > 1 or heralded and name == "APD1":
+            raise IndexOutOfRange(f"{name} is named twice, or is a heralded query's herald")
+    return tuple(n for n in plan if n in clicked), tuple(n for n in plan if n in silent)
 
 
 def check_gate_points(slots, bins: int, efficiency: float) -> np.ndarray:
@@ -136,7 +131,7 @@ class ClickCalculator:
     """Click-pattern probabilities of one dense state and detector plan.
 
     `detectors` maps each detector's name to the register modes it
-    watches; patterns list one outcome per detector, in that order.
+    watches; its keys are the plan that queries name (`check_detectors`).
     Caches vacuum-projection values across patterns, which matters when
     a scan asks for heralded and unheralded variants of the same layout.
     """
@@ -196,20 +191,6 @@ class ClickCalculator:
             correction = 0.5 * float(a @ a) - 0.5 * float(np.trace(v.T @ z))
         return p0, correction
 
-    def _split_pattern(self, pattern: ClickPattern):
-        if len(pattern.clicks) != len(self.detectors):
-            raise IndexOutOfRange(
-                f"pattern has {len(pattern.clicks)} entries for "
-                f"{len(self.detectors)} detectors"
-            )
-        clicked, silent = [], []
-        for modes, outcome in zip(self.detectors.values(), pattern.clicks):
-            if outcome is True:
-                clicked.append(modes)
-            elif outcome is False:
-                silent.append(modes)
-        return clicked, silent
-
     def _clamp(self, value: float) -> float:
         if value < 0.0:
             if value < -_NEGATIVE_CLAMP:
@@ -225,16 +206,17 @@ class ClickCalculator:
             return 1.0
         return value
 
-    def pattern(self, pattern: ClickPattern) -> float:
-        """Probability of the pattern, marginal over `None` detectors."""
-        return self._inclusion_exclusion(pattern, self.no_click)
+    def pattern(self, clicked, silent=()) -> float:
+        """P(every detector in `clicked` clicks, none in `silent` does)."""
+        query = check_detectors(tuple(self.detectors), clicked, silent)
+        return self._inclusion_exclusion(*query, self.no_click)
 
-    def _inclusion_exclusion(self, pattern: ClickPattern, term) -> float:
-        """Signed sum of `term(modes)` over the pattern's detector unions."""
-        clicked, silent = self._split_pattern(pattern)
+    def _inclusion_exclusion(self, clicked, silent, term) -> float:
+        """Signed sum of `term(modes)` over the checked query's detector unions."""
+        clicked = [self.detectors[name] for name in clicked]
         if not all(clicked):
             return 0.0
-        base: frozenset = frozenset().union(*silent)
+        base: frozenset = frozenset().union(*(self.detectors[name] for name in silent))
         total = 0.0
         for r in range(len(clicked) + 1):
             for subset in itertools.combinations(clicked, r):
@@ -250,17 +232,14 @@ class ClickCalculator:
             raise ZeroHeraldRate("herald detector can never click")
         return rate
 
-    def heralded(self, pattern: ClickPattern) -> float:
-        """P(pattern | APD1 clicked); the pattern must leave APD1 free."""
-        position = list(self.detectors).index("APD1")
-        if pattern.clicks[position] is not None:
-            raise ValueError("heralded patterns must leave APD1 unconstrained")
+    def heralded(self, clicked, silent=()) -> float:
+        """The same query conditioned on an APD1 click, which it leaves free."""
+        clicked, silent = check_detectors(tuple(self.detectors), clicked, silent, heralded=True)
         rate = self.herald_rate()
-        joint = self.pattern(pattern.with_click(position))
-        return joint / rate
+        return self._inclusion_exclusion(("APD1",) + clicked, silent, self.no_click) / rate
 
-    def single_photon(self, pattern: ClickPattern, injection: np.ndarray) -> float:
-        """Pattern probability with exactly one photon down the injection map.
+    def single_photon(self, clicked, injection: np.ndarray, silent=()) -> float:
+        """The query's probability with exactly one photon down the injection map.
 
         This is the ideal-herald limit of a pair source: conditioned on
         a herald click as the pair emission rate goes to zero, precisely
@@ -270,6 +249,7 @@ class ClickCalculator:
         inclusion-exclusion term is P0 (1 + d/dmu log P0 |_0), which is
         evaluated in closed form; no small-mu cancellation is involved.
         """
+        query = check_detectors(tuple(self.detectors), clicked, silent)
         if injection.shape != (len(self.mean), 2):
             raise IndexOutOfRange(
                 "injection must map the two input quadratures into the register"
@@ -279,7 +259,7 @@ class ClickCalculator:
             p0, correction = self._p0_with_factor(modes, injection)
             return p0 * (1.0 + correction)
 
-        return self._inclusion_exclusion(pattern, term)
+        return self._inclusion_exclusion(*query, term)
 
 
 @dataclass(frozen=True)
@@ -350,6 +330,11 @@ def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+# each detector's row, in APD_NAMES order, over a scan's basis (H total, gate 1's
+# routed share, gate 2's routed share); APD1 watches the idler alone
+_SCAN_ROWS = np.array([(0, 0, 0), (1, -1, -1), (0, 1, 0), (0, 0, 1)])
+
+
 def scan_patterns(
     inputs: WalkInputs,
     slots,
@@ -360,18 +345,18 @@ def scan_patterns(
     """Click-pattern probabilities at every gate point of a scan at once.
 
     `slots` is the (points x 2) bin array of `check_gate_points`, 0 for a
-    dark gate; both gates route with `efficiency`.  `clicked` names the
-    detectors that must click, the others are marginal.  With `heralded`
-    the values are conditioned on an APD1 click.  With an ideal-herald
-    photon as the signal, the values are those of
-    ClickCalculator.single_photon.
+    dark gate; both gates route with `efficiency`.  `clicked` is the tuple
+    of the names of the detectors that must click (`check_detectors`), the
+    others are marginal.  With `heralded` the values are conditioned on an
+    APD1 click.  With an ideal-herald photon as the signal, the values are
+    those of ClickCalculator.single_photon.
 
     APD3 and APD4 collect `efficiency` of their bin's H outputs in both
-    sectors, APD2 the H totals minus those shares, APD1 the idler.  So
-    the detector unions' sums a, z, e are (unions x points) stacks,
-    gathered from three per-bin sums.  Values match ClickCalculator on the
-    layout of experiments._gate_point; unlike it, no covariance block is
-    refused, only a total outside [0, 1] (see `click_probabilities`).
+    sectors, APD2 the H totals minus those shares, APD1 the idler: the
+    rows `_SCAN_ROWS`, whose basis each block of points gathers from three
+    per-bin sums.  Values match ClickCalculator on the layout of
+    experiments._gate_point; unlike it, no covariance block is refused,
+    only a total outside [0, 1] (see `click_probabilities`).
     """
     bins = len(inputs.signal) // 2
     slots = check_gate_points(slots, bins, efficiency)
@@ -385,45 +370,46 @@ def scan_patterns(
     # per sum: its H total, and each bin's routed share, index 0 the dark slot
     sums = [(x.sum(), efficiency * np.concatenate(([0.0], x))) for x in per_bin]
 
-    def union(subsets, block):
-        # a {-1, 0, 1} row per union times (H total, gate 1's share, gate 2's): with
-        # the bucket, the total less the outside gates' shares; else the inside ones'
-        own = np.array([[d in s for d in ("APD2", "APD3", "APD4")] for s in subsets], dtype=float)
-        c0, c1, c2 = (own - own[:, :1] * (0.0, 1.0, 1.0)).T[:, :, None]
+    def basis(block):
         one, two = slots[block].T
-        a, z, e = (c0 * total + c1 * share[one] + c2 * share[two] for total, share in sums)
-        return a, z, e, np.array([[inputs.idler if "APD1" in s else 0.0] for s in subsets])
+        return [(total, share[one], share[two]) for total, share in sums]
 
     # a bin is lit when either input reaches its H output; the bucket is judged
     # from these per-bin values, since total - shares can leave round-off
     lit = np.concatenate(([False], (per_bin[0] != 0.0) | (per_bin[2] != 0.0)))
+    gated = (efficiency > 0.0) & lit[slots].T  # gate 1's and gate 2's port sees light
+    # only a gate of efficiency 1 takes all of its bin from the bucket
+    bucket = bool(lit.any()) if efficiency < 1.0 else lit.sum() > gated.sum(axis=0)
+    sees = (bool(inputs.idler), bucket, *gated)
+    return click_probabilities(inputs, slots, basis, _SCAN_ROWS, sees, clicked, heralded)
 
-    def sees(name):
-        if name == "APD1":
-            return bool(inputs.idler)
-        if name == "APD2":  # only a gate of efficiency 1 takes all of its bin
-            return bool(lit.any()) if efficiency < 1.0 else lit.sum() > lit[slots].sum(axis=1)
-        return efficiency > 0.0 and lit[slots[:, int(name == "APD4")]]
 
-    return click_probabilities(inputs, slots, clicked, union, sees, heralded)
+@functools.cache
+def _unions(k: int) -> np.ndarray:
+    """The non-empty unions of k detectors as 0/1 rows, in combinations order by size."""
+    subsets = [s for r in range(1, k + 1) for s in itertools.combinations(range(k), r)]
+    return np.array([[i in s for i in range(k)] for s in subsets], float).reshape(len(subsets), k)
 
 
 def click_probabilities(
-    inputs: WalkInputs, slots, clicked, union, sees, heralded=False
+    inputs: WalkInputs, slots, basis, rows, sees, clicked, heralded=False
 ) -> np.ndarray:
     """P(every detector in `clicked` clicks), the others marginal, at each
     gate point of `slots`, conditioned on an APD1 click with `heralded`.
 
-    `union(subsets, block)` gives the sums (a, z, e, h) of `_p0_excess` over
-    what each subset's detectors watch at the points `slots[block]`, one row
-    per subset and one column per point (or one for a sum no gate moves);
-    each block of `_BLOCK` points is scored in one stacked pass.  `sees(name)`
-    is False at the points where all of that detector's own sums a, e and h
-    are exactly 0: a detector that sees no light cannot click, so a clicked
-    one there gives exactly 0.  A total outside [0, 1] beyond round-off, or
-    NaN, is refused at its first gate point in scan order.
+    `clicked` names detectors of APD_NAMES (`check_detectors`), and each
+    detector is one small-integer row of `rows` over the k terms that
+    `basis(block)` gives for each sum a, z and e of `_p0_excess` at the
+    points `slots[block]`, one value per point or one for all.  A union's
+    sums are the sum of its detectors' rows times the terms, added in term
+    order, and its h the idler's transmission when APD1 is in it; each
+    block of `_BLOCK` points is one stacked (unions x points) pass.
+    `sees[d]` is False where all of detector d's own a, e and h are exactly
+    0, at each point or at all: a clicked detector that sees no light gives
+    exactly 0.  A total outside [0, 1] beyond round-off, or NaN, is refused
+    at its first gate point in scan order.
     """
-    clicked = tuple(clicked)
+    clicked, _ = check_detectors(APD_NAMES, clicked, heralded=heralded)
     rate = 1.0
     if heralded:
         if inputs.idler is None:
@@ -433,13 +419,17 @@ def click_probabilities(
             raise ZeroHeraldRate("herald detector can never click")
         clicked = ("APD1",) + clicked
 
+    at = [APD_NAMES.index(name) for name in clicked]
     lit = True
-    for name in clicked:
-        lit = lit & sees(name)
-    subsets = [s for r in range(1, len(clicked) + 1) for s in itertools.combinations(clicked, r)]
+    for d in at:
+        lit = lit & sees[d]
+    member = _unions(len(at))  # which of the detectors `at` each union holds
+    coef = (member @ rows[at]).T[:, :, None]  # per term, a column of unions
+    h = member[:, :1] * ((inputs.idler or 0.0) if 0 in at else 0.0)  # APD1 leads `at`
     joint = np.full(len(slots), float(not clicked))
-    for start in range(0, len(slots) if subsets else 0, _BLOCK):  # the empty union's P0 - 1 is 0
+    for start in range(0, len(slots) if member.size else 0, _BLOCK):  # the empty union's P0 - 1 is 0
         block = slice(start, start + _BLOCK)
-        for s, excess in zip(subsets, _p0_excess(inputs, *union(subsets, block))):
-            joint[block] += (-1.0) ** len(s) * excess
+        a, z, e = (sum(map(np.multiply, coef[1:], t[1:]), coef[0] * t[0]) for t in basis(block))
+        for sign, excess in zip((-1.0) ** member.sum(axis=1), _p0_excess(inputs, a, z, e, h)):
+            joint[block] += sign * excess
     return _checked(np.where(lit, joint, 0.0), slots) / rate

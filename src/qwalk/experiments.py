@@ -37,9 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .detection import (
-    APD_NAMES,
     ClickCalculator,
-    ClickPattern,
     WalkInputs,
     check_gate_points,
     click_probabilities,
@@ -309,10 +307,6 @@ class _Scan:
     slots: Callable[[tuple], np.ndarray]  # labels -> (gate 1 bin, gate 2 bin) each, 0 = dark
     clicked: tuple
 
-    @property
-    def pattern(self) -> ClickPattern:
-        return ClickPattern(tuple(True if n in self.clicked else None for n in APD_NAMES))
-
 
 def _bins(n_steps: int) -> tuple:
     return tuple(range(1, n_steps + 2))
@@ -339,11 +333,11 @@ def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list
     for slots in scan.slots(labels):
         calc, injection = _gate_point(stage, slots, spec.eta_kerr)
         if spec.ideal_herald:
-            raw.append(calc.single_photon(scan.pattern, injection))
+            raw.append(calc.single_photon(scan.clicked, injection))
         elif spec.heralded:
-            raw.append(calc.heralded(scan.pattern))
+            raw.append(calc.heralded(scan.clicked))
         else:
-            raw.append(calc.pattern(scan.pattern))
+            raw.append(calc.pattern(scan.clicked))
     return raw
 
 
@@ -383,35 +377,29 @@ def run_experiment(spec: ExperimentSpec) -> Distribution:
 # both gates off; APD4 watches the (H, t1) arm and APD2 the (V, t2) arm, in
 # both sectors, with the herald on APD1 as always; APD3 watches nothing
 _HOM_ARMS = {"APD2": ModeIndex(Pol.V, 2), "APD4": ModeIndex(Pol.H, 1)}
-_HOM_PATTERN = ClickPattern.of(apd1=True, apd2=True, apd4=True)
+# each detector's row, in detection.APD_NAMES order, over the two arms
+_HOM_ROWS = np.array([(0, 0), (1, 0), (0, 0), (0, 1)])
 
 
-def _hom_clicks(inputs: WalkInputs, overlaps, clicked=("APD1", "APD2", "APD4")) -> np.ndarray:
+def _hom_clicks(inputs: WalkInputs, overlaps, clicked=("APD1", *_HOM_ARMS)) -> np.ndarray:
     """P(every detector in `clicked` clicks), the others marginal, on the HOM
     arms at each of `overlaps`, which take the place of `inputs.overlap`.
 
-    Only z depends on the overlap, as sqrt(overlap) times the overlap-1
-    value, so the overlaps are the points of one evaluation.
+    The basis is the two arms, APD2's and APD4's.  Only z depends on the
+    overlap, as sqrt(overlap) times the overlap-1 value, so the overlaps
+    are the points of one evaluation.
     """
-    arms = {d: flat_index(mode, len(inputs.signal) // 2) for d, mode in _HOM_ARMS.items()}
+    arms = [flat_index(mode, len(inputs.signal) // 2) for mode in _HOM_ARMS.values()]
     root = np.sqrt(np.asarray(overlaps, dtype=float))
-
-    u, beta = (x[list(arms.values())] for x in (inputs.signal, inputs.coherent))
-    per_arm = (u.real**2 + u.imag**2, u.conj() * beta, beta.real**2 + beta.imag**2)
-
-    def union(subsets, block):
-        own = np.array([[d in s for d in arms] for s in subsets], dtype=float)
-        a, z, e = (own @ x[:, None] for x in per_arm)
-        h = np.array([[(inputs.idler or 0.0) if "APD1" in s else 0.0] for s in subsets])
-        return a, z * root[block], e, h
-
-    def sees(name):
-        if name == "APD1":
-            return bool(inputs.idler)
-        return name in arms and bool(inputs.signal[arms[name]] or inputs.coherent[arms[name]])
-
+    u, beta = inputs.signal[arms], inputs.coherent[arms]
+    a, z, e = u.real**2 + u.imag**2, u.conj() * beta, beta.real**2 + beta.imag**2
+    sees = (bool(inputs.idler), bool(u[0] or beta[0]), False, bool(u[1] or beta[1]))
     slots = np.zeros((len(root), 2), dtype=int)
-    return click_probabilities(inputs, slots, clicked, union, sees)
+
+    def basis(block):
+        return a, z[:, None] * root[block], e
+
+    return click_probabilities(inputs, slots, basis, _HOM_ROWS, sees, clicked)
 
 
 def _hom_visibilities(inputs: WalkInputs, overlaps, reference=None) -> tuple:
@@ -522,31 +510,28 @@ def verify_against_oracle(
     with the oracle's truncation leak, so callers can judge both routes'
     agreement against their tolerance.
     """
+    dist = hom_scan(spec, (0.0, spec.overlap)) if spec.kind == "hom" else run_experiment(spec)
+    return _oracle_report(spec, dist, settings)
+
+
+def _oracle_report(spec: ExperimentSpec, dist: Distribution, settings: OracleSettings) -> OracleReport:
+    """The oracle's check of every raw value of `dist`, the distribution of `spec`."""
 
     def oracle(probe: ExperimentSpec, plan=None) -> ThresholdOracle:
-        return ThresholdOracle(
-            _sources(probe),
-            spec.walk,
-            eta_sys=spec.eta_sys,
-            eta_idler=spec.eta_idler,
-            detector_labels=plan,
-            settings=settings,
-        )
+        return ThresholdOracle(_sources(probe), spec.walk, spec.eta_sys, spec.eta_idler, plan, settings)
 
     if spec.kind == "hom":
-        dist = hom_scan(spec, (0.0, spec.overlap))
         plan = {"APD1": ("idler",), **{d: ((m.pol, m.bin),) for d, m in _HOM_ARMS.items()}}
         oracles = [oracle(replace(spec, overlap=o), plan) for o in dist.labels]
-        fock = [o.pattern_prob(_HOM_PATTERN)[0] for o in oracles]
+        fock = [o.pattern_prob(("APD1", *_HOM_ARMS))[0] for o in oracles]
     else:
-        dist = run_experiment(spec)
         scan = _SCANS[spec.kind]
         oracles = [oracle(spec)]
         routed = oracles[0].scan(scan.slots(dist.labels), spec.eta_kerr)
         # the heralded photon itself needs no herald: exactly one went in
         if spec.heralded and not spec.ideal_herald:
-            fock = routed.heralded_prob(scan.pattern)
+            fock = routed.heralded_prob(scan.clicked)
         else:
-            fock = routed.pattern_prob(scan.pattern)
+            fock = routed.pattern_prob(scan.clicked)
     diffs = np.abs(np.subtract(fock, dist.raw))
     return OracleReport(float(diffs.max()), diffs.size, max(o.truncation_leak for o in oracles))

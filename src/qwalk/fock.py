@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import APD_NAMES, ClickPattern, check_gate_points
+from .detection import APD_NAMES, check_detectors, check_gate_points
 from .errors import (
     ConfigInvalid,
     CutoffTooSmall,
@@ -367,15 +367,16 @@ class ThresholdOracle:
     The walk, the loss and the inputs do not depend on the gates, so one
     oracle serves a whole scan: `scan(slots, efficiency)` routes it at
     every row of a (points x 2) bin array (detection.check_gate_points),
-    and the oracle as built sits at one point with both gates dark.
-    Every query returns an array of one value per gate point.  Routing
-    acts at query time on the branches' Gram terms, one column per
-    register mode and one routed share per gate: a gate of efficiency
-    eta on bin m sends eta G_(H, m) to its detector and leaves
-    (1 - eta) G_(H, m) on the bin.  A query scores every detector
-    set at every point in one stacked pass per branch, and a coupled
-    block of G met at several points (the herald's, or one that involves
-    a single gate) goes through the recursion once.
+    and the oracle as built sits at one point with both gates dark.  A
+    query names the detectors of APD_NAMES that must click and those that
+    must stay silent (detection.check_detectors), and returns an array of
+    one value per gate point.  Routing acts at query time on the branches'
+    Gram terms, one column per register mode and one routed share per
+    gate: a gate of efficiency eta on bin m sends eta G_(H, m) to its
+    detector and leaves (1 - eta) G_(H, m) on the bin.  A query scores
+    every detector set at every point in one stacked pass per branch, and
+    a coupled block of G met at several points (the herald's, or one that
+    involves a single gate) goes through the recursion once.
 
     `detector_labels` overrides the default APD plan; entries per
     detector are "idler", "gate1", "gate2" (the routed share), or
@@ -510,31 +511,23 @@ class ThresholdOracle:
             values[present] *= branch.p0(grams.reshape(-1, q, q))
         return values.T
 
-    def _split(self, pattern: ClickPattern):
-        if len(pattern.clicks) != len(APD_NAMES):
-            raise IndexOutOfRange(
-                f"pattern has {len(pattern.clicks)} entries for {len(APD_NAMES)} detectors"
-            )
-        clicked = [name for name, outcome in zip(APD_NAMES, pattern.clicks) if outcome is True]
-        silent = [name for name, outcome in zip(APD_NAMES, pattern.clicks) if outcome is False]
-        return clicked, silent
-
     def _covered(self, names) -> np.ndarray:
         """Whether every detector in `names` has a mode in some branch, at
         each gate point."""
         watch = self._watch[[APD_NAMES.index(name) for name in names]]
         return self._seen(watch, self._lit.any(axis=0)).all(axis=1)
 
-    def pattern_prob(self, pattern: ClickPattern):
-        return self._inclusion_exclusion(pattern, ())[0]
+    def pattern_prob(self, clicked, silent=()):
+        """P(every detector in `clicked` clicks, none in `silent` does) at
+        each gate point."""
+        return self._inclusion_exclusion(*check_detectors(APD_NAMES, clicked, silent), ())[0]
 
-    def _inclusion_exclusion(self, pattern: ClickPattern, also) -> tuple:
-        """P(pattern) at each gate point, and the P0 rows of the name sets
-        in `also`, from one stacked P0 pass.  A point where a clicked
-        detector has no mode gives exactly 0."""
-        clicked, silent = self._split(pattern)
+    def _inclusion_exclusion(self, clicked, silent, also) -> tuple:
+        """The checked query's probability at each gate point, and the P0
+        rows of the name sets in `also`, from one stacked P0 pass.  A point
+        where a clicked detector has no mode gives exactly 0."""
         subsets = [s for r in range(len(clicked) + 1) for s in itertools.combinations(clicked, r)]
-        p0 = self._p0([tuple(silent) + s for s in subsets] + list(also))
+        p0 = self._p0([silent + s for s in subsets] + list(also))
         total = 0.0
         for subset, value in zip(subsets, p0):
             total = total + (-1) ** len(subset) * value
@@ -557,11 +550,10 @@ class ThresholdOracle:
     def herald_rate(self):
         return self._rate(self._p0([("APD1",)])[0])
 
-    def heralded_prob(self, pattern: ClickPattern):
-        position = APD_NAMES.index("APD1")
-        if pattern.clicks[position] is not None:
-            raise ValueError("heralded patterns must leave APD1 unconstrained")
-        joint, (herald,) = self._inclusion_exclusion(pattern.with_click(position), [("APD1",)])
+    def heralded_prob(self, clicked, silent=()):
+        """The same query conditioned on an APD1 click, which it leaves free."""
+        clicked, silent = check_detectors(APD_NAMES, clicked, silent, heralded=True)
+        joint, (herald,) = self._inclusion_exclusion(("APD1",) + clicked, silent, [("APD1",)])
         return joint / self._rate(herald)
 
 

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 import qwalk.cli as cli
 from qwalk.cli import main
+from qwalk.config import RunConfig
 from qwalk.experiments import ExperimentSpec, run_experiment
 from qwalk.io import read_distribution, render_distribution
 from qwalk.walk import WalkConfig
@@ -449,6 +451,34 @@ def test_step_evolution_oracle_checks_the_prefixes_it_writes(tmp_path, capsys):
     rows = json.loads(out.read_text())["rows"]
     assert [row[:3] for row in rows] == [[1, 1, 2]]
     assert f"over {len(rows)} patterns" in capsys.readouterr().err
+
+
+def test_hom_oracle_checks_every_overlap_it_writes(tmp_path, capsys):
+    # the check once covered only the overlaps 0 and `overlap`: 2 of the 11 rows
+    out = tmp_path / "hom.json"
+    config = Path(__file__).resolve().parents[1] / "configs" / "hom_scan.yaml"
+    argv = ["simulate", "--config", str(config), "--out", str(out)]
+    assert main(argv + ["--oracle"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 11
+    assert "over 11 patterns" in capsys.readouterr().err
+
+
+def test_oracle_check_reuses_the_rendered_scan(tmp_path, monkeypatch):
+    # the check compares the distribution the artifact holds, not a second run of it
+    import qwalk.experiments as experiments
+
+    calls = []
+    for module in (cli, experiments):
+        scan = module.run_experiment
+        monkeypatch.setattr(module, "run_experiment", lambda spec, scan=scan: calls.append(spec) or scan(spec))
+    config = write_config(tmp_path, TWO_FOLD_YAML)
+    out = tmp_path / "checked.csv"
+    assert main(["simulate", "--config", config, "--oracle", "--out", str(out)]) == 0
+    cfg = RunConfig.from_file(config, {"output": {"path": str(out)}, "oracle_check": {"enabled": True}})
+    assert calls == [cfg.spec]
+    # the artifact is that one scan's rendering, as without the check
+    assert out.read_text() == render_distribution(run_experiment(cfg.spec), cfg.resolved, "csv")
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from qwalk.detection import (
     _BLOCK,
+    APD_NAMES,
     ClickCalculator,
-    ClickPattern,
     WalkInputs,
     _checked,
     _p0_excess,
@@ -21,7 +21,16 @@ from qwalk.errors import (
     NumericalInstability,
     ZeroHeraldRate,
 )
-from qwalk.experiments import _SCANS, ExperimentSpec, _gate_point, _Stage, _stage
+from qwalk.experiments import (
+    _HOM_ARMS,
+    _SCANS,
+    ExperimentSpec,
+    _gate_point,
+    _hom_clicks,
+    _sources,
+    _Stage,
+    _stage,
+)
 from qwalk.fock import ThresholdOracle
 from qwalk.gaussian import SourceSpec, prepare, symplectic_from_unitary
 from qwalk.modes import ModeIndex, Pol, flat_index
@@ -75,37 +84,34 @@ def test_herald_needs_an_idler():
         routed((SourceSpec("coherent", H1, 0.1),)).herald_rate()
 
 
+def full_patterns(plan=APD_NAMES):
+    """Every fully specified query of `plan`: (clicked, silent) names."""
+    for bits in itertools.product((False, True), repeat=len(plan)):
+        yield tuple(itertools.compress(plan, bits)), tuple(n for n, b in zip(plan, bits) if not b)
+
+
 def test_pattern_space_is_complete():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7))
     calc = routed(sources, (1, 2), bins=2)
-    total = sum(calc.pattern(p) for p in ClickPattern.full_patterns())
+    total = sum(calc.pattern(*p) for p in full_patterns())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_marginal_equals_sum_over_outcomes():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3, overlap=0.7))
     calc = routed(sources, (1, 2), bins=2)
-    for position in range(4):
-        base = ClickPattern.of(apd3=True)
-        if position == 2:
-            base = ClickPattern.of(apd4=True)
-        split = base.with_click(position)
-        silent = ClickPattern(
-            tuple(
-                False if k == position else c
-                for k, c in enumerate(base.clicks)
-            )
-        )
+    for name in APD_NAMES:
+        base = ("APD4",) if name == "APD3" else ("APD3",)
         assert calc.pattern(base) == pytest.approx(
-            calc.pattern(split) + calc.pattern(silent), abs=1e-12
+            calc.pattern(base + (name,)) + calc.pattern(base, (name,)), abs=1e-12
         )
 
 
 def test_heralded_is_joint_over_herald_rate():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.1))
     calc = routed(sources, (0, 1), bins=2)
-    want = ClickPattern.of(apd4=True)
-    joint = calc.pattern(want.with_click(0))
+    want = ("APD4",)
+    joint = calc.pattern(("APD1",) + want)
     assert calc.heralded(want) == pytest.approx(
         joint / calc.herald_rate(), rel=1e-12
     )
@@ -113,8 +119,8 @@ def test_heralded_is_joint_over_herald_rate():
 
 def test_heralded_rejects_patterns_that_pin_the_idler():
     calc = routed((SourceSpec("tmsv", H1, 0.026),))
-    with pytest.raises(ValueError):
-        calc.heralded(ClickPattern.of(apd1=True))
+    with pytest.raises(IndexOutOfRange):
+        calc.heralded(("APD1",))
 
 
 def test_gate_splits_photon_flux():
@@ -140,8 +146,8 @@ def test_disabled_gate_is_skipped():
 
 def test_pattern_on_empty_detector_is_zero():
     calc = routed((SourceSpec("coherent", H1, 0.1),))
-    assert calc.pattern(ClickPattern.of(apd3=True)) == 0.0
-    assert calc.pattern(ClickPattern.of(apd3=False)) == pytest.approx(1.0)
+    assert calc.pattern(("APD3",)) == 0.0
+    assert calc.pattern((), ("APD3",)) == pytest.approx(1.0)
 
 
 def test_probability_depends_on_mode_set_not_order():
@@ -152,8 +158,8 @@ def test_probability_depends_on_mode_set_not_order():
     a, b = flat_index(H1, state.bins), flat_index(V1, state.bins)
     fwd = ClickCalculator(state.mean, state.cov, {"APD1": {a}, "APD2": {b}})
     rev = ClickCalculator(state.mean, state.cov, {"APD1": {b}, "APD2": {a}})
-    p_fwd = fwd.pattern(ClickPattern((True, False)))
-    p_rev = rev.pattern(ClickPattern((False, True)))
+    p_fwd = fwd.pattern(("APD1",), ("APD2",))
+    p_rev = rev.pattern(("APD2",), ("APD1",))
     assert p_fwd == pytest.approx(p_rev, rel=1e-13)
 
 
@@ -161,13 +167,13 @@ def test_swapping_gate_bins_swaps_the_routing_detectors():
     sources = (SourceSpec("tmsv", H1, 0.026), SourceSpec("coherent", V1, 0.3))
     calc12 = routed(sources, (1, 2), bins=2)
     calc21 = routed(sources, (2, 1), bins=2)
-    coincidence = ClickPattern.of(apd3=True, apd4=True)
+    coincidence = ("APD3", "APD4")
     assert calc12.pattern(coincidence) == pytest.approx(
         calc21.pattern(coincidence), rel=1e-12
     )
-    only3 = ClickPattern.of(apd3=True, apd4=False)
-    only4 = ClickPattern.of(apd3=False, apd4=True)
-    assert calc12.pattern(only3) == pytest.approx(calc21.pattern(only4), rel=1e-12)
+    only3 = ("APD3",), ("APD4",)
+    only4 = ("APD4",), ("APD3",)
+    assert calc12.pattern(*only3) == pytest.approx(calc21.pattern(*only4), rel=1e-12)
 
 
 def test_single_photon_splits_at_a_balanced_coupler():
@@ -178,10 +184,10 @@ def test_single_photon_splits_at_a_balanced_coupler():
     s = symplectic_from_unitary(u)
     injection = s[:, [0, 1]]  # unit x and p probes entering mode 0
     calc = ClickCalculator(np.zeros(8), 0.5 * np.eye(8), {"APD1": {0}, "APD2": {2}})
-    p_a = calc.single_photon(ClickPattern((True, None)), injection)
-    p_b = calc.single_photon(ClickPattern((None, True)), injection)
-    p_none = calc.single_photon(ClickPattern((False, False)), injection)
-    p_both = calc.single_photon(ClickPattern((True, True)), injection)
+    p_a = calc.single_photon(("APD1",), injection)
+    p_b = calc.single_photon(("APD2",), injection)
+    p_none = calc.single_photon((), injection, ("APD1", "APD2"))
+    p_both = calc.single_photon(("APD1", "APD2"), injection)
     assert p_a == pytest.approx(0.5, abs=1e-12)
     assert p_b == pytest.approx(0.5, abs=1e-12)
     assert p_none == pytest.approx(0.0, abs=1e-12)
@@ -193,7 +199,7 @@ def test_single_photon_into_a_watched_mode_always_clicks():
     injection[0, 0] = 1.0
     injection[1, 1] = 1.0
     calc = ClickCalculator(np.zeros(8), 0.5 * np.eye(8), {"APD1": {0}})
-    assert calc.single_photon(ClickPattern((True,)), injection) == pytest.approx(1.0, abs=1e-12)
+    assert calc.single_photon(("APD1",), injection) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- batched scans: one stacked pass -------------------------------------------
@@ -260,6 +266,46 @@ def test_stacked_scan_matches_the_per_union_loop(n_steps, kind, herald):
     assert np.array_equal(scan_patterns(*args), per_union_scan(*args))
 
 
+def per_union_hom(inputs, overlaps, clicked):
+    """_hom_clicks as one pass per detector union, its sums added arm by arm
+    and z scaled by sqrt(overlap) last."""
+    bins = len(inputs.signal) // 2
+    own = {}
+    for name, mode in _HOM_ARMS.items():
+        u, beta = inputs.signal[flat_index(mode, bins)], inputs.coherent[flat_index(mode, bins)]
+        own[name] = (u.real**2 + u.imag**2, u.conj() * beta, beta.real**2 + beta.imag**2)
+    root = np.sqrt(np.asarray(overlaps))
+    joint = np.zeros(len(root))
+    for r in range(1, len(clicked) + 1):
+        for subset in itertools.combinations(clicked, r):
+            a, z, e = (sum(own[d][k] for d in subset if d in own) for k in range(3))
+            h = inputs.idler if "APD1" in subset else 0.0
+            joint += (-1.0) ** r * _p0_excess(inputs, a, z * root, e, h)
+    dark = any(d == "APD3" or d in own and not (own[d][0] or own[d][2]) for d in clicked)
+    return np.zeros(len(root)) if dark else np.clip(joint, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("pair_source", ["tmsv", "squashed"])
+@pytest.mark.parametrize(
+    "clicked", [("APD2", "APD4"), ("APD1", "APD2", "APD4"), ("APD1", "APD2", "APD3", "APD4")]
+)
+def test_stacked_hom_matches_the_per_union_loop(seed, pair_source, clicked):
+    # both arms in one union: its row (1, 1) over the arms
+    rng = np.random.default_rng(seed)
+    layer = LayerParams(
+        omega=rng.uniform(0.1, np.pi - 0.1), gamma=rng.uniform(0, 2 * np.pi),
+        transmission=rng.uniform(0.5, 1.0),
+    )
+    spec = ExperimentSpec(
+        walk=WalkConfig(1, (layer,)), kind="hom", mu_alpha=rng.uniform(0.05, 0.5), mu_xi=0.026,
+        eta_idler=rng.uniform(0.5, 1.0), pair_source=pair_source,
+    )
+    inputs = _stage(spec).inputs
+    overlaps = (0.0, 0.25, 0.5, 0.897461, 1.0)
+    assert np.array_equal(_hom_clicks(inputs, overlaps, clicked), per_union_hom(inputs, overlaps, clicked))
+
+
 @given(
     source=st.sampled_from(["tmsv", "squashed", "fock1", None]),
     mu=st.floats(min_value=0.0, max_value=1e15),
@@ -300,7 +346,7 @@ def dense_one_fold(mu: float) -> float:
     cov[:2, :2] += mu * np.eye(2)
     stage.dense = np.zeros(8), cov, ()
     calc, _ = _gate_point(stage, (0, 1), 1.0)
-    return calc.pattern(ClickPattern.of(apd4=True))
+    return calc.pattern(("APD4",))
 
 
 @pytest.mark.parametrize(
@@ -335,7 +381,7 @@ def test_refusals_show_the_total_at_full_precision(monkeypatch, total, shown):
     calc = routed((SourceSpec("coherent", H1, 0.1),))
     monkeypatch.setattr(calc, "no_click", lambda modes: 0.0 if modes else total)
     with pytest.raises(NumericalInstability, match=f"produced {shown}$"):
-        calc.pattern(ClickPattern.of(apd2=True))
+        calc.pattern(("APD2",))
     with pytest.raises(NumericalInstability, match=f"produced {shown} at .* bins 2"):
         _checked(np.array([0.5, total]), np.array([[0, 1], [0, 2]]))
 
@@ -376,3 +422,55 @@ def test_scan_rejects_bad_gate_slots():
             scan_patterns(state, slots, efficiency, ("APD4",))
         with pytest.raises(error):
             oracle.scan(slots, efficiency)
+
+
+# -- detector queries: one format, one checker ----------------------------------
+
+NINE = ExperimentSpec(
+    walk=WalkConfig.uniform(9), kind="two-fold", mu_alpha=0.24, mu_xi=0.026, overlap=0.897461
+)
+
+
+def ask(engine, clicked, silent, heralded):
+    """One query of `engine`: a scan's two gate points at N = 9 in closed
+    form, its HOM arms, or one gate point on the dense route or the oracle."""
+    if engine == "closed form":
+        return scan_patterns(_stage(NINE).inputs, [(1, 2), (3, 4)], 0.97, clicked, heralded)
+    if engine == "closed form, HOM":
+        return _hom_clicks(_stage(NINE).inputs, (0.5, 1.0), clicked)
+    if engine == "dense":
+        calc = routed(_sources(NINE), (1, 2), bins=2)
+        return (calc.heralded if heralded else calc.pattern)(clicked, silent)
+    oracle = ThresholdOracle(_sources(NINE), WalkConfig.uniform(1)).scan([(1, 2)], 0.97)
+    return (oracle.heralded_prob if heralded else oracle.pattern_prob)(clicked, silent)
+
+
+BAD_QUERIES = {
+    "unknown name": (("APD5",), (), False),
+    "lower case": (("apd3", "APD4"), (), False),
+    "bare string": ("APD4", (), False),
+    "repeated": (("APD4", "APD4"), (), False),
+    "clicked and silent": (("APD3",), ("APD3",), False),
+    "heralded, herald clicked": (("APD1", "APD4"), (), True),
+    "heralded, herald silent": (("APD4",), ("APD1",), True),
+}
+
+
+@pytest.mark.parametrize(
+    "engine, case",
+    [
+        (engine, case)
+        for engine in ("closed form", "closed form, HOM", "dense", "oracle")
+        for case, (_, silent, heralded) in BAD_QUERIES.items()
+        # the closed form marginalizes every detector it is not told to click,
+        # and the HOM preset heralds by clicking APD1 itself
+        if not (engine.startswith("closed form") and silent or engine.endswith("HOM") and heralded)
+    ],
+)
+def test_every_engine_refuses_a_bad_detector_query(engine, case):
+    clicked, silent, heralded = BAD_QUERIES[case]
+    with pytest.raises(IndexOutOfRange):
+        ask(engine, clicked, silent, heralded)
+    # the same engine answers a good query, in any order of its names
+    good = ask(engine, ("APD4", "APD2"), (), False)
+    assert np.array_equal(good, ask(engine, ("APD2", "APD4"), (), False))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import qwalk.detection as detection
 import qwalk.experiments as experiments
 import qwalk.fock as fock
-from qwalk.detection import ClickCalculator, ClickPattern
+from qwalk.detection import ClickCalculator
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
 from qwalk.experiments import (
     Distribution,
@@ -221,7 +221,7 @@ def dense_hom(spec, overlap):
         "APD4": arm(Pol.H, 1),
     }
     calc = ClickCalculator(mean, cov, detectors)
-    return calc.pattern(ClickPattern.of(apd1=True, apd2=True, apd4=True))
+    return calc.pattern(("APD1", "APD2", "APD4"))
 
 
 @given(
@@ -475,9 +475,9 @@ def test_per_scan_oracle_matches_one_oracle_per_gate_point(params, plan, expecte
         fresh = ThresholdOracle(_sources(spec), walk, **kwargs).scan([slots], spec.eta_kerr)
         for oracle in (per_scan.scan([slots], spec.eta_kerr), fresh):
             if spec.heralded and not spec.ideal_herald:
-                (got,) = oracle.heralded_prob(scan.pattern)
+                (got,) = oracle.heralded_prob(scan.clicked)
             else:
-                (got,) = oracle.pattern_prob(scan.pattern)
+                (got,) = oracle.pattern_prob(scan.clicked)
             assert abs(got - value) <= 1e-13
 
 

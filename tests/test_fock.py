@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qwalk.fock as fock
-from qwalk.detection import APD_NAMES, ClickPattern
+from qwalk.detection import APD_NAMES
 from qwalk.errors import (
     CutoffTooSmall,
     NumericalInstability,
@@ -32,6 +32,12 @@ from qwalk.walk import LayerParams, WalkConfig
 
 H1 = ModeIndex(Pol.H, 1, 0)
 V1 = ModeIndex(Pol.V, 1, 0)
+
+
+def full_patterns():
+    """Every fully specified query of the four APDs: (clicked, silent) names."""
+    for bits in itertools.product((False, True), repeat=len(APD_NAMES)):
+        yield tuple(itertools.compress(APD_NAMES, bits)), tuple(n for n, b in zip(APD_NAMES, bits) if not b)
 
 
 def branch_source(kind, mu):
@@ -341,7 +347,7 @@ def test_heralded_query_runs_one_recursion_per_branch(monkeypatch):
     branches = sum(not branch.trivial for branch in oracle.branches)
     assert branches == 2
     # APD2 silent: the herald's own set is not among the pattern's sets
-    oracle.heralded_prob(ClickPattern.of(apd2=False, apd3=True, apd4=True))
+    oracle.heralded_prob(("APD3", "APD4"), ("APD2",))
     assert 0 < len(calls) <= branches
     oracle.herald_rate()
     assert len(calls) <= branches
@@ -372,15 +378,15 @@ def test_absent_detectors_give_one_and_zero_rows_are_recursed(monkeypatch):
     (zero_row,) = oracle._p0([("APD4",)])
     assert calls == [1]
     assert zero_row == pytest.approx(1.0 - oracle.truncation_leak, abs=1e-15)
-    assert oracle.pattern_prob(ClickPattern.of(apd3=True)).tolist() == [0.0]
+    assert oracle.pattern_prob(("APD3",)).tolist() == [0.0]
     # a dark slot leaves its detector uncovered
     dark = ThresholdOracle((SourceSpec("coherent", H1, 0.1),), WalkConfig.uniform(1))
     for slots in ((0, 2), (1, 0)):
         routed = dark.scan([slots], 0.97)
-        dark_name = "apd3" if slots[0] == 0 else "apd4"
-        assert routed.pattern_prob(ClickPattern.of(**{dark_name: True})).tolist() == [0.0]
-        lit_name = "apd4" if slots[0] == 0 else "apd3"
-        assert routed.pattern_prob(ClickPattern.of(**{lit_name: True}))[0] > 0.0
+        dark_name = "APD3" if slots[0] == 0 else "APD4"
+        assert routed.pattern_prob((dark_name,)).tolist() == [0.0]
+        lit_name = "APD4" if slots[0] == 0 else "APD3"
+        assert routed.pattern_prob((lit_name,))[0] > 0.0
 
 
 def test_a_mode_on_two_detectors_counts_once_in_their_union():
@@ -411,7 +417,7 @@ def test_oracle_refuses_totals_outside_the_unit_interval(monkeypatch, outside, s
     oracle = lone_photon_oracle(monkeypatch, outside)
     assert oracle._tolerance == 1e-12
     with pytest.raises(NumericalInstability, match=f"oracle inclusion-exclusion produced {shown}$"):
-        oracle.pattern_prob(ClickPattern.of(apd2=True))
+        oracle.pattern_prob(("APD2",))
 
 
 def p0_by_gate_bin(rows):
@@ -439,7 +445,7 @@ def test_a_point_refused_mid_scan_raises_as_its_one_point_query(monkeypatch, out
         ThresholdOracle, "_p0", p0_by_gate_bin({1: (0.5, 0.0), 2: (outside, 0.0), 3: (0.25, 0.0)})
     )
     oracle = ThresholdOracle((SourceSpec("fock1", H1, 1.0),), WalkConfig.uniform(2))
-    pattern = ClickPattern.of(apd3=True)
+    pattern = ("APD3",)
     assert [oracle.scan([GATE_1_POINTS[m]], 0.97).pattern_prob(pattern)[0] for m in (0, 2)] == [0.5, 0.25]
     for routed in (oracle.scan([GATE_1_POINTS[1]], 0.97), oracle.scan(GATE_1_POINTS, 0.97)):
         with pytest.raises(NumericalInstability, match=f"^oracle inclusion-exclusion produced {shown}$"):
@@ -447,7 +453,7 @@ def test_a_point_refused_mid_scan_raises_as_its_one_point_query(monkeypatch, out
 
 
 def test_a_zero_herald_rate_mid_scan_raises_as_its_one_point_query(monkeypatch):
-    pattern = ClickPattern.of(apd3=True)
+    pattern = ("APD3",)
     # APD1 on gate 1's routed share: the middle point leaves it dark
     plan = {"APD1": ("gate1",), "APD3": ("gate2",)}
     oracle = ThresholdOracle((SourceSpec("coherent", H1, 0.3),), WalkConfig.uniform(2), detector_labels=plan)
@@ -492,7 +498,7 @@ def test_a_scan_split_at_the_recursion_block_boundary_is_bit_identical(monkeypat
         monkeypatch.setattr(fock, "_BLOCK", block)
         passes.clear()
         oracle = ThresholdOracle(_sources(spec), spec.walk, eta_sys=0.9, eta_idler=0.8)
-        return oracle.scan(points, spec.eta_kerr).heralded_prob(scan.pattern), list(passes)
+        return oracle.scan(points, spec.eta_kerr).heralded_prob(scan.clicked), list(passes)
 
     monkeypatch.setattr(fock, "_gamma_blocks", counted)
     whole, one = scored(fock._BLOCK)
@@ -506,7 +512,7 @@ def test_a_scan_split_at_the_recursion_block_boundary_is_bit_identical(monkeypat
 @pytest.mark.parametrize("inside, clamped", [(-5e-13, 0.0), (1.0 + 5e-13, 1.0)])
 def test_oracle_clamps_round_off_within_tolerance(monkeypatch, inside, clamped):
     oracle = lone_photon_oracle(monkeypatch, inside)
-    assert oracle.pattern_prob(ClickPattern.of(apd2=True)).tolist() == [clamped]
+    assert oracle.pattern_prob(("APD2",)).tolist() == [clamped]
 
 
 def hom_oracle():
@@ -520,16 +526,16 @@ def hom_oracle():
 
 def test_two_photons_bunch_at_a_balanced_splitter():
     oracle = hom_oracle()
-    assert oracle.pattern_prob(ClickPattern.of(apd2=True, apd4=False))[0] == pytest.approx(
+    assert oracle.pattern_prob(("APD2",), ("APD4",))[0] == pytest.approx(
         0.5, abs=1e-12
     )
-    assert oracle.pattern_prob(ClickPattern.of(apd2=False, apd4=True))[0] == pytest.approx(
+    assert oracle.pattern_prob(("APD4",), ("APD2",))[0] == pytest.approx(
         0.5, abs=1e-12
     )
 
 
 def test_hom_null_for_indistinguishable_photons():
-    assert hom_oracle().pattern_prob(ClickPattern.of(apd2=True, apd4=True))[0] < 1e-14
+    assert hom_oracle().pattern_prob(("APD2", "APD4"))[0] < 1e-14
 
 
 def test_coherent_decomposition_matches_poisson():
@@ -562,8 +568,8 @@ def test_pair_source_at_zero_gain_is_two_mode_vacuum():
     alone = ThresholdOracle((coherent,), walk).scan(slots, 0.97)
     beside = ThresholdOracle((SourceSpec("tmsv", H1, 0.0), coherent), walk).scan(slots, 0.97)
     assert beside.truncation_leak == alone.truncation_leak
-    for pattern in ClickPattern.full_patterns():
-        assert beside.pattern_prob(pattern).tobytes() == alone.pattern_prob(pattern).tobytes()
+    for pattern in full_patterns():
+        assert beside.pattern_prob(*pattern).tobytes() == alone.pattern_prob(*pattern).tobytes()
 
 
 def test_squashed_decomposition_reproduces_pair_moments():
@@ -605,7 +611,7 @@ def test_oracle_matches_gaussian_route_spot_check():
     )
     stage = exp._stage(spec)
     calc, _ = exp._gate_point(stage, slots, 0.97)
-    pattern = ClickPattern.of(apd1=True, apd3=True, apd4=True)
+    pattern = ("APD1", "APD3", "APD4")
     gaussian_value = calc.pattern(pattern)
     oracle = ThresholdOracle(sources, walk).scan([slots], 0.97)
     assert oracle.pattern_prob(pattern)[0] == pytest.approx(
@@ -619,9 +625,9 @@ def test_oracle_single_photon_survival_under_loss():
     sources = (SourceSpec("fock1", H1, 1.0),)
     walk = WalkConfig.uniform(0, transmission=1.0)
     oracle = ThresholdOracle(sources, walk, eta_sys=0.5)
-    silent = ClickPattern.of(apd2=False)
-    assert oracle.pattern_prob(silent)[0] == pytest.approx(0.5, abs=1e-12)
-    click = ClickPattern.of(apd2=True)
+    silent = (), ("APD2",)
+    assert oracle.pattern_prob(*silent)[0] == pytest.approx(0.5, abs=1e-12)
+    click = ("APD2",)
     assert oracle.pattern_prob(click)[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -638,7 +644,7 @@ def test_squashed_pair_heralds_fewer_signal_clicks_than_tmsv():
             (SourceSpec(kind, H1, 0.026),),
             WalkConfig.uniform(1, transmission=1.0),
         )
-        (values[kind],) = oracle.heralded_prob(ClickPattern.of(apd2=True))
+        (values[kind],) = oracle.heralded_prob(("APD2",))
     assert values["squashed"] < values["tmsv"]
 
 
@@ -665,13 +671,13 @@ def test_oracle_cutoff_follows_the_leak_target(cutoffs):
         settings=OracleSettings(leak_target=1e-13),
     )
     assert cutoffs == [8, 0]
-    (value,) = oracle.pattern_prob(ClickPattern.of(apd2=True))
+    (value,) = oracle.pattern_prob(("APD2",))
     assert value == pytest.approx(1.0 - math.exp(-0.1), abs=1e-9)
 
 
 def test_oracle_pattern_space_sums_to_one():
     oracle = two_branch_oracle()
-    total = sum(oracle.pattern_prob(p)[0] for p in ClickPattern.full_patterns())
+    total = sum(oracle.pattern_prob(*p)[0] for p in full_patterns())
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
