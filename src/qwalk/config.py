@@ -44,7 +44,6 @@ _EXPERIMENT_KEYS = ("kind", "walk", "step", "hom") + tuple(f.name for f in _SPEC
 _ORACLE_KEYS = ("enabled", "tolerance") + tuple(f.name for f in _ORACLE_FIELDS)
 
 _DEFAULT_HOM_OVERLAPS = tuple(round(0.05 * i, 2) for i in range(21))
-_STEP_N_MAX_LIMIT = 11
 
 # libyaml's parser where PyYAML was built with it; both loaders share the
 # safe constructor and resolver, so they give the same mappings
@@ -179,10 +178,6 @@ class RunConfig:
         _reject_unknown(step, _STEP_KEYS, "experiment.step")
         inner_kind = _string(step, "inner_kind", "one-fold", "experiment.step")
         n_max = _integer(step, "n_max", walk.n_steps, "experiment.step")
-        if kind == "step-evolution" and n_max > _STEP_N_MAX_LIMIT:
-            raise ConfigInvalid(
-                f"experiment.step.n_max must be <= {_STEP_N_MAX_LIMIT}"
-            )
 
         hom = _require_mapping(exp.get("hom"), "experiment.hom")
         _reject_unknown(hom, _HOM_KEYS, "experiment.hom")

@@ -18,16 +18,17 @@ recursion over total photon number rather than one Ryser call per pair.
 One query of a scan runs that recursion once per branch, stacked over
 every detector set its inclusion-exclusion needs at every gate point,
 and builds one photon-number block at a time, each contracted with the
-input state as soon as it is made.  The tests check the recursion
-against Ryser's formula element by element.  It runs over the coupled
-axes only: on an axis no Gram term couples to another (the idler, which
-bypasses the walk and APD1 alone watches, or a branch's lone input) G
-is diagonal, and :exp((g - 1) a^dag a): is the weight g^n on occupation n.
+inputs' density matrix as soon as it is made.  The tests check the
+recursion against Ryser's formula element by element.  It runs over the
+coupled axes only: on an axis no Gram term couples to another (the idler,
+which bypasses the walk and APD1 alone watches, or a branch's lone input)
+G is diagonal, and :exp((g - 1) a^dag a): is the weight g^n on n photons.
 
 W_S^dag W_S is a sum of per-mode Gram terms w^dag w, so the gates never
-enter W: routing only decides which terms, at what weight, each detector
-sums.  One oracle is built per scan, from the walk, the loss and the
-inputs, and routed at all of the scan's gate points at once.
+enter W: routing only adds, per lit gate, one term to each detector
+set's fixed sum, O(q^2) per (point, set) for q inputs at any N.  One
+oracle is built per scan, from the walk, the loss and the inputs, and
+routed at all of the scan's gate points at once, in fixed blocks.
 
 Loss never needs a channel here: every lossy element is a beam splitter
 into a fresh ancilla mode that no detector watches, and leaving a mode
@@ -65,8 +66,9 @@ __all__ = [
 ]
 
 _BOX_LIMIT = 2_000_000
-# coupled blocks per recursion stack, and sets per weighing, so memory stays bounded
+# coupled blocks per recursion, sets per weighing, points per routing: bounded memory
 _BLOCK = 128
+_POINTS = 4096
 
 
 # --------------------------------------------------------------------------
@@ -216,9 +218,10 @@ class _Branch:
     routing never enters a branch.
 
     Axes no Gram term couples to another (the idler, or a lone input) are
-    free: G is diagonal there, so their occupations n join the members,
-    each member's contraction is weighed by prod_j G_jj^n_j, and the
-    recursion runs on the other axes, cached by their block of G.
+    free: G is diagonal there, so the recursion runs on the other axes,
+    cached by their block of G, and meets the ensemble only through `rho`:
+    per photon-number block, one flat column sum_m w_m conj(phi_m) phi_m^T
+    per free occupation n, whose contraction is weighed by prod_j G_jj^n_j.
     """
 
     def __init__(self, grams, ensembles, k_max):
@@ -232,9 +235,7 @@ class _Branch:
         shape = tuple(c + 1 for c in sum(caps, ()))
         box = math.prod(shape)
         if box > _BOX_LIMIT:
-            raise ResourceBound(
-                f"occupation box of {box} tuples exceeds the oracle limit"
-            )
+            raise ResourceBound(f"occupation box of {box} tuples exceeds the oracle limit")
         weights = [1.0]
         arrays = [np.ones((), dtype=complex)]
         for ens in ensembles:
@@ -244,24 +245,24 @@ class _Branch:
         nonzero = grams != 0
         free = nonzero.sum(axis=(0, 1)) == nonzero.diagonal(axis1=1, axis2=2).sum(axis=0)
         layout = _factored_box(shape, tuple(free), k_max)
-        kept, order, self.free, slices, self.block, self.geom = layout
+        kept, order, self.free, self.occupations, self.block, self.geom = layout
         psi = psi * kept[None, :]
-        kept_norms = np.sum(np.abs(psi) ** 2, axis=1)
-        self.leak = max(0.0, 1.0 - float(np.asarray(weights) @ kept_norms))
-        psi = psi.reshape((-1,) + shape).transpose(order).reshape(len(weights) * len(slices), -1)
-        self.weights = np.repeat(weights, len(slices))
-        self.occupations = np.tile(slices, (len(weights), 1))
+        self.leak = max(0.0, 1.0 - float(np.asarray(weights) @ np.sum(np.abs(psi) ** 2, axis=1)))
+        n = len(self.occupations)
+        psi = psi.reshape((-1,) + shape).transpose(order).reshape(len(weights), n, -1)
         self.eye = np.eye(len(shape))
-        phi = psi * self.geom.sqrt_fact[None, :]
-        self.phi_blocks = [phi[:, cols] for cols in self.geom.block_cols]
+        phi = (psi * self.geom.sqrt_fact).transpose(1, 2, 0)  # (free occupations, box, members)
+        blocks = [phi[:, cols] for cols in self.geom.block_cols]
+        self.rho = [((b.conj() * weights) @ b.transpose(0, 2, 1)).reshape(n, -1).T for b in blocks]
 
     def p0(self, grams) -> np.ndarray:
         """No-click probability for each Gram sum B^dag B in the stack
         `grams`.  The coupled blocks of G = I - B^dag B not met before go
-        through the recursion in stacks of at most `_BLOCK`; then each
-        set's cached member totals are weighed by its free diagonal,
-        `_BLOCK` sets at a time.  Gram entries of -0.0 and 0.0 give the
-        same G, so the same cache key."""
+        through the recursion in stacks of at most `_BLOCK`, each photon-
+        number block F contracted with `rho` as sum_ij F_ij rho_ij; then
+        each set's cached totals are weighed by its free diagonal, `_BLOCK`
+        sets at a time.  Gram entries of -0.0 and 0.0 give the same G, so
+        the same cache key."""
         g = self.eye - grams
         blocks = g[(slice(None),) + self.block]
         keys = [blk.tobytes() for blk in blocks]
@@ -269,16 +270,16 @@ class _Branch:
         new = list(todo)
         for start in range(0, len(new), _BLOCK):
             chunk = new[start : start + _BLOCK]
-            total = np.zeros((len(chunk), self.weights.size))
+            total = np.zeros((len(chunk), len(self.occupations)))
             stack = np.stack([todo[k] for k in chunk])
-            for phi, f in zip(self.phi_blocks, _gamma_blocks(stack, self.geom)):
-                total += np.real(np.einsum("mi,bij,mj->bm", phi.conj(), f, phi))
+            for rho, f in zip(self.rho, _gamma_blocks(stack, self.geom)):
+                total += np.real(f.reshape(len(chunk), -1) @ rho)
             self._cache.update(zip(chunk, total))
         diag = np.real(g[:, self.free, self.free])[:, None, :]
         values = np.empty(len(keys))
         for start in range(0, len(keys), _BLOCK):
             part = slice(start, start + _BLOCK)
-            weights = self.weights * np.prod(diag[part] ** self.occupations, axis=2)
+            weights = np.prod(diag[part] ** self.occupations, axis=2)
             values[part] = np.sum(np.stack([self._cache[k] for k in keys[part]]) * weights, axis=1)
         return values
 
@@ -414,9 +415,7 @@ class ThresholdOracle:
                 if mean * share > 0.0:
                     target = ModeIndex(s.target.pol, s.target.bin, b)
                     labels = (target, IDLER) if s.kind in PAIR_KINDS else (target,)
-                    branch_sources[b].append(
-                        _BranchSource(s.kind, mean * share, labels)
-                    )
+                    branch_sources[b].append(_BranchSource(s.kind, mean * share, labels))
 
         eta_walk = aggregate_transmission(walk) * eta_sys
         inputs = [self._inputs(b, srcs, eta_walk, eta_idler) for b, srcs in enumerate(branch_sources)]
@@ -488,27 +487,28 @@ class ThresholdOracle:
         """P0 of each detector set (rows) at each gate point (columns).
 
         A set watches the OR of its detectors' columns, so a mode on two
-        counts once, each at its share: eta on a routed column, 1 - eta on
-        the gated bin's own H column, 1 elsewhere.  One contraction per
-        branch gives every (point, set) Gram sum, and one `_Branch.p0` call
-        scores those with a mode there; the others are exactly 1."""
+        counts once.  Its Gram sum is fixed over its register columns, plus
+        eta (r_k - w_b) G_b per gate k on bin b, G_0 = 0 for a dark one:
+        r_k whether it watches the gate's routed column, w_b whether it
+        watches (H, b).  Per branch, each block of `_POINTS` points is one
+        `_Branch.p0` call on the sets with a mode there; others are exactly 1."""
         bins, eff = self._gates
         member = np.array([[name in names for name in APD_NAMES] for names in name_sets])
         watch = (member[:, :, None] & self._watch).any(axis=1)
-        share = np.ones((len(bins), watch.shape[1]))
-        share[np.arange(len(bins))[:, None], bins] = 1.0 - eff
-        share[:, -2:] = eff
-        coef = watch * share[:, None, :]
-        # a routed share lands on its gate's H column; a dark slot's on column 0
-        coef = coef[..., :-2] + coef[..., -2:] @ (bins[:, :, None] == np.arange(coef.shape[2] - 2))
-        values = np.ones(coef.shape[:2])
+        cols = watch.astype(float)
+        values = np.ones((len(bins), len(watch)))
         for branch, lit in zip(self.branches, self._lit):
             present = self._seen(watch, lit)
             if branch.trivial or not present.any():
                 continue
             q = branch.grams.shape[1]
-            grams = coef[present] @ branch.grams.reshape(len(branch.grams), -1)
-            values[present] *= branch.p0(grams.reshape(-1, q, q))
+            grams = branch.grams.reshape(len(branch.grams), -1)
+            fixed = cols[:, :-2] @ grams
+            for start in range(0, len(bins), _POINTS):
+                block = slice(start, start + _POINTS)
+                shift = eff * (cols[:, -2:] - cols[:, bins[block]].transpose(1, 0, 2))
+                sums = (fixed + shift @ grams[bins[block]])[present[block]]
+                values[block][present[block]] *= branch.p0(sums.reshape(-1, q, q))
         return values.T
 
     def _covered(self, names) -> np.ndarray:

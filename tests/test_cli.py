@@ -453,6 +453,44 @@ def test_step_evolution_oracle_checks_the_prefixes_it_writes(tmp_path, capsys):
     assert f"over {len(rows)} patterns" in capsys.readouterr().err
 
 
+def test_step_evolution_at_the_papers_24_bins_passes_the_oracle_check(tmp_path, capsys):
+    # the shipped N = 23 config: heralded three-fold after every prefix 1..23
+    config = Path(__file__).resolve().parents[1] / "configs" / "step_evolution_n23.yaml"
+    out = tmp_path / "steps.json"
+    argv = ["simulate", "--config", str(config), "--oracle", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert sorted({row[0] for row in rows}) == list(range(1, 24))
+    assert len(rows) == sum(n * (n + 1) // 2 for n in range(1, 24))
+    assert f"over {len(rows)} patterns" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: at a ~1e-5 herald rate the truncation leak divided by the "
+    "rate exceeds the default 1e-6 tolerance (1.07e-5 TMSV, 9.6e-6 squashed)",
+)
+@pytest.mark.parametrize("pair_source", ["tmsv", "squashed"])
+def test_a_weak_herald_passes_the_default_oracle_check(tmp_path, pair_source):
+    config = write_config(
+        tmp_path,
+        "experiment:\n"
+        "  kind: two-fold\n"
+        "  walk:\n"
+        "    n_steps: 6\n"
+        "  mu_alpha: 0.24\n"
+        "  mu_xi: 1.0e-4\n"
+        "  overlap: 0.897461\n"
+        "  eta_sys: 0.9\n"
+        "  eta_idler: 0.1\n"
+        "  heralded: true\n"
+        f"  pair_source: {pair_source}\n"
+        "oracle_check:\n"
+        "  enabled: true\n",
+    )
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_hom_oracle_checks_every_overlap_it_writes(tmp_path, capsys):
     # the check once covered only the overlaps 0 and `overlap`: 2 of the 11 rows
     out = tmp_path / "hom.json"

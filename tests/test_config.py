@@ -306,7 +306,7 @@ def test_both_loaders_read_every_known_config_alike(monkeypatch):
     # the shipped configs, the tests' inline configs, and the benchmark's
     # 600 stored sweep-small configs, dumped as the benchmark writes them
     shipped = sorted((ROOT / "configs").glob("*.yaml"))
-    assert len(shipped) == 5
+    assert len(shipped) == 6
     for path in shipped:
         c_read, py_read = read_both(path.read_text(encoding="utf-8"))
         assert c_read == py_read, path.name
@@ -327,18 +327,3 @@ def test_both_loaders_read_every_known_config_alike(monkeypatch):
     for variant in variants:
         c_read, py_read = read_both(yaml.safe_dump(variant["config"], sort_keys=True))
         assert c_read == py_read == repr(variant["config"])
-
-
-def test_step_limit_applies_to_step_kind_only():
-    data = {
-        "experiment": {
-            "kind": "step-evolution",
-            "walk": {"n_steps": 12},
-            "step": {"n_max": 12},
-        }
-    }
-    with pytest.raises(ConfigInvalid):
-        RunConfig.from_dict(data)
-    data["experiment"]["kind"] = "one-fold"
-    data["experiment"]["step"]["n_max"] = 12
-    RunConfig.from_dict(data)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,19 +495,112 @@ def test_a_scan_split_at_the_recursion_block_boundary_is_bit_identical(monkeypat
         passes.append(len(g))
         return recursion(g, geom)
 
-    def scored(block):
+    def scored(block, point_block):
         monkeypatch.setattr(fock, "_BLOCK", block)
+        monkeypatch.setattr(fock, "_POINTS", point_block)
         passes.clear()
         oracle = ThresholdOracle(_sources(spec), spec.walk, eta_sys=0.9, eta_idler=0.8)
         return oracle.scan(points, spec.eta_kerr).heralded_prob(scan.clicked), list(passes)
 
     monkeypatch.setattr(fock, "_gamma_blocks", counted)
-    whole, one = scored(fock._BLOCK)
-    split, many = scored(3)
+    block, point_block = fock._BLOCK, fock._POINTS
+    whole, one = scored(block, point_block)
+    split, many = scored(3, point_block)
+    routed, blocked = scored(block, 3)
     # one pass per branch; split, the same coupled blocks in passes of at most 3
     assert len(one) == 2 and len(many) > 4
     assert max(many) == 3 and sum(many) == sum(one)
     assert split.tobytes() == whole.tobytes()
+    # the 6 points routed in two blocks of 3: each block's new coupled blocks in one pass
+    assert len(points) == 6 and len(blocked) > len(one) and sum(blocked) == sum(one)
+    assert routed.tobytes() == whole.tobytes()
+
+
+def column_share_sums(routed, name_sets) -> list:
+    """Per branch, the Gram sum of each (point, set) with a mode there, by
+    the column-share algebra that routing once used, kept as the reference:
+    each watched column at its share (eta on a routed column, 1 - eta on a
+    gated bin's H column, 1 elsewhere), each routed share then folded onto
+    its gate's H column, a dark slot's onto column 0."""
+    bins, eff = routed._gates
+    member = np.array([[name in names for name in APD_NAMES] for names in name_sets])
+    watch = (member[:, :, None] & routed._watch).any(axis=1)
+    share = np.ones((len(bins), watch.shape[1]))
+    share[np.arange(len(bins))[:, None], bins] = 1.0 - eff
+    share[:, -2:] = eff
+    coef = watch * share[:, None, :]
+    coef = coef[..., :-2] + coef[..., -2:] @ (bins[:, :, None] == np.arange(coef.shape[2] - 2))
+    return [
+        np.einsum("pc,cij->pij", coef[routed._seen(watch, lit)], branch.grams)
+        for branch, lit in zip(routed.branches, routed._lit)
+    ]
+
+
+@given(
+    kind=st.sampled_from(sorted(FACTORED_SOURCES)),
+    overlap=st.sampled_from((0.0, 0.7, 1.0)),
+    n_steps=st.integers(min_value=1, max_value=3),
+    efficiency=st.floats(min_value=0.0, max_value=1.0),
+    point_block=st.sampled_from((1, 2, fock._POINTS)),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_routed_gram_sums_match_the_column_share_algebra(
+    kind, overlap, n_steps, efficiency, point_block, data
+):
+    # random plans, some detectors watching a gate's routed share and bins of H
+    # and V at once, at gate points with dark slots, scored in blocks of points
+    bins = n_steps + 1
+    modes = ["idler", "gate1", "gate2"] + [(pol, m) for pol in (Pol.H, Pol.V) for m in range(1, bins + 1)]
+    plan = {name: tuple(data.draw(st.lists(st.sampled_from(modes), unique=True, max_size=4))) for name in APD_NAMES}
+    row = st.tuples(st.integers(0, bins), st.integers(0, bins)).filter(lambda r: r[0] != r[1] or not r[0])
+    points = data.draw(st.lists(row, min_size=1, max_size=6))
+    name_sets = [tuple(s) for s in data.draw(st.lists(st.sets(st.sampled_from(APD_NAMES)), min_size=1, max_size=4))]
+    walk = WalkConfig.uniform(n_steps, omega=0.6, gamma=0.4)
+    oracle = ThresholdOracle(FACTORED_SOURCES[kind](overlap), walk, 0.9, 0.8, detector_labels=plan)
+    routed = oracle.scan(points, efficiency)
+    asked = {id(branch): [] for branch in routed.branches}
+    p0 = fock._Branch.p0
+
+    def recorded(self, grams):
+        asked[id(self)].append(grams)
+        return p0(self, grams)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock._Branch, "p0", recorded)
+        patch.setattr(fock, "_POINTS", point_block)
+        routed._p0(name_sets)
+    for branch, reference in zip(routed.branches, column_share_sums(routed, name_sets)):
+        if branch.trivial:
+            continue
+        got = np.concatenate(asked[id(branch)] or [reference[:0]])
+        assert got.shape == reference.shape
+        assert np.abs(got - reference).max(initial=0.0) <= 1e-15
+
+
+def test_an_n_61_oracle_check_stays_under_48_mib():
+    # routing is O(q^2) per (point, set), in fixed blocks of points, and the
+    # members enter through one density matrix per free occupation, so the
+    # oracle's memory does not grow with the register; a (points x sets x
+    # register columns) coefficient tensor peaked at 126 MiB here
+    spec = ExperimentSpec(
+        walk=WalkConfig.uniform(61),
+        kind="three-fold",
+        heralded=True,
+        mu_alpha=0.24,
+        mu_xi=0.026,
+        overlap=0.897461,
+        eta_kerr=0.97,
+    )
+    tracemalloc.start()
+    try:
+        report = verify_against_oracle(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.comparisons == 1891
+    assert report.max_abs_diff <= 1e-6
+    assert peak < 48 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("inside, clamped", [(-5e-13, 0.0), (1.0 + 5e-13, 1.0)])
@@ -702,13 +796,20 @@ def cutoffs(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "kind, heralded", [("two-fold", True), ("three-fold", True), ("three-fold", False)]
+    "kind, heralded, pair_source",
+    [
+        pytest.param("two-fold", True, "tmsv", id="two-fold-True"),
+        pytest.param("three-fold", True, "tmsv", id="three-fold-True"),
+        pytest.param("three-fold", False, "tmsv", id="three-fold-False"),
+        pytest.param("three-fold", True, "squashed", id="three-fold-True-squashed"),
+    ],
 )
-def test_oracle_agrees_to_1e_12_at_paper_scale(cutoffs, kind, heralded):
+def test_oracle_agrees_to_1e_12_at_paper_scale(cutoffs, kind, heralded, pair_source):
     spec = ExperimentSpec(
         walk=WalkConfig.uniform(23),
         kind=kind,
         heralded=heralded,
+        pair_source=pair_source,
         mu_alpha=0.24,
         mu_xi=0.026,
         overlap=0.897461,
@@ -717,7 +818,7 @@ def test_oracle_agrees_to_1e_12_at_paper_scale(cutoffs, kind, heralded):
         eta_idler=0.8,
     )
     report = verify_against_oracle(spec, PAPER_SCALE)
-    assert cutoffs == [18, 6]
+    assert cutoffs == {"tmsv": [18, 6], "squashed": [12, 6]}[pair_source]
     assert report.comparisons == 276
     assert report.max_abs_diff <= 1e-12
 
