@@ -47,10 +47,12 @@ array of (gate 1 bin, gate 2 bin) rows, 0 for a dark gate, with one
 efficiency for both gates; `check_detectors` and `check_gate_points` alone
 know the rules.
 
-`ClickCalculator` is the dense route: it factors each union's block of one
-full-register state routed at one gate point (`experiments._gate_point`).
-Only scans on registers of up to 7 time bins still use it, since the
-stored references in perfbench/ carry its round-off.
+`ClickCalculator` is the dense route: it factors each union's block of the
+full-register states that `experiments._gate_point` routes at a block of
+gate points, one stacked Cholesky and solve per union and block, and each
+point keeps the round-off it has when scored alone.  Only scans on
+registers of up to 7 time bins still use it, since the stored references
+in perfbench/ carry that round-off.
 """
 
 from __future__ import annotations
@@ -128,117 +130,94 @@ def check_gate_points(slots, bins: int, efficiency: float) -> np.ndarray:
 
 
 class ClickCalculator:
-    """Click-pattern probabilities of one dense state and detector plan.
-
-    `detectors` maps each detector's name to the register modes it
-    watches; its keys are the plan that queries name (`check_detectors`).
-    Caches vacuum-projection values across patterns, which matters when
-    a scan asks for heralded and unheralded variants of the same layout.
+    """Click-pattern probabilities of a stack of dense states, one per gate
+    point of `slots` (rows of `check_gate_points`, by default both gates
+    dark), so each value is an array over the points.  `detectors` maps each
+    detector's name to the register modes it watches; its keys are the plan
+    that queries name (`check_detectors`).  Each union is factored once per
+    stack, and its vacuum-projection values are cached across patterns, as
+    a scan may ask for heralded and unheralded variants of one layout.
     """
 
-    def __init__(self, mean: np.ndarray, cov: np.ndarray, detectors: dict):
-        self.mean = mean
-        self.cov = cov
+    def __init__(self, mean: np.ndarray, cov: np.ndarray, detectors: dict, slots=None):
+        self.mean, self.cov = mean, cov
+        self.slots = np.zeros((len(mean), 2), dtype=int) if slots is None else slots
         self.detectors = {name: frozenset(modes) for name, modes in detectors.items()}
-        self._p0_cache: dict[frozenset, float] = {}
-        self._m_plus = cov + 0.5 * np.eye(len(cov))
+        self._p0_cache: dict[frozenset, np.ndarray] = {}
 
-    def no_click(self, modes) -> float:
-        """P(no photon anywhere in `modes`)."""
+    def no_click(self, modes) -> np.ndarray:
+        """P(no photon anywhere in `modes`) at each point."""
         modes = frozenset(modes)
-        cached = self._p0_cache.get(modes)
-        if cached is not None:
-            return cached
-        value = self._p0_with_factor(modes)[0]
-        self._p0_cache[modes] = value
-        return value
-
-    def _quad(self, modes: frozenset) -> np.ndarray:
-        flat = np.asarray(sorted(modes), dtype=int)
-        return np.ravel(np.column_stack((2 * flat, 2 * flat + 1)))
+        if modes not in self._p0_cache:
+            self._p0_cache[modes] = self._p0_with_factor(modes)[0]
+        return self._p0_cache[modes]
 
     def _p0_with_factor(self, modes: frozenset, injection=None):
         """Vacuum projection on `modes`, plus the one-photon correction factor.
 
         The factor is d/dmu log P0 evaluated at mu = 0 for a thermal
         admixture entering along `injection` (see single_photon); it
-        is only computed when an injection is supplied.
+        is only computed when an injection is supplied.  One stacked
+        Cholesky and solve give each point its one-point result; the vector
+        products stay per point, as BLAS dot and gemv results depend on
+        their operands' layout.
         """
         if not modes:
-            return 1.0, 0.0
-        idx = self._quad(modes)
-        m = self._m_plus[np.ix_(idx, idx)]
-        d = self.mean[idx]
+            return np.ones(len(self.mean)), 0.0
+        idx = (2 * np.array(sorted(modes))[:, None] + (0, 1)).ravel()  # their quadratures
+        m = self.cov[:, idx[:, None], idx] + 0.5 * np.eye(len(idx))
+        d = np.take(self.mean, idx, axis=1)
         try:
             chol = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
-            raise SingularMatrix(
-                f"covariance block on modes {sorted(modes)} is not positive definite"
-            ) from None
-        diag = np.diag(chol)
-        if (diag.max() / diag.min()) ** 2 > _CONDITION_LIMIT:
-            raise NumericalInstability(
-                f"covariance block on modes {sorted(modes)} is too ill-conditioned"
-            )
-        half_logdet = np.log(diag).sum()
-        y = np.linalg.solve(m, d)
-        p0 = float(np.exp(-0.5 * d @ y - half_logdet))
+            message = f"covariance block on modes {sorted(modes)} is not positive definite"
+            raise SingularMatrix(message) from None
+        diag = np.diagonal(chol, axis1=1, axis2=2)
+        if ((diag.max(axis=1) / diag.min(axis=1)) ** 2 > _CONDITION_LIMIT).any():
+            message = f"covariance block on modes {sorted(modes)} is too ill-conditioned"
+            raise NumericalInstability(message)
+        half_logdet = np.log(diag).sum(axis=1)
+        y = np.linalg.solve(m, d[:, :, None])[:, :, 0]
+        p0 = np.exp(np.array([-0.5 * dp @ yp for dp, yp in zip(d, y)]) - half_logdet)
         correction = 0.0
         if injection is not None:
-            v = injection[idx, :]
-            z = np.linalg.solve(m, v)
-            a = v.T @ y
-            correction = 0.5 * float(a @ a) - 0.5 * float(np.trace(v.T @ z))
+            v = np.take(injection, idx, axis=1)
+            trace = np.trace(np.swapaxes(v, 1, 2) @ np.linalg.solve(m, v), axis1=1, axis2=2)
+            a = [vp.T @ yp for vp, yp in zip(v, y)]
+            correction = 0.5 * np.array([ap @ ap for ap in a]) - 0.5 * trace
         return p0, correction
 
-    def _clamp(self, value: float) -> float:
-        if value < 0.0:
-            if value < -_NEGATIVE_CLAMP:
-                raise NumericalInstability(
-                    f"inclusion-exclusion produced {float(value)!r}"
-                )
-            return 0.0
-        if value > 1.0:
-            if value > 1.0 + _NEGATIVE_CLAMP:
-                raise NumericalInstability(
-                    f"inclusion-exclusion produced {float(value)!r}"
-                )
-            return 1.0
-        return value
-
-    def pattern(self, clicked, silent=()) -> float:
+    def pattern(self, clicked, silent=()) -> np.ndarray:
         """P(every detector in `clicked` clicks, none in `silent` does)."""
         query = check_detectors(tuple(self.detectors), clicked, silent)
         return self._inclusion_exclusion(*query, self.no_click)
 
-    def _inclusion_exclusion(self, clicked, silent, term) -> float:
+    def _inclusion_exclusion(self, clicked, silent, term) -> np.ndarray:
         """Signed sum of `term(modes)` over the checked query's detector unions."""
         clicked = [self.detectors[name] for name in clicked]
         if not all(clicked):
-            return 0.0
+            return np.zeros(len(self.mean))
         base: frozenset = frozenset().union(*(self.detectors[name] for name in silent))
-        total = 0.0
-        for r in range(len(clicked) + 1):
-            for subset in itertools.combinations(clicked, r):
-                total += (-1) ** r * term(base.union(*subset))
-        return self._clamp(total)
+        subsets = (s for r in range(len(clicked) + 1) for s in itertools.combinations(clicked, r))
+        total = sum((-1) ** len(s) * term(base.union(*s)) for s in subsets)
+        return _checked(total, self.slots)
 
-    def herald_rate(self) -> float:
+    def herald_rate(self) -> np.ndarray:
         herald = self.detectors.get("APD1")
         if not herald:
             raise ZeroHeraldRate("no idler mode is present to herald on")
         rate = 1.0 - self.no_click(herald)
-        if rate <= 0.0:
+        if (rate <= 0.0).any():
             raise ZeroHeraldRate("herald detector can never click")
         return rate
 
-    def heralded(self, clicked, silent=()) -> float:
+    def heralded(self, clicked, silent=()) -> np.ndarray:
         """The same query conditioned on an APD1 click, which it leaves free."""
         clicked, silent = check_detectors(tuple(self.detectors), clicked, silent, heralded=True)
         rate = self.herald_rate()
         return self._inclusion_exclusion(("APD1",) + clicked, silent, self.no_click) / rate
 
-    def single_photon(self, clicked, injection: np.ndarray, silent=()) -> float:
+    def single_photon(self, clicked, injection: np.ndarray, silent=()) -> np.ndarray:
         """The query's probability with exactly one photon down the injection map.
 
         This is the ideal-herald limit of a pair source: conditioned on
@@ -248,14 +227,13 @@ class ClickCalculator:
         image of the input quadratures, the limit of each
         inclusion-exclusion term is P0 (1 + d/dmu log P0 |_0), which is
         evaluated in closed form; no small-mu cancellation is involved.
+        `injection` holds one (2M x 2) map per point.
         """
         query = check_detectors(tuple(self.detectors), clicked, silent)
-        if injection.shape != (len(self.mean), 2):
-            raise IndexOutOfRange(
-                "injection must map the two input quadratures into the register"
-            )
+        if injection.shape != (*self.mean.shape, 2):
+            raise IndexOutOfRange("injection must map the two input quadratures into the register")
 
-        def term(modes: frozenset) -> float:
+        def term(modes: frozenset) -> np.ndarray:
             p0, correction = self._p0_with_factor(modes, injection)
             return p0 * (1.0 + correction)
 

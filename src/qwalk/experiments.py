@@ -10,8 +10,8 @@ the points.  Everything is scored in closed form from the two inputs'
 walk columns (`_Stage.inputs`, detection.click_probabilities), except the
 scans on registers of up to 7 time bins (_DENSE_MAX_BINS): those keep a
 private dense route (`_Stage.dense`, `_gate_point`) that evolves the full
-register's covariance, so that their values keep the round-off that the
-stored references in perfbench/ hold.
+register's covariance, one stacked pass per block of gate points, with the
+round-off that the stored references in perfbench/ hold.
 
 The mode-overlap between the coherent light and the heralded photon is
 modeled by splitting the coherent amplitude over two internal sectors
@@ -175,7 +175,7 @@ class _Stage:
 
     Holds the run's inputs (`_sources`) and the optics; each form is built
     on first use.  `dense` is the full register, for small scans on the
-    per-point route.  `inputs`, what all else reads, walks the two t1
+    dense route.  `inputs`, what all else reads, walks the two t1
     inputs' columns alone and scales them by the walk's transmission: no
     walk unitary, covariance or register-sized array is formed.
     """
@@ -196,7 +196,8 @@ class _Stage:
         which pushed through are its injection map.  The walk unitary is
         the product of dense steps, not `walk_unitary`, whose round-off
         differs and would move stored values past 1e-9; loss acts on the
-        walk modes, then on the idler."""
+        walk modes, then on the idler.  `_gate_point` routes it at a block
+        of gate points in one stacked pass, keeping each stored value."""
         bins = self.walk.bin_capacity
         idler = flat_index(IDLER, bins)  # the walk modes come first, then the idler if present
         m = idler + self.idler
@@ -210,7 +211,9 @@ class _Stage:
             walk = step_unitary(layer, bins) @ walk
         u = np.eye(m, dtype=complex)
         u[: 2 * bins, : 2 * bins] = u[2 * bins : 4 * bins, 2 * bins : 4 * bins] = walk
-        cov, means = _passive(u, state.cov, [state.mean, *probes.T])
+        s = symplectic_from_unitary(u)
+        cov, means = s @ state.cov @ s.T, [s @ x for x in (state.mean, *probes.T)]
+        cov = 0.5 * (cov + cov.T)
         for eta, first, stop in ((self.eta_walk, 0, idler), (self.eta_idler, idler, m)):
             if eta < 1.0 and first < stop:
                 scale = np.ones(2 * m)
@@ -242,12 +245,15 @@ class _Stage:
 
 
 # Registers of up to 7 time bins (walks of up to 6 steps by default) are
-# scanned point by point on the dense route.  Their values then stay
-# bit-identical to earlier releases and to the stored references in
-# perfbench/, which carry that route's round-off: up to 1e-8 on tiny
-# normalized three-fold rates, and a whole normalized distribution built
-# from round-off on one-step coincidence scans that are exactly zero.
+# scanned on the dense route, one stacked pass per block of gate points that
+# takes each point's own products.  Their values then stay bit-identical to
+# earlier releases and to the stored references in perfbench/, which carry
+# that route's round-off: up to 1e-8 on tiny normalized three-fold rates, and
+# a whole normalized distribution built from round-off on one-step coincidence
+# scans that are exactly zero.
 _DENSE_MAX_BINS = 7
+# gate points per stacked dense pass: a 7-bin scan's stacks stay near 1 MiB
+_DENSE_BLOCK = 8
 
 
 def _stage(spec: ExperimentSpec) -> _Stage:
@@ -255,48 +261,62 @@ def _stage(spec: ExperimentSpec) -> _Stage:
     return _Stage(spec.walk, _sources(spec), eta_walk, spec.eta_idler)
 
 
-def _passive(u: np.ndarray, cov: np.ndarray, means) -> tuple:
-    """A passive map u on a dense covariance and on mean vectors."""
-    s = symplectic_from_unitary(u)
-    cov = s @ cov @ s.T
-    return 0.5 * (cov + cov.T), [s @ x for x in means]
+def _route(cov: np.ndarray, means: np.ndarray, taps, efficiency: float, bins: int) -> tuple:
+    """The stacked states `cov` (states x 2M x 2M) and `means` (states x
+    vectors x 2M), or their one state, gated on each bin of `taps`: per
+    sector a fresh vacuum mode takes `efficiency` of the bin's (H, t_m) mode
+    by a beam splitter, by the products of one state alone (two gemms, and
+    one gemv per mean vector), so each keeps its round-off."""
+    r, t, each = np.sqrt(efficiency), np.sqrt(1.0 - efficiency), np.arange(len(taps))
+    for sector in (0, 1):
+        new = cov.shape[-1] // 2
+        tap = [flat_index(ModeIndex(Pol.H, int(b), sector), bins) for b in taps]
+        u = np.repeat(np.eye(new + 1, dtype=complex)[None], len(taps), axis=0)
+        u[each, new, tap], u[each, new, new], u[each, tap, tap], u[each, tap, new] = r, t, t, -r
+        s = symplectic_from_unitary(u)
+        grown = np.zeros((len(taps), 2 * new + 2, 2 * new + 2))
+        padded = np.zeros((len(taps), means.shape[1], 2 * new + 2))
+        grown[:, :-2, :-2], grown[:, [-2, -1], [-2, -1]], padded[..., :-2] = cov, 0.5, means
+        del u, cov  # each sector holds at most three stacks of its size
+        cov, means = s @ grown, (s[:, None] @ padded[..., None])[..., 0]
+        np.matmul(cov, np.swapaxes(s, 1, 2), out=grown)
+        np.add(grown, np.swapaxes(grown, 1, 2), out=cov)
+        cov *= 0.5
+        del s, grown
+    return cov, means
 
 
 def _gate_point(stage: _Stage, slots, efficiency: float) -> tuple:
-    """The dense route at the gate point `slots`, one (gate 1 bin, gate 2
-    bin) row of detection.check_gate_points: a ClickCalculator, and the
-    ideal-herald photon's injection map (None without that photon).
+    """The dense route at a block of gate points `slots`, rows of
+    detection.check_gate_points that all light the same gates: one
+    ClickCalculator over the stack of the points' routed states, and the
+    ideal-herald photon's injection maps (None without that photon).
 
-    Each lit gate adds one vacuum routing mode per sector and couples it
-    to its bin's (H, t_m) mode by a beam splitter of reflectivity
-    `efficiency`.
+    Each lit gate adds one vacuum routing mode per sector and couples it to
+    its bin's (H, t_m) mode by a beam splitter of reflectivity `efficiency`
+    (`_route`); gate 1 is routed once per distinct bin of the block.
     """
     bins = stage.walk.bin_capacity
-    (point,) = check_gate_points([slots], bins, efficiency).tolist()
+    points = check_gate_points(slots, bins, efficiency)
     mean, cov, probes = stage.dense
-    means = [mean, *probes]
-    routing = ([], [])
-    r, t = np.sqrt(efficiency), np.sqrt(1.0 - efficiency)
-    for k, b in enumerate(point):
-        if not b:
-            continue
-        for sector in (0, 1):
-            tap = flat_index(ModeIndex(Pol.H, b, sector), bins)
-            new = len(cov) // 2
-            grown = 0.5 * np.eye(len(cov) + 2)
-            grown[:-2, :-2] = cov
-            u = np.eye(new + 1, dtype=complex)
-            u[new, tap], u[new, new], u[tap, tap], u[tap, new] = r, t, t, -r
-            cov, means = _passive(u, grown, [np.append(x, (0.0, 0.0)) for x in means])
-            routing[k].append(new)
+    cov, means = cov[None], np.vstack((mean, *probes))[None]
+    at = np.zeros(len(points), dtype=int)  # the state of the stack that each point reads
+    one, two = points.T
+    if one.any():
+        taps, at = np.unique(one, return_inverse=True)
+        cov, means = _route(cov, means, taps, efficiency, bins)
+    if two.any():
+        cov, means = _route(cov[at], means[at], two, efficiency, bins)
+        at = slice(None)
+    before, after = len(mean) // 2, cov.shape[-1] // 2  # modes before and after routing
     detectors = {
         "APD1": (flat_index(IDLER, bins),) if stage.idler else (),
         "APD2": [flat_index(ModeIndex(Pol.H, m, s), bins) for s in (0, 1) for m in range(1, bins + 1)],
-        "APD3": routing[0],
-        "APD4": routing[1],
+        "APD3": range(before, before + 2) if one.any() else (),
+        "APD4": range(after - 2, after) if two.any() else (),
     }
-    injection = np.column_stack(means[1:]) if probes else None
-    return ClickCalculator(means[0], cov, detectors), injection
+    injection = np.swapaxes(means[at, 1:], 1, 2) if probes else None
+    return ClickCalculator(means[at, 0], cov[at], detectors, points), injection
 
 
 @dataclass(frozen=True)
@@ -329,16 +349,16 @@ _SCANS = {
 }
 
 def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list:
-    raw = []
-    for slots in scan.slots(labels):
-        calc, injection = _gate_point(stage, slots, spec.eta_kerr)
-        if spec.ideal_herald:
-            raw.append(calc.single_photon(scan.clicked, injection))
-        elif spec.heralded:
-            raw.append(calc.heralded(scan.clicked))
-        else:
-            raw.append(calc.pattern(scan.clicked))
-    return raw
+    slots = scan.slots(labels)
+    blocks = (slots[start : start + _DENSE_BLOCK] for start in range(0, len(slots), _DENSE_BLOCK))
+    return [p for block in blocks for p in _dense_block(scan, spec, stage, block)]
+
+
+def _dense_block(scan: _Scan, spec: ExperimentSpec, stage: _Stage, slots) -> np.ndarray:
+    calc, injection = _gate_point(stage, slots, spec.eta_kerr)
+    if spec.ideal_herald:
+        return calc.single_photon(scan.clicked, injection)
+    return (calc.heralded if spec.heralded else calc.pattern)(scan.clicked)
 
 
 def _batched_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> np.ndarray:

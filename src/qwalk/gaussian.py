@@ -10,9 +10,10 @@ Conventions (fixed across the package):
   the orthogonal symplectic S = [[Re U, -Im U], [Im U, Re U]] written in
   the interleaved ordering: mean -> S mean, cov -> S cov S^T.
 
-`prepare` builds the input state, `symplectic_from_unitary` gives S.  Only
-the dense route for short scans (`experiments._Stage.dense`) evolves a
-full register; every other computation reads the walk's input columns.
+`prepare` builds the input state, `symplectic_from_unitary` gives S (of one
+unitary or of each of a stack).  Only the dense route for short scans
+(`experiments._Stage.dense`) evolves a full register, one stack per block of
+gate points with each point's round-off; all else reads the walk's columns.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ PAIR_KINDS = ("tmsv", "squashed")
 
 
 def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic action of a passive mode unitary."""
+    """Orthogonal symplectic action of a passive mode unitary, or of each of a stack."""
     u = np.asarray(u)
-    n, k = u.shape
-    s = np.empty((2 * n, 2 * k))
-    s[0::2, 0::2] = u.real
-    s[0::2, 1::2] = -u.imag
-    s[1::2, 0::2] = u.imag
-    s[1::2, 1::2] = u.real
+    *stack, n, k = u.shape
+    s = np.empty((*stack, 2 * n, 2 * k))
+    s[..., 0::2, 0::2] = u.real
+    s[..., 0::2, 1::2] = -u.imag
+    s[..., 1::2, 0::2] = u.imag
+    s[..., 1::2, 1::2] = u.real
     return s
 
 

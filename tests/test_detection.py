@@ -42,41 +42,47 @@ V1 = ModeIndex(Pol.V, 1, 0)
 
 def routed(sources, slots=(0, 0), bins=1, efficiency=0.97):
     """The dense route's ClickCalculator at one gate point behind a walk of
-    no steps, so the sources reach the gates as they are."""
+    no steps, so the sources reach the gates as they are; its values are
+    arrays of one."""
     stage = _Stage(WalkConfig(0, (), bins), tuple(sources), 1.0, 1.0)
-    return _gate_point(stage, slots, efficiency)[0]
+    return _gate_point(stage, [slots], efficiency)[0]
+
+
+def one_state(state, detectors):
+    """A ClickCalculator over a stack of the one state `state`."""
+    return ClickCalculator(state.mean[None], state.cov[None], detectors)
 
 
 def mean_photons(calc):
-    """Expected photon number per mode of the calculator's state."""
-    return 0.5 * (np.diag(calc.cov) + calc.mean**2).reshape(-1, 2).sum(axis=1) - 0.5
+    """Expected photon number per mode of the calculator's one state."""
+    return 0.5 * (np.diag(calc.cov[0]) + calc.mean[0] ** 2).reshape(-1, 2).sum(axis=1) - 0.5
 
 
 def test_coherent_no_click_probability():
     # exp(-0.1)
     state = prepare((SourceSpec("coherent", H1, 0.1),), bins=1)
     i = flat_index(H1, state.bins)
-    calc = ClickCalculator(state.mean, state.cov, {"APD1": {i}})
-    assert calc.no_click({i}) == pytest.approx(0.9048374180359595, abs=1e-14)
+    calc = one_state(state, {"APD1": {i}})
+    assert calc.no_click({i}) == pytest.approx([0.9048374180359595], abs=1e-14)
 
 
 def test_thermal_no_click_probability():
     # the unheralded TMSV signal is thermal: 1/(1 + mu)
     state = prepare((SourceSpec("tmsv", H1, 0.026),), bins=1)
     i = flat_index(H1, state.bins)
-    calc = ClickCalculator(state.mean, state.cov, {"APD1": {i}})
-    assert calc.no_click({i}) == pytest.approx(1.0 / 1.026, abs=1e-14)
+    calc = one_state(state, {"APD1": {i}})
+    assert calc.no_click({i}) == pytest.approx([1.0 / 1.026], abs=1e-14)
 
 
 def test_no_click_on_empty_set_is_one():
     state = prepare((SourceSpec("coherent", H1, 0.5),), bins=1)
-    assert ClickCalculator(state.mean, state.cov, {"APD1": ()}).no_click(()) == 1.0
+    assert one_state(state, {"APD1": ()}).no_click(()).tolist() == [1.0]
 
 
 def test_tmsv_herald_rate():
     # 1 - 1/(1 + mu) = mu/(1 + mu)
     calc = routed((SourceSpec("tmsv", H1, 0.026),))
-    assert calc.herald_rate() == pytest.approx(0.025341130604288498, abs=1e-15)
+    assert calc.herald_rate() == pytest.approx([0.025341130604288498], abs=1e-15)
 
 
 def test_herald_needs_an_idler():
@@ -146,8 +152,8 @@ def test_disabled_gate_is_skipped():
 
 def test_pattern_on_empty_detector_is_zero():
     calc = routed((SourceSpec("coherent", H1, 0.1),))
-    assert calc.pattern(("APD3",)) == 0.0
-    assert calc.pattern((), ("APD3",)) == pytest.approx(1.0)
+    assert calc.pattern(("APD3",)).tolist() == [0.0]
+    assert calc.pattern((), ("APD3",)) == pytest.approx([1.0])
 
 
 def test_probability_depends_on_mode_set_not_order():
@@ -156,8 +162,8 @@ def test_probability_depends_on_mode_set_not_order():
         bins=1,
     )
     a, b = flat_index(H1, state.bins), flat_index(V1, state.bins)
-    fwd = ClickCalculator(state.mean, state.cov, {"APD1": {a}, "APD2": {b}})
-    rev = ClickCalculator(state.mean, state.cov, {"APD1": {b}, "APD2": {a}})
+    fwd = one_state(state, {"APD1": {a}, "APD2": {b}})
+    rev = one_state(state, {"APD1": {b}, "APD2": {a}})
     p_fwd = fwd.pattern(("APD1",), ("APD2",))
     p_rev = rev.pattern(("APD2",), ("APD1",))
     assert p_fwd == pytest.approx(p_rev, rel=1e-13)
@@ -182,8 +188,8 @@ def test_single_photon_splits_at_a_balanced_coupler():
     u = np.eye(4, dtype=complex)
     u[np.ix_((0, 2), (0, 2))] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     s = symplectic_from_unitary(u)
-    injection = s[:, [0, 1]]  # unit x and p probes entering mode 0
-    calc = ClickCalculator(np.zeros(8), 0.5 * np.eye(8), {"APD1": {0}, "APD2": {2}})
+    injection = s[None, :, [0, 1]]  # unit x and p probes entering mode 0
+    calc = ClickCalculator(np.zeros((1, 8)), 0.5 * np.eye(8)[None], {"APD1": {0}, "APD2": {2}})
     p_a = calc.single_photon(("APD1",), injection)
     p_b = calc.single_photon(("APD2",), injection)
     p_none = calc.single_photon((), injection, ("APD1", "APD2"))
@@ -195,10 +201,10 @@ def test_single_photon_splits_at_a_balanced_coupler():
 
 
 def test_single_photon_into_a_watched_mode_always_clicks():
-    injection = np.zeros((8, 2))
-    injection[0, 0] = 1.0
-    injection[1, 1] = 1.0
-    calc = ClickCalculator(np.zeros(8), 0.5 * np.eye(8), {"APD1": {0}})
+    injection = np.zeros((1, 8, 2))
+    injection[0, 0, 0] = 1.0
+    injection[0, 1, 1] = 1.0
+    calc = ClickCalculator(np.zeros((1, 8)), 0.5 * np.eye(8)[None], {"APD1": {0}})
     assert calc.single_photon(("APD1",), injection) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -345,8 +351,8 @@ def dense_one_fold(mu: float) -> float:
     cov = 0.5 * np.eye(8)
     cov[:2, :2] += mu * np.eye(2)
     stage.dense = np.zeros(8), cov, ()
-    calc, _ = _gate_point(stage, (0, 1), 1.0)
-    return calc.pattern(("APD4",))
+    calc, _ = _gate_point(stage, [(0, 1)], 1.0)
+    return calc.pattern(("APD4",))[0]
 
 
 @pytest.mark.parametrize(
@@ -363,12 +369,17 @@ def test_scan_refusals_match_the_dense_route(mu, error, message):
         dense_one_fold(mu)
 
 
-def test_scan_refuses_a_nan_total_at_its_gate_point():
+def test_scan_refuses_a_nan_total_at_its_gate_point(monkeypatch):
     # mu < 0 never passes ExperimentSpec; straight into WalkInputs, the pair
     # term log1p(-2) is NaN, which no comparison with the bounds can catch
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalInstability, match="produced nan at .* bins 1"):
             scan_patterns(pair_inputs(-2.0), [(0, 1)], 1.0, ("APD4",))
+    # the dense route refuses it with the same check
+    calc = routed((SourceSpec("coherent", H1, 0.1),), (0, 1))
+    monkeypatch.setattr(calc, "no_click", lambda modes: np.full(1, np.nan if modes else 1.0))
+    with pytest.raises(NumericalInstability, match="produced nan at .* bins 1"):
+        calc.pattern(("APD4",))
 
 
 @pytest.mark.parametrize(
@@ -377,10 +388,11 @@ def test_scan_refuses_a_nan_total_at_its_gate_point():
     ids=["1.000000000002", "-2e-12"],
 )
 def test_refusals_show_the_total_at_full_precision(monkeypatch, total, shown):
-    # at three digits a total of 1 + 2e-12 would read 1.000e+00
-    calc = routed((SourceSpec("coherent", H1, 0.1),))
-    monkeypatch.setattr(calc, "no_click", lambda modes: 0.0 if modes else total)
-    with pytest.raises(NumericalInstability, match=f"produced {shown}$"):
+    # at three digits a total of 1 + 2e-12 would read 1.000e+00; both routes
+    # refuse with one check, which names the gate point
+    calc = routed((SourceSpec("coherent", H1, 0.1),), (0, 2), bins=2)
+    monkeypatch.setattr(calc, "no_click", lambda modes: np.full(1, 0.0 if modes else total))
+    with pytest.raises(NumericalInstability, match=f"produced {shown} at .* bins 2"):
         calc.pattern(("APD2",))
     with pytest.raises(NumericalInstability, match=f"produced {shown} at .* bins 2"):
         _checked(np.array([0.5, total]), np.array([[0, 1], [0, 2]]))

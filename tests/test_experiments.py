@@ -18,6 +18,7 @@ from qwalk.experiments import (
     ExperimentSpec,
     _SCANS,
     _batched_raw,
+    _dense_block,
     _dense_raw,
     _sources,
     _stage,
@@ -220,8 +221,8 @@ def dense_hom(spec, overlap):
         "APD3": (),
         "APD4": arm(Pol.H, 1),
     }
-    calc = ClickCalculator(mean, cov, detectors)
-    return calc.pattern(("APD1", "APD2", "APD4"))
+    calc = ClickCalculator(mean[None], cov[None], detectors)
+    return calc.pattern(("APD1", "APD2", "APD4"))[0]
 
 
 @given(
@@ -566,12 +567,13 @@ def test_run_experiment_dispatch():
         )
 
 
-# -- batched scans against the dense per-point route --------------------------
+# -- batched scans against the dense route -----------------------------------
 
 
 def dense_scan(spec):
-    """Raw values of the scan from `_gate_point` + ClickCalculator, point by point,
-    at any walk length: the independent Gaussian reference of the batched route."""
+    """Raw values of the scan from `_gate_point` + ClickCalculator, a block of
+    gate points at a time, at any walk length: the independent Gaussian
+    reference of the batched route."""
     scan = _SCANS[spec.kind]
     return _dense_raw(scan, spec, _stage(spec), scan.labels(spec.walk.n_steps))
 
@@ -638,13 +640,41 @@ def test_batched_scans_match_the_dense_route():
 
 
 def test_scans_pick_their_route_by_register_size():
-    # up to 7 time bins point by point on the dense route, from 8 batched
+    # up to 7 time bins on the dense route, from 8 batched
     rng = np.random.default_rng(5)
     for n, kind in itertools.product((6, 7), SCAN_KINDS):
         spec = ExperimentSpec(walk=random_walk(rng, n), kind=kind, mu_alpha=0.3, overlap=0.6)
         raw = run_experiment(spec).raw
         assert raw == tuple((batched_scan if n == 7 else dense_scan)(spec))
         assert np.allclose(raw, dense_scan(spec), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("herald", ("tmsv", "squashed", "unheralded", "ideal"))
+def test_stacked_dense_blocks_keep_every_value_to_the_bit(herald):
+    # the dense route scores a block of gate points as one stack; each value
+    # must be the one its point gets when routed and scored alone, on scans
+    # shorter and longer than one block
+    rng = np.random.default_rng(29)
+    longest = 0
+    for n, kind in itertools.product(range(1, 7), SCAN_KINDS):
+        spec = ExperimentSpec(
+            walk=random_walk(rng, n),
+            kind=kind,
+            mu_alpha=0.3,
+            overlap=0.6,
+            eta_sys=0.9,
+            eta_idler=0.8,
+            heralded=herald != "unheralded",
+            pair_source="squashed" if herald == "squashed" else "tmsv",
+            ideal_herald=herald == "ideal",
+        )
+        scan, stage, labels = _SCANS[kind], _stage(spec), _SCANS[kind].labels(n)
+        alone = [_dense_block(scan, spec, stage, [point])[0] for point in scan.slots(labels)]
+        stacked = _dense_raw(scan, spec, stage, labels)
+        assert stacked == alone
+        assert np.array(stacked).tobytes() == np.array(alone).tobytes()  # signed zeros too
+        longest = max(longest, len(alone))
+    assert longest > experiments._DENSE_BLOCK
 
 
 def test_a_gate_on_a_dark_bin_gives_exactly_zero_on_the_batched_route(monkeypatch):

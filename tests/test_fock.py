@@ -26,7 +26,7 @@ from qwalk.fock import (
     _ensemble,
     _gamma_blocks,
 )
-from qwalk.experiments import _SCANS, ExperimentSpec, _sources, verify_against_oracle
+from qwalk.experiments import _SCANS, ExperimentSpec, _sources, run_experiment, verify_against_oracle
 from qwalk.gaussian import SourceSpec
 from qwalk.modes import IDLER, ModeIndex, Pol
 from qwalk.walk import LayerParams, WalkConfig
@@ -603,6 +603,30 @@ def test_an_n_61_oracle_check_stays_under_48_mib():
     assert peak < 48 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("kind", ("one-fold", "two-fold", "three-fold"))
+def test_n_6_dense_scans_stay_under_2_mib(kind):
+    # the dense route stacks one block of gate points at a time, so its memory
+    # does not grow with the scan; a stack of all 21 points peaked at 2.6 MiB
+    for herald in ("heralded", "unheralded", "ideal"):
+        spec = ExperimentSpec(
+            walk=WalkConfig.uniform(6),
+            kind=kind,
+            mu_alpha=0.3,
+            overlap=0.6,
+            eta_sys=0.9,
+            heralded=herald != "unheralded",
+            ideal_herald=herald == "ideal",
+        )
+        run_experiment(spec)  # imports and module caches stay out of the peak
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"{herald}: {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("inside, clamped", [(-5e-13, 0.0), (1.0 + 5e-13, 1.0)])
 def test_oracle_clamps_round_off_within_tolerance(monkeypatch, inside, clamped):
     oracle = lone_photon_oracle(monkeypatch, inside)
@@ -704,9 +728,9 @@ def test_oracle_matches_gaussian_route_spot_check():
         walk=walk, kind="two-fold", mu_alpha=0.2, mu_xi=0.026, overlap=0.6
     )
     stage = exp._stage(spec)
-    calc, _ = exp._gate_point(stage, slots, 0.97)
+    calc, _ = exp._gate_point(stage, [slots], 0.97)
     pattern = ("APD1", "APD3", "APD4")
-    gaussian_value = calc.pattern(pattern)
+    gaussian_value = calc.pattern(pattern)[0]
     oracle = ThresholdOracle(sources, walk).scan([slots], 0.97)
     assert oracle.pattern_prob(pattern)[0] == pytest.approx(
         gaussian_value, abs=5e-9

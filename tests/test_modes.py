@@ -52,7 +52,7 @@ def test_gates_beyond_the_register_are_refused():
     with pytest.raises(IndexOutOfRange):
         scan_patterns(inputs, [(1, 3)], 0.97, ("APD3", "APD4"))
     with pytest.raises(IndexOutOfRange):
-        _gate_point(_Stage(WalkConfig(1), (source,), 1.0, 1.0), (3, 0), 0.97)
+        _gate_point(_Stage(WalkConfig(1), (source,), 1.0, 1.0), [(3, 0)], 0.97)
     with pytest.raises(IndexOutOfRange):
         ThresholdOracle((source,), WalkConfig(1)).scan([(1, 3)], 0.97)
 
