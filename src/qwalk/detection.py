@@ -21,10 +21,10 @@ to S, that probability is
 and click patterns follow by inclusion-exclusion over the clicking
 detectors.
 
-Two routes evaluate it.  In closed form, `click_probabilities` evaluates
-any detector plan and `scan_patterns` every gate point of a scan at once.
-After a passive walk only two inputs reach the detectors, the (H, t1)
-signal and the (V, t1) coherent light.  A detector union that collects a
+In closed form, `click_probabilities` evaluates any detector plan and
+`scan_patterns` every gate point of a scan at once.  After a passive walk
+only two inputs reach the detectors, the (H, t1) signal and the (V, t1)
+coherent light.  A detector union that collects a
 share w_j of each walk output j sees the signal's share
 a = sum_j w_j |u_j|^2 (its Gram block is a I_2), the coherent photons
 e = sum_j w_j |beta_j|^2, their overlap
@@ -41,18 +41,10 @@ APD2, every H output that no gate routes, (1, -1, -1).  So all of a scan's
 unions are scored as one stacked (unions x points) pass per block of points.
 
 Every route takes a query as the tuple of names of the detectors that must
-click (the dense route and the Fock oracle also take those that must stay
-silent; the others are marginal), and gate points as one (points x 2)
-array of (gate 1 bin, gate 2 bin) rows, 0 for a dark gate, with one
-efficiency for both gates; `check_detectors` and `check_gate_points` alone
-know the rules.
-
-`ClickCalculator` is the dense route: it factors each union's block of the
-full-register states that `experiments._gate_point` routes at a block of
-gate points, one stacked Cholesky and solve per union and block, and each
-point keeps the round-off it has when scored alone.  Only scans on
-registers of up to 7 time bins still use it, since the stored references
-in perfbench/ carry that round-off.
+click (the Fock oracle also takes those that must stay silent; the others
+are marginal), and gate points as one (points x 2) array of (gate 1 bin,
+gate 2 bin) rows, 0 for a dark gate, with one efficiency for both gates;
+`check_detectors` and `check_gate_points` alone know the rules.
 """
 
 from __future__ import annotations
@@ -68,14 +60,12 @@ from .errors import (
     EtaOutOfRange,
     IndexOutOfRange,
     NumericalInstability,
-    SingularMatrix,
     ZeroHeraldRate,
 )
 
 __all__ = [
     "check_detectors",
     "check_gate_points",
-    "ClickCalculator",
     "WalkInputs",
     "scan_patterns",
     "click_probabilities",
@@ -85,7 +75,6 @@ __all__ = [
 APD_NAMES = ("APD1", "APD2", "APD3", "APD4")
 
 _NEGATIVE_CLAMP = 1e-12
-_CONDITION_LIMIT = 1e12
 # gate points per stacked pass, so the (unions x points) arrays stay small at any N
 _BLOCK = 4096
 
@@ -129,117 +118,6 @@ def check_gate_points(slots, bins: int, efficiency: float) -> np.ndarray:
     return points
 
 
-class ClickCalculator:
-    """Click-pattern probabilities of a stack of dense states, one per gate
-    point of `slots` (rows of `check_gate_points`, by default both gates
-    dark), so each value is an array over the points.  `detectors` maps each
-    detector's name to the register modes it watches; its keys are the plan
-    that queries name (`check_detectors`).  Each union is factored once per
-    stack, and its vacuum-projection values are cached across patterns, as
-    a scan may ask for heralded and unheralded variants of one layout.
-    """
-
-    def __init__(self, mean: np.ndarray, cov: np.ndarray, detectors: dict, slots=None):
-        self.mean, self.cov = mean, cov
-        self.slots = np.zeros((len(mean), 2), dtype=int) if slots is None else slots
-        self.detectors = {name: frozenset(modes) for name, modes in detectors.items()}
-        self._p0_cache: dict[frozenset, np.ndarray] = {}
-
-    def no_click(self, modes) -> np.ndarray:
-        """P(no photon anywhere in `modes`) at each point."""
-        modes = frozenset(modes)
-        if modes not in self._p0_cache:
-            self._p0_cache[modes] = self._p0_with_factor(modes)[0]
-        return self._p0_cache[modes]
-
-    def _p0_with_factor(self, modes: frozenset, injection=None):
-        """Vacuum projection on `modes`, plus the one-photon correction factor.
-
-        The factor is d/dmu log P0 evaluated at mu = 0 for a thermal
-        admixture entering along `injection` (see single_photon); it
-        is only computed when an injection is supplied.  One stacked
-        Cholesky and solve give each point its one-point result; the vector
-        products stay per point, as BLAS dot and gemv results depend on
-        their operands' layout.
-        """
-        if not modes:
-            return np.ones(len(self.mean)), 0.0
-        idx = (2 * np.array(sorted(modes))[:, None] + (0, 1)).ravel()  # their quadratures
-        m = self.cov[:, idx[:, None], idx] + 0.5 * np.eye(len(idx))
-        d = np.take(self.mean, idx, axis=1)
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            message = f"covariance block on modes {sorted(modes)} is not positive definite"
-            raise SingularMatrix(message) from None
-        diag = np.diagonal(chol, axis1=1, axis2=2)
-        if ((diag.max(axis=1) / diag.min(axis=1)) ** 2 > _CONDITION_LIMIT).any():
-            message = f"covariance block on modes {sorted(modes)} is too ill-conditioned"
-            raise NumericalInstability(message)
-        half_logdet = np.log(diag).sum(axis=1)
-        y = np.linalg.solve(m, d[:, :, None])[:, :, 0]
-        p0 = np.exp(np.array([-0.5 * dp @ yp for dp, yp in zip(d, y)]) - half_logdet)
-        correction = 0.0
-        if injection is not None:
-            v = np.take(injection, idx, axis=1)
-            trace = np.trace(np.swapaxes(v, 1, 2) @ np.linalg.solve(m, v), axis1=1, axis2=2)
-            a = [vp.T @ yp for vp, yp in zip(v, y)]
-            correction = 0.5 * np.array([ap @ ap for ap in a]) - 0.5 * trace
-        return p0, correction
-
-    def pattern(self, clicked, silent=()) -> np.ndarray:
-        """P(every detector in `clicked` clicks, none in `silent` does)."""
-        query = check_detectors(tuple(self.detectors), clicked, silent)
-        return self._inclusion_exclusion(*query, self.no_click)
-
-    def _inclusion_exclusion(self, clicked, silent, term) -> np.ndarray:
-        """Signed sum of `term(modes)` over the checked query's detector unions."""
-        clicked = [self.detectors[name] for name in clicked]
-        if not all(clicked):
-            return np.zeros(len(self.mean))
-        base: frozenset = frozenset().union(*(self.detectors[name] for name in silent))
-        subsets = (s for r in range(len(clicked) + 1) for s in itertools.combinations(clicked, r))
-        total = sum((-1) ** len(s) * term(base.union(*s)) for s in subsets)
-        return _checked(total, self.slots)
-
-    def herald_rate(self) -> np.ndarray:
-        herald = self.detectors.get("APD1")
-        if not herald:
-            raise ZeroHeraldRate("no idler mode is present to herald on")
-        rate = 1.0 - self.no_click(herald)
-        if (rate <= 0.0).any():
-            raise ZeroHeraldRate("herald detector can never click")
-        return rate
-
-    def heralded(self, clicked, silent=()) -> np.ndarray:
-        """The same query conditioned on an APD1 click, which it leaves free."""
-        clicked, silent = check_detectors(tuple(self.detectors), clicked, silent, heralded=True)
-        rate = self.herald_rate()
-        return self._inclusion_exclusion(("APD1",) + clicked, silent, self.no_click) / rate
-
-    def single_photon(self, clicked, injection: np.ndarray, silent=()) -> np.ndarray:
-        """The query's probability with exactly one photon down the injection map.
-
-        This is the ideal-herald limit of a pair source: conditioned on
-        a herald click as the pair emission rate goes to zero, precisely
-        one photon enters the pipeline.  Writing the signal's thermal
-        admixture as sigma(mu) = sigma + mu V V^T with V the pipeline
-        image of the input quadratures, the limit of each
-        inclusion-exclusion term is P0 (1 + d/dmu log P0 |_0), which is
-        evaluated in closed form; no small-mu cancellation is involved.
-        `injection` holds one (2M x 2) map per point.
-        """
-        query = check_detectors(tuple(self.detectors), clicked, silent)
-        if injection.shape != (*self.mean.shape, 2):
-            raise IndexOutOfRange("injection must map the two input quadratures into the register")
-
-        def term(modes: frozenset) -> np.ndarray:
-            p0, correction = self._p0_with_factor(modes, injection)
-            return p0 * (1.0 + correction)
-
-        return self._inclusion_exclusion(*query, term)
-
-
 @dataclass(frozen=True)
 class WalkInputs:
     """The run's two t1 inputs as the walk outputs receive them, after loss.
@@ -272,8 +150,8 @@ def _p0_excess(inputs: WalkInputs, a, z, e, h) -> np.ndarray:
     delta = mu (a + h - a h) and kappa = mu (1 - h) / (1 + delta) for the
     TMSV, delta = mu (a + h) and kappa = mu / (1 + delta) for the squashed
     source (Quesada, Arrazola & Killoran, PRA 98, 062322 (2018)).  One
-    photon gives P0 = e^-e (1 - a + |z|^2), the ideal-herald term of
-    ClickCalculator.single_photon.  Returning the excess over 1 (via
+    photon gives P0 = e^-e (1 - a + |z|^2), the ideal-herald limit of a
+    pair as its gain goes to 0.  Returning the excess over 1 (via
     expm1 and log1p) keeps small click probabilities to full relative
     precision: inclusion-exclusion signs sum to zero, so the 1s cancel.
     """
@@ -291,19 +169,16 @@ def _p0_excess(inputs: WalkInputs, a, z, e, h) -> np.ndarray:
     return np.expm1(-e + kappa * z2 - np.log1p(delta))
 
 
-def _gate_point_name(slots) -> str:
-    bins = ", ".join(str(int(b)) for b in slots if b)
-    return "the gate point with " + (f"gates on bins {bins}" if bins else "both gates dark")
-
-
 def _checked(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Clamp inclusion-exclusion round-off into [0, 1]; refuse anything further out, or NaN."""
+    """Clamp inclusion-exclusion round-off into [0, 1]; refuse anything further out, or NaN,
+    naming the first such gate point of `slots`."""
     bad = np.flatnonzero(~((values >= -_NEGATIVE_CLAMP) & (values <= 1.0 + _NEGATIVE_CLAMP)))
     if bad.size:
         p = bad[0]
+        bins = ", ".join(str(int(b)) for b in slots[p] if b)
         raise NumericalInstability(
-            f"inclusion-exclusion produced {float(values[p])!r} at "
-            f"{_gate_point_name(slots[p])}"
+            f"inclusion-exclusion produced {float(values[p])!r} at the gate point with "
+            + (f"gates on bins {bins}" if bins else "both gates dark")
         )
     return np.clip(values, 0.0, 1.0)
 
@@ -326,15 +201,14 @@ def scan_patterns(
     dark gate; both gates route with `efficiency`.  `clicked` is the tuple
     of the names of the detectors that must click (`check_detectors`), the
     others are marginal.  With `heralded` the values are conditioned on an
-    APD1 click.  With an ideal-herald photon as the signal, the values are
-    those of ClickCalculator.single_photon.
+    APD1 click.  With an ideal-herald photon as the signal, they are those
+    of exactly one photon entering the walk.
 
     APD3 and APD4 collect `efficiency` of their bin's H outputs in both
     sectors, APD2 the H totals minus those shares, APD1 the idler: the
     rows `_SCAN_ROWS`, whose basis each block of points gathers from three
-    per-bin sums.  Values match ClickCalculator on the layout of
-    experiments._gate_point; unlike it, no covariance block is refused,
-    only a total outside [0, 1] (see `click_probabilities`).
+    per-bin sums.  No covariance block is refused, only a total outside
+    [0, 1] (see `click_probabilities`).
     """
     bins = len(inputs.signal) // 2
     slots = check_gate_points(slots, bins, efficiency)

@@ -7,11 +7,9 @@ Kerr routing, and one of the APD click patterns.  Scans over gate
 positions return labeled distributions; the HOM preset and the overlap
 fitter drive the same chain with both gates off, with the overlaps as
 the points.  Everything is scored in closed form from the two inputs'
-walk columns (`_Stage.inputs`, detection.click_probabilities), except the
-scans on registers of up to 7 time bins (_DENSE_MAX_BINS): those keep a
-private dense route (`_Stage.dense`, `_gate_point`) that evolves the full
-register's covariance, one stacked pass per block of gate points, with the
-round-off that the stored references in perfbench/ hold.
+walk columns (`_Stage.inputs`, detection.click_probabilities); only
+`_run_scan` still sends scans on small registers to the frozen route of
+`qwalk.dense`.
 
 The mode-overlap between the coherent light and the heralded photon is
 modeled by splitting the coherent amplitude over two internal sectors
@@ -20,11 +18,9 @@ photon's sector.
 
 With `ideal_herald` the pair source is replaced by its vanishing-gain
 limit, the heralded photon itself: a `fock1` source on the signal mode.
-The Fock oracle takes it as it is; the Gaussian routes condition on
-exactly one photon entering the walk, in closed form (see
-detection.ClickCalculator.single_photon) instead of at small finite gain:
-the dense route carries it as probe columns along its quadratures, batched
-scans as the signal's amplitudes.
+The Fock oracle takes it as it is; the closed form conditions on exactly
+one photon entering the walk (detection._p0_excess), not on a small
+finite gain.
 """
 
 from __future__ import annotations
@@ -36,18 +32,14 @@ from typing import Callable
 
 import numpy as np
 
-from .detection import (
-    ClickCalculator,
-    WalkInputs,
-    check_gate_points,
-    click_probabilities,
-    scan_patterns,
-)
+from . import dense
+from .dense import ClickCalculator  # unused here; perfbench/spans.py traces it by this name
+from .detection import WalkInputs, click_probabilities, scan_patterns
 from .errors import ConfigInvalid
 from .fock import OracleSettings, ThresholdOracle
-from .gaussian import PAIR_KINDS, SourceSpec, prepare, symplectic_from_unitary
-from .modes import IDLER, ModeIndex, Pol, flat_index
-from .walk import WalkConfig, aggregate_transmission, step_unitary, walk_columns
+from .gaussian import PAIR_KINDS, SourceSpec
+from .modes import ModeIndex, Pol, flat_index
+from .walk import WalkConfig, aggregate_transmission, walk_columns
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -107,9 +99,9 @@ class ExperimentSpec:
                 "the HOM preset heralds on the pair source's idler, so it takes"
                 " no ideal_herald and no heralded: false"
             )
-        if self.kind == "three-fold" and self.walk.n_steps < 1:
+        if self.kind in ("two-fold", "three-fold") and self.walk.n_steps < 1:
             raise ConfigInvalid(
-                "three-fold readout needs two distinct gate bins, so at least one step"
+                f"{self.kind} readout needs two distinct gate bins, so at least one step"
             )
         if self.kind == "step-evolution" and self.walk.n_steps < 1:
             raise ConfigInvalid("step evolution needs at least one walk step")
@@ -173,11 +165,10 @@ def _sources(spec: ExperimentSpec) -> tuple:
 class _Stage:
     """Register after the walk and all loss, before any routing.
 
-    Holds the run's inputs (`_sources`) and the optics; each form is built
-    on first use.  `dense` is the full register, for small scans on the
-    dense route.  `inputs`, what all else reads, walks the two t1
-    inputs' columns alone and scales them by the walk's transmission: no
-    walk unitary, covariance or register-sized array is formed.
+    Holds the run's inputs (`_sources`) and the optics.  `inputs`, built
+    on first use, walks the two t1 inputs' columns alone and scales them
+    by the walk's transmission: no walk unitary, covariance or
+    register-sized array is formed.
     """
 
     walk: WalkConfig
@@ -188,41 +179,6 @@ class _Stage:
     @property
     def idler(self) -> bool:
         return any(s.kind in PAIR_KINDS for s in self.sources)
-
-    @cached_property
-    def dense(self) -> tuple:
-        """The full register's mean and covariance, and the means of the
-        probes: unit vectors along the ideal-herald photon's quadratures,
-        which pushed through are its injection map.  The walk unitary is
-        the product of dense steps, not `walk_unitary`, whose round-off
-        differs and would move stored values past 1e-9; loss acts on the
-        walk modes, then on the idler.  `_gate_point` routes it at a block
-        of gate points in one stacked pass, keeping each stored value."""
-        bins = self.walk.bin_capacity
-        idler = flat_index(IDLER, bins)  # the walk modes come first, then the idler if present
-        m = idler + self.idler
-        photons = [flat_index(s.target, bins) for s in self.sources if s.kind == "fock1"]
-        quads = [2 * i + o for i in photons for o in (0, 1)]
-        probes = np.zeros((2 * m, len(quads)))
-        probes[quads, range(len(quads))] = 1.0
-        state = prepare(tuple(s for s in self.sources if s.kind != "fock1"), bins=bins)
-        walk = np.eye(2 * bins, dtype=complex)
-        for layer in self.walk.layers:
-            walk = step_unitary(layer, bins) @ walk
-        u = np.eye(m, dtype=complex)
-        u[: 2 * bins, : 2 * bins] = u[2 * bins : 4 * bins, 2 * bins : 4 * bins] = walk
-        s = symplectic_from_unitary(u)
-        cov, means = s @ state.cov @ s.T, [s @ x for x in (state.mean, *probes.T)]
-        cov = 0.5 * (cov + cov.T)
-        for eta, first, stop in ((self.eta_walk, 0, idler), (self.eta_idler, idler, m)):
-            if eta < 1.0 and first < stop:
-                scale = np.ones(2 * m)
-                scale[2 * first : 2 * stop] = np.sqrt(eta)
-                cov = scale[:, None] * cov * scale[None, :]
-                touched = np.arange(2 * first, 2 * stop)
-                cov[touched, touched] += 0.5 * (1.0 - eta)
-                means = [scale * x for x in means]
-        return means[0], cov, tuple(means[1:])
 
     @cached_property
     def inputs(self) -> WalkInputs:
@@ -244,79 +200,9 @@ class _Stage:
         )
 
 
-# Registers of up to 7 time bins (walks of up to 6 steps by default) are
-# scanned on the dense route, one stacked pass per block of gate points that
-# takes each point's own products.  Their values then stay bit-identical to
-# earlier releases and to the stored references in perfbench/, which carry
-# that route's round-off: up to 1e-8 on tiny normalized three-fold rates, and
-# a whole normalized distribution built from round-off on one-step coincidence
-# scans that are exactly zero.
-_DENSE_MAX_BINS = 7
-# gate points per stacked dense pass: a 7-bin scan's stacks stay near 1 MiB
-_DENSE_BLOCK = 8
-
-
 def _stage(spec: ExperimentSpec) -> _Stage:
     eta_walk = aggregate_transmission(spec.walk) * spec.eta_sys
     return _Stage(spec.walk, _sources(spec), eta_walk, spec.eta_idler)
-
-
-def _route(cov: np.ndarray, means: np.ndarray, taps, efficiency: float, bins: int) -> tuple:
-    """The stacked states `cov` (states x 2M x 2M) and `means` (states x
-    vectors x 2M), or their one state, gated on each bin of `taps`: per
-    sector a fresh vacuum mode takes `efficiency` of the bin's (H, t_m) mode
-    by a beam splitter, by the products of one state alone (two gemms, and
-    one gemv per mean vector), so each keeps its round-off."""
-    r, t, each = np.sqrt(efficiency), np.sqrt(1.0 - efficiency), np.arange(len(taps))
-    for sector in (0, 1):
-        new = cov.shape[-1] // 2
-        tap = [flat_index(ModeIndex(Pol.H, int(b), sector), bins) for b in taps]
-        u = np.repeat(np.eye(new + 1, dtype=complex)[None], len(taps), axis=0)
-        u[each, new, tap], u[each, new, new], u[each, tap, tap], u[each, tap, new] = r, t, t, -r
-        s = symplectic_from_unitary(u)
-        grown = np.zeros((len(taps), 2 * new + 2, 2 * new + 2))
-        padded = np.zeros((len(taps), means.shape[1], 2 * new + 2))
-        grown[:, :-2, :-2], grown[:, [-2, -1], [-2, -1]], padded[..., :-2] = cov, 0.5, means
-        del u, cov  # each sector holds at most three stacks of its size
-        cov, means = s @ grown, (s[:, None] @ padded[..., None])[..., 0]
-        np.matmul(cov, np.swapaxes(s, 1, 2), out=grown)
-        np.add(grown, np.swapaxes(grown, 1, 2), out=cov)
-        cov *= 0.5
-        del s, grown
-    return cov, means
-
-
-def _gate_point(stage: _Stage, slots, efficiency: float) -> tuple:
-    """The dense route at a block of gate points `slots`, rows of
-    detection.check_gate_points that all light the same gates: one
-    ClickCalculator over the stack of the points' routed states, and the
-    ideal-herald photon's injection maps (None without that photon).
-
-    Each lit gate adds one vacuum routing mode per sector and couples it to
-    its bin's (H, t_m) mode by a beam splitter of reflectivity `efficiency`
-    (`_route`); gate 1 is routed once per distinct bin of the block.
-    """
-    bins = stage.walk.bin_capacity
-    points = check_gate_points(slots, bins, efficiency)
-    mean, cov, probes = stage.dense
-    cov, means = cov[None], np.vstack((mean, *probes))[None]
-    at = np.zeros(len(points), dtype=int)  # the state of the stack that each point reads
-    one, two = points.T
-    if one.any():
-        taps, at = np.unique(one, return_inverse=True)
-        cov, means = _route(cov, means, taps, efficiency, bins)
-    if two.any():
-        cov, means = _route(cov[at], means[at], two, efficiency, bins)
-        at = slice(None)
-    before, after = len(mean) // 2, cov.shape[-1] // 2  # modes before and after routing
-    detectors = {
-        "APD1": (flat_index(IDLER, bins),) if stage.idler else (),
-        "APD2": [flat_index(ModeIndex(Pol.H, m, s), bins) for s in (0, 1) for m in range(1, bins + 1)],
-        "APD3": range(before, before + 2) if one.any() else (),
-        "APD4": range(after - 2, after) if two.any() else (),
-    }
-    injection = np.swapaxes(means[at, 1:], 1, 2) if probes else None
-    return ClickCalculator(means[at, 0], cov[at], detectors, points), injection
 
 
 @dataclass(frozen=True)
@@ -348,19 +234,6 @@ _SCANS = {
     "three-fold": _Scan(_pairs, _pair_slots, ("APD2", "APD3", "APD4")),
 }
 
-def _dense_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> list:
-    slots = scan.slots(labels)
-    blocks = (slots[start : start + _DENSE_BLOCK] for start in range(0, len(slots), _DENSE_BLOCK))
-    return [p for block in blocks for p in _dense_block(scan, spec, stage, block)]
-
-
-def _dense_block(scan: _Scan, spec: ExperimentSpec, stage: _Stage, slots) -> np.ndarray:
-    calc, injection = _gate_point(stage, slots, spec.eta_kerr)
-    if spec.ideal_herald:
-        return calc.single_photon(scan.clicked, injection)
-    return (calc.heralded if spec.heralded else calc.pattern)(scan.clicked)
-
-
 def _batched_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> np.ndarray:
     return scan_patterns(
         stage.inputs,
@@ -374,7 +247,8 @@ def _batched_raw(scan: _Scan, spec: ExperimentSpec, stage: _Stage, labels) -> np
 def _run_scan(kind: str, spec: ExperimentSpec) -> Distribution:
     scan = _SCANS[kind]
     labels = scan.labels(spec.walk.n_steps)
-    route = _dense_raw if spec.walk.bin_capacity <= _DENSE_MAX_BINS else _batched_raw
+    # small registers keep the frozen dense route, whose round-off perfbench/ stores
+    route = dense.scan_raw if spec.walk.bin_capacity <= dense._DENSE_MAX_BINS else _batched_raw
     raw, probs, undefined = _normalize(route(scan, spec, _stage(spec), labels))
     return Distribution(kind, labels, probs, raw, NORMALIZED, undefined)
 

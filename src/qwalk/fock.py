@@ -85,7 +85,7 @@ class OracleSettings:
     at most leak_target / 4.  Inputs that need more are refused with
     CutoffTooSmall, and so is a pair source left with room for fewer than
     two photons.  A leak target outside (0, 1) or a negative cap is
-    refused with ConfigInvalid.
+    refused with ConfigInvalid, a cap past the oracle limit with ResourceBound.
     """
 
     leak_target: float = 1e-9
@@ -301,18 +301,22 @@ def _ensemble(src: _BranchSource, k_max: int) -> tuple:
     Gauss-Hermite discretization of its positive P-function over
     correlated coherent pairs (alpha on the signal, conjugate alpha on
     the idler), occupations up to k_max in total.  A truncated tail is
-    left as missing weight, not renormalized away.
+    left as missing weight, not renormalized away.  An ensemble of more
+    than `_BOX_LIMIT` amplitudes is refused before it is built.
     """
-    mu = src.mean_photon
+    mu, half = src.mean_photon, k_max // 2
+    kinds = {"fock1": ((1,), 1), "coherent": ((k_max,), 1), "tmsv": ((half, half), 1)}
+    caps, members = kinds.get(src.kind, ((k_max, k_max), _GRID_ORDER**2))
+    if members * math.prod(c + 1 for c in caps) > _BOX_LIMIT:
+        raise ResourceBound(f"a {src.kind} ensemble at {k_max} photons is past the oracle limit")
     if src.kind == "fock1":
-        return (1,), [(1.0, np.array([0.0, 1.0], dtype=complex))]
+        return caps, [(1.0, np.array([0.0, 1.0], dtype=complex))]
     if src.kind == "coherent":
-        return (k_max,), [(1.0, _coherent_amplitudes(math.sqrt(mu), k_max))]
+        return caps, [(1.0, _coherent_amplitudes(math.sqrt(mu), k_max))]
     if src.kind == "tmsv":
-        half = k_max // 2
         lam = math.sqrt(mu / (1.0 + mu))
         twin = np.diag([lam**n / math.sqrt(1.0 + mu) for n in range(half + 1)])
-        return (half, half), [(1.0, twin.astype(complex))]
+        return caps, [(1.0, twin.astype(complex))]
     nodes, gh_weights = np.polynomial.hermite.hermgauss(_GRID_ORDER)
     alpha = math.sqrt(mu) * (nodes[:, None] + 1j * nodes[None, :]).ravel()
     sig, idl = _coherent_amplitudes(np.stack((alpha, alpha.conj())), k_max)
@@ -320,7 +324,7 @@ def _ensemble(src: _BranchSource, k_max: int) -> tuple:
     n = np.arange(k_max + 1)
     amps[:, n[:, None] + n[None, :] > k_max] = 0.0
     weights = np.outer(gh_weights, gh_weights).ravel() / math.pi
-    return (k_max, k_max), list(zip(weights, amps))
+    return caps, list(zip(weights, amps))
 
 
 def _cut(src: _BranchSource, ensemble: tuple, k_max: int) -> tuple:
@@ -336,8 +340,12 @@ def _cut(src: _BranchSource, ensemble: tuple, k_max: int) -> tuple:
 
 
 def _choose_k_max(sources, settings) -> tuple:
-    """k_max, and the ensembles cut to it from one build each at the cap."""
+    """k_max, and the ensembles cut to it from one build each at the cap.
+    A cap is refused before anything is built if the photon-number
+    distribution, (cap + 1)^2 multiply-adds per source, passes `_BOX_LIMIT`."""
     cap = settings.max_total_photons
+    if len(sources) * (cap + 1) ** 2 > _BOX_LIMIT:
+        raise ResourceBound(f"max_total_photons = {cap} is past the oracle limit")
     built = [_ensemble(src, cap) for src in sources]
     pmf = np.zeros(cap + 1)
     pmf[0] = 1.0

@@ -6,14 +6,8 @@ Conventions (fixed across the package):
   so the vacuum covariance is I/2.
 * Quadratures interleave as (x_1, p_1, x_2, p_2, ...); a register of M
   modes has a mean vector of length 2M and a 2M x 2M covariance.
-* A passive unitary with mode map alpha_out = U alpha_in acts through
-  the orthogonal symplectic S = [[Re U, -Im U], [Im U, Re U]] written in
-  the interleaved ordering: mean -> S mean, cov -> S cov S^T.
 
-`prepare` builds the input state, `symplectic_from_unitary` gives S (of one
-unitary or of each of a stack).  Only the dense route for short scans
-(`experiments._Stage.dense`) evolves a full register, one stack per block of
-gate points with each point's round-off; all else reads the walk's columns.
+`SourceSpec` describes one source; `prepare` builds the sources' input state.
 """
 
 from __future__ import annotations
@@ -30,24 +24,11 @@ __all__ = [
     "SourceSpec",
     "vacuum_state",
     "prepare",
-    "symplectic_from_unitary",
     "classicality_eigenvalues",
 ]
 
 SOURCE_KINDS = ("coherent", "tmsv", "squashed", "fock1")
 PAIR_KINDS = ("tmsv", "squashed")
-
-
-def symplectic_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic action of a passive mode unitary, or of each of a stack."""
-    u = np.asarray(u)
-    *stack, n, k = u.shape
-    s = np.empty((*stack, 2 * n, 2 * k))
-    s[..., 0::2, 0::2] = u.real
-    s[..., 0::2, 1::2] = -u.imag
-    s[..., 1::2, 0::2] = u.imag
-    s[..., 1::2, 1::2] = u.real
-    return s
 
 
 @dataclass

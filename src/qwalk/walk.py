@@ -25,7 +25,6 @@ __all__ = [
     "LayerParams",
     "WalkConfig",
     "coin_matrix",
-    "step_unitary",
     "walk_columns",
     "walk_unitary",
     "aggregate_transmission",
@@ -115,35 +114,13 @@ def coin_matrix(omega: float, gamma: float = 0.0) -> np.ndarray:
     return np.array([[c, phase * s], [np.conj(phase) * s, -c]], dtype=complex)
 
 
-def _shift_matrix(bins: int) -> np.ndarray:
-    """V components move one bin later; H components stay put.
-
-    The last V bin wraps cyclically so the matrix remains unitary on the
-    full register.  Physical programs never populate it: with
-    bin_capacity >= n_steps + 1 and input in t_1 the wrap entry is never
-    reached, so the walk's columns for t_1 inputs do not depend on the
-    capacity.
-    """
-    eye = np.eye(bins)
-    roll = np.roll(eye, 1, axis=0)
-    out = np.zeros((2 * bins, 2 * bins))
-    out[:bins, :bins] = eye
-    out[bins:, bins:] = roll
-    return out
-
-
-def step_unitary(layer: LayerParams, bins: int) -> np.ndarray:
-    """Single walk step on a register of `bins` time bins: shift o coin."""
-    coin = np.kron(coin_matrix(layer.omega, layer.gamma), np.eye(bins))
-    return _shift_matrix(bins) @ coin
-
-
 def walk_columns(config: WalkConfig, inputs: np.ndarray) -> np.ndarray:
     """The walk applied to input amplitude columns over its 2B modes.
 
-    Each step acts on the rows directly, not as a dense step product: the
-    coin mixes the H and V row blocks bin by bin, then the V block moves
-    one bin later, cyclically as in `_shift_matrix`.  Only the light cone
+    Each step acts on the rows directly: the coin mixes the H and V row
+    blocks bin by bin, then the V block moves one bin later, its last bin
+    wrapping round to t_1 so that the step stays unitary (t_1 inputs never
+    reach the wrap when bin_capacity >= n_steps + 1).  Only the light cone
     is walked: after t steps, the bins past the last lit input bin plus t
     are still dark.  The V block's origin moves one row back per step in a
     longer buffer, so the delay moves no data; once the cone spans the

@@ -267,6 +267,15 @@ def test_step_evolution_without_steps_exits_two(tmp_path, capsys):
     assert "step evolution needs at least one walk step" in payload["message"]
 
 
+def test_two_fold_without_steps_exits_two_with_the_oracle_on(tmp_path, capsys):
+    # once an empty scan that the oracle check took the max of: a ValueError traceback
+    config = write_config(tmp_path, "experiment:\n  kind: two-fold\n  walk:\n    n_steps: 0\n")
+    assert main(["simulate", "--config", config, "--oracle"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigInvalid"
+    assert "two-fold readout needs two distinct gate bins" in payload["message"]
+
+
 def test_compute_errors_exit_one(tmp_path, capsys):
     config = write_config(
         tmp_path,

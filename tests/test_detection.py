@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from qwalk.detection import (
     _BLOCK,
     APD_NAMES,
-    ClickCalculator,
     WalkInputs,
     _checked,
     _p0_excess,
     scan_patterns,
 )
+from qwalk.dense import ClickCalculator, _gate_point, _register, symplectic_from_unitary
 from qwalk.errors import (
     DuplicateGateBin,
     EtaOutOfRange,
@@ -25,14 +25,13 @@ from qwalk.experiments import (
     _HOM_ARMS,
     _SCANS,
     ExperimentSpec,
-    _gate_point,
     _hom_clicks,
     _sources,
     _Stage,
     _stage,
 )
 from qwalk.fock import ThresholdOracle
-from qwalk.gaussian import SourceSpec, prepare, symplectic_from_unitary
+from qwalk.gaussian import SourceSpec, prepare
 from qwalk.modes import ModeIndex, Pol, flat_index
 from qwalk.walk import LayerParams, WalkConfig
 
@@ -45,7 +44,7 @@ def routed(sources, slots=(0, 0), bins=1, efficiency=0.97):
     no steps, so the sources reach the gates as they are; its values are
     arrays of one."""
     stage = _Stage(WalkConfig(0, (), bins), tuple(sources), 1.0, 1.0)
-    return _gate_point(stage, [slots], efficiency)[0]
+    return _gate_point(stage, _register(stage), [slots], efficiency)[0]
 
 
 def one_state(state, detectors):
@@ -347,11 +346,9 @@ def pair_inputs(mu: float, idler=None, bins=(1,), capacity: int = 1) -> WalkInpu
 def dense_one_fold(mu: float) -> float:
     """The same one-fold point on the dense route: the signal's thermal
     marginal, cov = (1/2 + mu) I on (H, t1)."""
-    stage = _Stage(WalkConfig(0), (), 1.0, 1.0)
     cov = 0.5 * np.eye(8)
     cov[:2, :2] += mu * np.eye(2)
-    stage.dense = np.zeros(8), cov, ()
-    calc, _ = _gate_point(stage, [(0, 1)], 1.0)
+    calc, _ = _gate_point(_Stage(WalkConfig(0), (), 1.0, 1.0), (np.zeros(8), cov, ()), [(0, 1)], 1.0)
     return calc.pattern(("APD4",))[0]
 
 

@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qwalk.dense as dense
 import qwalk.detection as detection
 import qwalk.experiments as experiments
 import qwalk.fock as fock
-from qwalk.detection import ClickCalculator
+from qwalk.dense import ClickCalculator
 from qwalk.errors import ConfigInvalid, ZeroHeraldRate
 from qwalk.experiments import (
     Distribution,
     ExperimentSpec,
     _SCANS,
     _batched_raw,
-    _dense_block,
-    _dense_raw,
     _sources,
     _stage,
     fit_overlap,
@@ -76,6 +75,9 @@ def test_spec_validation():
         )
     with pytest.raises(ConfigInvalid):
         ExperimentSpec(walk=WalkConfig.uniform(0), kind="three-fold")
+    # a 0-step walk has one bin, so a two-fold scan would have no gate point
+    with pytest.raises(ConfigInvalid, match="two-fold readout needs two distinct gate bins"):
+        ExperimentSpec(walk=WalkConfig.uniform(0), kind="two-fold")
     with pytest.raises(ConfigInvalid):
         ExperimentSpec(walk=WalkConfig.uniform(2), kind="hom")
 
@@ -209,7 +211,7 @@ def dense_hom(spec, overlap):
     the closed form: both gates off, APD4 on the (H, t1) arm and APD2 on the
     (V, t2) arm in both sectors, the herald on APD1."""
     stage = _stage(replace(spec, overlap=overlap))
-    mean, cov, _ = stage.dense
+    mean, cov, _ = dense._register(stage)
     bins = spec.walk.bin_capacity
 
     def arm(pol, m):
@@ -571,11 +573,11 @@ def test_run_experiment_dispatch():
 
 
 def dense_scan(spec):
-    """Raw values of the scan from `_gate_point` + ClickCalculator, a block of
+    """Raw values of the scan on the dense route (`qwalk.dense`), a block of
     gate points at a time, at any walk length: the independent Gaussian
     reference of the batched route."""
     scan = _SCANS[spec.kind]
-    return _dense_raw(scan, spec, _stage(spec), scan.labels(spec.walk.n_steps))
+    return dense.scan_raw(scan, spec, _stage(spec), scan.labels(spec.walk.n_steps))
 
 
 def batched_scan(spec):
@@ -650,7 +652,7 @@ def test_scans_pick_their_route_by_register_size():
 
 
 @pytest.mark.parametrize("herald", ("tmsv", "squashed", "unheralded", "ideal"))
-def test_stacked_dense_blocks_keep_every_value_to_the_bit(herald):
+def test_stacked_dense_blocks_keep_every_value_to_the_bit(herald, monkeypatch):
     # the dense route scores a block of gate points as one stack; each value
     # must be the one its point gets when routed and scored alone, on scans
     # shorter and longer than one block
@@ -669,18 +671,20 @@ def test_stacked_dense_blocks_keep_every_value_to_the_bit(herald):
             ideal_herald=herald == "ideal",
         )
         scan, stage, labels = _SCANS[kind], _stage(spec), _SCANS[kind].labels(n)
-        alone = [_dense_block(scan, spec, stage, [point])[0] for point in scan.slots(labels)]
-        stacked = _dense_raw(scan, spec, stage, labels)
+        with monkeypatch.context() as patch:
+            patch.setattr(dense, "_DENSE_BLOCK", 1)
+            alone = dense.scan_raw(scan, spec, stage, labels)
+        stacked = dense.scan_raw(scan, spec, stage, labels)
         assert stacked == alone
         assert np.array(stacked).tobytes() == np.array(alone).tobytes()  # signed zeros too
         longest = max(longest, len(alone))
-    assert longest > experiments._DENSE_BLOCK
+    assert longest > dense._DENSE_BLOCK
 
 
 def test_a_gate_on_a_dark_bin_gives_exactly_zero_on_the_batched_route(monkeypatch):
     # one step leaves no H light on bin 2, so gate 2 there cannot click; the
     # batched route once returned 1.1e-15 here, normalized to probability 1
-    monkeypatch.setattr(experiments, "_DENSE_MAX_BINS", 0)
+    monkeypatch.setattr(dense, "_DENSE_MAX_BINS", 0)
     for heralded in (True, False):
         spec = ExperimentSpec(
             walk=WalkConfig.uniform(1),
@@ -697,7 +701,7 @@ def test_a_gate_on_a_dark_bin_gives_exactly_zero_on_the_batched_route(monkeypatc
 def dense_amplitudes(spec):
     """(u, beta) read off the dense stage: u from the ideal-herald probe's
     mean or from the signal's covariance with the idler, beta from the mean."""
-    mean, cov, probes = _stage(spec).dense
+    mean, cov, probes = dense._register(_stage(spec))
     bins, idler = spec.walk.bin_capacity, 2 * flat_index(IDLER, spec.walk.bin_capacity)
     walk_modes = [flat_index(ModeIndex(pol, m, 0), bins) for pol in (Pol.H, Pol.V) for m in range(1, bins + 1)]
     if spec.ideal_herald:

@@ -603,6 +603,36 @@ def test_an_n_61_oracle_check_stays_under_48_mib():
     assert peak < 48 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("pair_source", ("tmsv", "squashed", None))
+def test_a_photon_cap_past_the_box_limit_is_refused_before_allocating(pair_source):
+    # each source's ensemble is built at the cap before k_max is chosen; a squashed
+    # pair's holds 144 (cap + 1)^2 complex amplitudes, 2.3 GB at a cap of 1000.
+    # Coherent light alone holds cap + 1, but the photon-number distribution
+    # costs (cap + 1)^2 multiply-adds per source, some 1e10 here.
+    sources = (SourceSpec("coherent", V1, 0.24, overlap=0.9),)
+    if pair_source:
+        sources += (SourceSpec(pair_source, H1, 0.026),)
+    settings = OracleSettings(max_total_photons=100_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBound, match="max_total_photons = 100000"):
+            ThresholdOracle(sources, WalkConfig.uniform(2), settings=settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("kind, fits", [("squashed", 116), ("coherent", 1413)])
+def test_the_photon_cap_bound_is_the_box_limit(kind, fits):
+    # a squashed pair alone holds 144 (cap + 1)^2 amplitudes, and coherent light
+    # alone takes (cap + 1)^2 multiply-adds; both fit the limit at `fits`
+    source = [branch_source(kind, 0.026)]
+    assert _choose_k_max(source, OracleSettings(max_total_photons=fits))[0] < fits
+    with pytest.raises(ResourceBound):
+        _choose_k_max(source, OracleSettings(max_total_photons=fits + 1))
+
+
 @pytest.mark.parametrize("kind", ("one-fold", "two-fold", "three-fold"))
 def test_n_6_dense_scans_stay_under_2_mib(kind):
     # the dense route stacks one block of gate points at a time, so its memory
@@ -722,13 +752,14 @@ def test_oracle_matches_gaussian_route_spot_check():
     )
     walk = WalkConfig.uniform(2)
     slots = (1, 2)
+    import qwalk.dense as dense
     import qwalk.experiments as exp
 
     spec = exp.ExperimentSpec(
         walk=walk, kind="two-fold", mu_alpha=0.2, mu_xi=0.026, overlap=0.6
     )
     stage = exp._stage(spec)
-    calc, _ = exp._gate_point(stage, [slots], 0.97)
+    calc, _ = dense._gate_point(stage, dense._register(stage), [slots], 0.97)
     pattern = ("APD1", "APD3", "APD4")
     gaussian_value = calc.pattern(pattern)[0]
     oracle = ThresholdOracle(sources, walk).scan([slots], 0.97)

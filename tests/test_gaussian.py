@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk.dense import _register, symplectic_from_unitary
 from qwalk.errors import ConfigInvalid, ModeCollision
 from qwalk.experiments import ExperimentSpec, _Stage
 from qwalk.gaussian import (
     SourceSpec,
     classicality_eigenvalues,
     prepare,
-    symplectic_from_unitary,
     vacuum_state,
 )
 from qwalk.modes import IDLER, ModeIndex, Pol, flat_index
@@ -37,7 +37,7 @@ def assert_physical(cov):
 
 def dense(sources, eta_walk=1.0, eta_idler=1.0, walk=WalkConfig(0)):
     """The dense stage's mean and covariance after the walk and loss."""
-    mean, cov, _ = _Stage(walk, tuple(sources), eta_walk, eta_idler).dense
+    mean, cov, _ = _register(_Stage(walk, tuple(sources), eta_walk, eta_idler))
     return mean, cov
 
 

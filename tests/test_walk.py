@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk.dense import step_unitary
 from qwalk.errors import EtaOutOfRange
 from qwalk.modes import ModeIndex, Pol, flat_index
 from qwalk.walk import (
@@ -10,7 +11,6 @@ from qwalk.walk import (
     WalkConfig,
     aggregate_transmission,
     coin_matrix,
-    step_unitary,
     walk_columns,
     walk_unitary,
 )
